@@ -18,7 +18,7 @@ from numpy.polynomial import Polynomial
 from .errors import ValidationError
 from .material import UnitCell1D
 
-__all__ = ["PiecewisePoly", "piecewise_constant", "gauss_nodes_weights"]
+__all__ = ["PiecewisePoly", "piecewise_constant"]
 
 
 def _as_poly(p) -> Polynomial:
@@ -137,10 +137,3 @@ def piecewise_constant(cell: UnitCell1D, values: Sequence[float]) -> PiecewisePo
     if vals.size != len(cell.phases):
         raise ValidationError("need one value per phase")
     return PiecewisePoly(cell.breakpoints, tuple(Polynomial([v]) for v in vals))
-
-
-def gauss_nodes_weights(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w

@@ -8,23 +8,38 @@ Bloch cell equation
 into a constant-coefficient ODE  -(G W')' - omega^2 rho W = g(x)  with
 g = f exp(ikx) for the monopole load (f = 1) and g = -ik G exp(ikx) for the
 unit dipole load (gamma = 1).  Segment solutions are propagated with the
-trigonometric fundamental matrix, interface and Floquet conditions close a
-2x2 linear system, and cell averages are taken with per-segment
-Gauss-Legendre rules whose error is far below roundoff for the smooth
-integrands involved.  This module is the reference oracle the spectral
-route is validated against.
+trigonometric fundamental matrix, and interface and Floquet conditions
+close a 2x2 linear system.  This module is the reference oracle the
+spectral route is validated against.
+
+No quadrature is involved.  On segment j (left end x_j, length h, wave
+number q = omega sqrt(rho/G)) the load's contribution to the end state and
+every cell average reduce to moments
+
+    int_0^h t^m exp(-i kappa t) {cos qt, sin(qt)/q} dt,   m in {0, 1},
+
+with kappa = k for the averages and kappa = 0 for the rho-weighted products
+with the static dipole.  Written as iterated integrals of exponentials over
+a simplex, each moment is h^n times a divided difference of exp over the
+nodes {0, (+-iq - i kappa) h, ikh} (Hermite-Genocchi); for example
+int_0^h (h - t) exp(-ikt) sin(qt)/q dt = h^3 exp[0, 0, a, b] with
+a, b = (+-iq - ik) h.  One helper, :func:`_dd_exp`, evaluates those
+divided differences stably, so the removable limits q = 0 (the static
+dipole), q -> 0 and q = +-k need no special case anywhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import bisect
+import cmath
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._piecewise import gauss_nodes_weights
 from .errors import ResonanceError, ValidationError
-from .material import UnitCell1D
+from .material import Phase, UnitCell1D, cell_digest
 
 __all__ = [
     "ExactField",
@@ -32,151 +47,214 @@ __all__ = [
     "solve_dipole_exact",
     "solve_static_dipole_exact",
     "dispersion_function",
-    "cell_average",
 ]
-
-#: nodes per segment for cell averages / for the in-segment source integral
-_AVG_NODES = 48
-_SRC_NODES = 32
 
 #: relative reciprocal-condition floor below which the Floquet closure is
 #: treated as resonant
 _RCOND_FLOOR = 1e-10
+
+#: nodes within this distance of their centroid are summed as one Taylor
+#: series; a wider set is split, so the recurrence never divides by less
+_SERIES_RADIUS = 1.0
+
+_INV_FACTORIAL = tuple(1.0 / math.factorial(j) for j in range(64))
+
+#: 1 + bisect(_SERIES_LIMITS, r) is the first m with r^m / m! < 1e-17, the
+#: number of Taylor terms past the n-th that n + 1 nodes within r need
+_SERIES_LIMITS = tuple((1e-17 * math.factorial(m)) ** (1.0 / m) for m in range(1, 40))
 
 
 def _segment_q(G: float, rho: float, omega: float) -> float:
     return float(omega) * np.sqrt(rho / G)
 
 
-def _propagator(G: float, rho: float, omega: float, delta: np.ndarray):
-    """Entries of the fundamental matrix over a step delta (vectorized)."""
-    q = _segment_q(G, rho, omega)
-    c = np.cos(q * delta)
-    s = delta * np.sinc(q * delta / np.pi)  # sin(q d)/q, valid at q = 0
-    return c, s
+def _centred(z: tuple[complex, ...]) -> tuple[complex, list[complex], float]:
+    c = sum(z) / len(z)
+    x = [zi - c for zi in z]
+    return c, x, max(map(abs, x))
 
 
-def _source_state(
-    G: float,
-    rho: float,
-    omega: float,
-    k: float,
-    x_left: float,
-    amp: complex,
-    t: np.ndarray,
-) -> np.ndarray:
-    """Particular contribution to (W, GW') at local offsets t.
+def _taylor_row(c: complex, x: list[complex], r: float) -> list[complex]:
+    """Newton row of exp over the nodes c + x, clustered (r = max |x|).
 
-    Computes -int_0^t [s(t-u)/G; cos(q(t-u))] amp exp(ik(x_left+u)) du
-    with a fixed Gauss rule on the scaled interval.
+    exp[z_0, ..., z_i] = e^c sum_j (X^j / j!)_{0i}, X the bidiagonal matrix
+    with x on its diagonal (Opitz), summed by Horner on the first row.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros((t.size, 2), dtype=complex)
-    if amp == 0:
-        return out
-    nodes01, w01 = np.polynomial.legendre.leggauss(_SRC_NODES)
-    nodes01 = 0.5 * (nodes01 + 1.0)
-    w01 = 0.5 * w01
-    u = t[:, None] * nodes01[None, :]
-    w = t[:, None] * w01[None, :]
-    g = amp * np.exp(1j * k * (x_left + u))
-    c, s = _propagator(G, rho, omega, t[:, None] - u)
-    out[:, 0] = -np.sum(w * s * g, axis=1) / G
-    out[:, 1] = -np.sum(w * c * g, axis=1)
-    return out
+    n = len(x) - 1
+    terms = n + 1 + bisect.bisect(_SERIES_LIMITS, r)
+    x0, x1, x2, x3, x4 = (*x, 0j, 0j, 0j, 0j)[:5]
+    v0, v1, v2, v3, v4 = _INV_FACTORIAL[terms], 0j, 0j, 0j, 0j
+    for j in range(terms - 1, -1, -1):
+        v4 = v4 * x4 + v3
+        v3 = v3 * x3 + v2
+        v2 = v2 * x2 + v1
+        v1 = v1 * x1 + v0
+        v0 = v0 * x0 + _INV_FACTORIAL[j]
+    e = cmath.exp(c)
+    return [e * v for v in (v0, v1, v2, v3, v4)[: n + 1]]
 
 
-def _step_matrix(G: float, rho: float, omega: float, delta: float) -> np.ndarray:
-    c, s = _propagator(G, rho, omega, np.asarray(delta, dtype=float))
-    return np.array(
-        [[c, s / G], [-rho * omega**2 * s, c]], dtype=complex
-    )
+def _dd_last(z: tuple[complex, ...], memo: dict) -> complex:
+    """exp[z_0, ..., z_n], splitting wide node sets on their widest pair."""
+    got = memo.get(z)
+    if got is None:
+        c, x, r = _centred(z)
+        if r <= _SERIES_RADIUS:
+            got = _taylor_row(c, x, r)[-1]
+        else:
+            # |z[other] - z[far]| >= |z[far] - c| = r > _SERIES_RADIUS
+            far = max(range(len(z)), key=lambda i: abs(x[i]))
+            other = max(range(len(z)), key=lambda i: abs(z[i] - z[far]))
+            got = (
+                _dd_last(z[:far] + z[far + 1 :], memo) - _dd_last(z[:other] + z[other + 1 :], memo)
+            ) / (z[other] - z[far])
+        memo[z] = got
+    return got
+
+
+def _dd_exp(*z: complex) -> list[complex]:
+    """Newton row [exp[z_0], exp[z_0, z_1], ..., exp[z_0, ..., z_n]] of exp.
+
+    Divided differences of exp over up to five nodes, which may repeat or
+    cluster.  Clustered nodes are summed as one Taylor series about their
+    centroid; a wider set is split by the recurrence on its widest pair,
+    whose gap exceeds ``_SERIES_RADIUS``.
+    """
+    c, x, r = _centred(z)
+    if r <= _SERIES_RADIUS:
+        return _taylor_row(c, x, r)
+    memo: dict = {}
+    return [_dd_last(z[: i + 1], memo) for i in range(len(z))]
+
+
+class _Segment:
+    """One phase at (k, omega): propagator, load moments and load term.
+
+    With a, b = (+-iq - ik) h, the kappa = k moments over [0, h] are
+    S0 = int exp(-ikt) sin(qt)/q = h^2 exp[0, a, b],
+    C0 = int exp(-ikt) cos qt = h exp[0, b] + iq S0 and
+    T = int (h - t) exp(-ikt) sin(qt)/q = h^3 exp[0, 0, a, b].
+    """
+
+    def __init__(self, phase: Phase, x: float, k: float, omega: float, amp: complex):
+        h, G, rho = phase.length, phase.G, phase.rho
+        q = omega * math.sqrt(rho / G)
+        self.x, self.h, self.G, self.rho = x, h, G, rho
+        self.k, self.q, self.amp = k, q, amp
+        self.w2 = rho * omega * omega
+        self.cos = math.cos(q * h)
+        self.sin_q = math.sin(q * h) / q if q else h
+        a, self.b = 1j * (q - k) * h, -1j * (q + k) * h
+        _, e0b, e0ab, e00ab = _dd_exp(self.b, 0.0, a, 0.0)
+        self.S0 = h * h * e0ab
+        self.C0 = h * e0b + 1j * q * self.S0
+        self.T = h**3 * e00ab
+        end = -amp * cmath.exp(1j * k * (x + h))
+        self.load = (end * self.S0 / G, end * self.C0)
+
+    def step(self, y0: complex, y1: complex) -> tuple[complex, complex]:
+        """Homogeneous propagation of (W, GW') across the segment."""
+        c, s = self.cos, self.sin_q
+        return c * y0 + (s / self.G) * y1, -self.w2 * s * y0 + c * y1
+
+    def mean(self, y0: complex, y1: complex) -> complex:
+        """int over the segment of u = exp(-ikx) W, from the start state."""
+        phase = cmath.exp(-1j * self.k * self.x)
+        return phase * (y0 * self.C0 + y1 * self.S0 / self.G) - self.amp * self.T / self.G
+
+    def mean_flux(self, y0: complex, y1: complex) -> complex:
+        """int over the segment of G D_k u = exp(-ikx) GW', from the start state."""
+        h = self.h
+        # int_0^h (h - t) exp(-ikt) cos qt dt = h^2 (exp[0, 0, b] + (a - b)/2 exp[0, 0, a, b])
+        tail = h * h * _dd_exp(0.0, self.b, 0.0)[2] + 1j * self.q * self.T
+        phase = cmath.exp(-1j * self.k * self.x)
+        return phase * (-self.w2 * self.S0 * y0 + self.C0 * y1) - self.amp * tail
+
+    def rho_conj_static(
+        self, y: tuple[complex, complex], zy: tuple[complex, complex], mean: complex
+    ) -> complex:
+        """int over the segment of rho u conj(zeta), zeta a static dipole.
+
+        ``y`` and ``zy`` are the start states of u and zeta, ``mean`` the
+        segment integral of u.  On the segment
+        conj W_zeta = exp(-ikx_j) (alpha + beta t + gamma exp(-ikt)), so the
+        product needs the kappa = 0 moments of W_u times 1 and t; with
+        p, m = +-iqh they are divided differences over {0, p, m, ikh}.
+        """
+        h, k, q, G = self.h, self.k, self.q, self.G
+        p, m = 1j * q * h, -1j * q * h
+        front = cmath.exp(1j * k * self.x)
+        alpha = front * zy[0].conjugate() - 1j / k
+        beta = front * zy[1].conjugate() / G - 1.0
+        gamma = 1j / k
+        _, e0m, e0pm, e00pm = _dd_exp(m, 0.0, p, 0.0)
+        e00m = _dd_exp(0.0, m, 0.0)[2]
+        *_, e0pmk, e00pmk = _dd_exp(1j * k * h, 0.0, p, m, 0.0)
+        # int_0^h t^n {cos qt, sin(qt)/q} dt for n = 0, 1
+        s0 = h * h * e0pm
+        c0 = h * e0m + 1j * q * s0
+        s1 = h * s0 - h**3 * e00pm
+        c1 = h * c0 - h * h * e00m - 1j * q * h**3 * e00pm
+        # K(t) = int_0^t sin(q(t - u))/q exp(iku) du integrated times 1 and t
+        k1 = h**3 * e0pmk
+        kt = h * k1 - h**4 * e00pmk
+        src = -self.amp / G * front
+        i1 = y[0] * c0 + y[1] * s0 / G + src * k1
+        it = y[0] * c1 + y[1] * s1 / G + src * kt
+        return self.rho * (front.conjugate() * (alpha * i1 + beta * it) + gamma * mean)
 
 
 @dataclass(eq=False)
 class ExactField:
-    """Closed-form cell response with precomputed quadrature data.
+    """Closed-form cell response.
 
-    Attributes hold the solution in the W = exp(ikx) u gauge: ``starts[j]``
-    is (W, GW') at the left end of segment j; node arrays carry the values
-    at the per-segment Gauss points used for every cell average.
+    ``starts[j]`` is (W, GW') at the left end of segment j, in the
+    W = exp(ikx) u gauge; cell averages are sums of per-segment closed forms.
     """
 
     cell: UnitCell1D
     k: float
     omega: float
     kind: str
-    starts: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    W_nodes: np.ndarray
-    GWp_nodes: np.ndarray
-    _bloch_phase: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._bloch_phase = np.exp(-1j * self.k * self.nodes)
-
-    # -- pointwise evaluation ------------------------------------------------
-
-    def state(self, x: float) -> tuple[complex, complex]:
-        """(W, GW') at a point of the unit interval."""
-        xw = float(np.mod(x, 1.0))
-        breaks = self.cell.breakpoints
-        j = min(int(np.searchsorted(breaks, xw, side="right") - 1), len(self.cell.phases) - 1)
-        p = self.cell.phases[j]
-        t = xw - breaks[j]
-        amp = _load_amplitude(self.kind, p.G, self.k)
-        y = _step_matrix(p.G, p.rho, self.omega, t) @ self.starts[j]
-        y = y + _source_state(p.G, p.rho, self.omega, self.k, breaks[j], amp, np.array([t]))[0]
-        return complex(y[0]), complex(y[1])
-
-    def value(self, x: float) -> complex:
-        """Physical field u(x) = exp(-ikx) W(x)."""
-        W, _ = self.state(x)
-        return np.exp(-1j * self.k * x) * W
-
-    def flux(self, x: float) -> complex:
-        """G D_k u at x (does not subtract the dipole load)."""
-        _, GWp = self.state(x)
-        return np.exp(-1j * self.k * x) * GWp
-
-    # -- cell averages ---------------------------------------------------------
+    starts: tuple[tuple[complex, complex], ...]
+    segments: tuple[_Segment, ...]
 
     @property
     def u_nodes(self) -> np.ndarray:
-        return self._bloch_phase * self.W_nodes
+        """u = exp(-ikx) W at the partition nodes (left segment ends)."""
+        return np.array(
+            [cmath.exp(-1j * self.k * seg.x) * y[0] for seg, y in zip(self.segments, self.starts)]
+        )
+
+    @cached_property
+    def _segment_means(self) -> list[complex]:
+        return [seg.mean(*y) for seg, y in zip(self.segments, self.starts)]
 
     @property
     def mean(self) -> complex:
         """<u>"""
-        return complex(np.dot(self.weights, self.u_nodes))
+        return complex(sum(self._segment_means))
 
     @property
     def mean_rho(self) -> complex:
         """<rho u>"""
-        rho = _per_node_values(self.cell, "rho", self.nodes)
-        return complex(np.dot(self.weights, rho * self.u_nodes))
+        return complex(sum(seg.rho * m for seg, m in zip(self.segments, self._segment_means)))
 
     @property
     def mean_flux(self) -> complex:
         """<G D_k u>"""
-        return complex(np.dot(self.weights, self._bloch_phase * self.GWp_nodes))
+        return complex(sum(seg.mean_flux(*y) for seg, y in zip(self.segments, self.starts)))
 
-
-def _per_node_values(cell: UnitCell1D, fieldname: str, nodes: np.ndarray) -> np.ndarray:
-    breaks = cell.breakpoints
-    idx = np.clip(np.searchsorted(breaks, nodes, side="right") - 1, 0, len(cell.phases) - 1)
-    return cell.values(fieldname)[idx]
-
-
-def product_average(
-    weight: np.ndarray | float, *fields_or_arrays: np.ndarray, weights: np.ndarray
-) -> complex:
-    """Quadrature of a pointwise product over shared nodes."""
-    prod = np.asarray(weight)
-    for arr in fields_or_arrays:
-        prod = prod * arr
-    return complex(np.dot(weights, prod))
+    def mean_rho_conj(self, zeta: "ExactField") -> complex:
+        """<rho u conj(zeta)> for the static dipole response ``zeta`` at this k."""
+        if zeta.kind != "static_dipole" or zeta.cell is not self.cell or zeta.k != self.k:
+            raise ValidationError("mean_rho_conj needs the static dipole of the same cell and k")
+        return complex(
+            sum(
+                seg.rho_conj_static(y, zy, m)
+                for seg, y, zy, m in zip(self.segments, self.starts, zeta.starts, self._segment_means)
+            )
+        )
 
 
 def _load_amplitude(kind: str, G: float, k: float) -> complex:
@@ -187,76 +265,62 @@ def _load_amplitude(kind: str, G: float, k: float) -> complex:
     raise ValidationError(f"unknown load kind {kind!r}")
 
 
-def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
-    breaks = cell.breakpoints
-    P = len(cell.phases)
-    dipole = kind in ("dipole", "static_dipole")
+def _singular_values(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float]:
+    """Largest and smallest singular value of [[a, b], [c, d]]."""
+    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    det = abs(a * d - b * c)
+    smax = math.sqrt(0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * det * det, 0.0))))
+    return smax, (det / smax if smax else 0.0)
 
-    # march the affine map y_end = M z + s across the cell
-    M = np.eye(2, dtype=complex)
-    s = np.zeros(2, dtype=complex)
-    seg_M: list[np.ndarray] = []
-    seg_s: list[np.ndarray] = []
-    for j in range(P):
-        seg_M.append(M.copy())
-        seg_s.append(s.copy())
-        p = cell.phases[j]
-        amp = _load_amplitude(kind, p.G, k)
-        F = _step_matrix(p.G, p.rho, omega, p.length)
-        part = _source_state(p.G, p.rho, omega, k, breaks[j], amp, np.array([p.length]))[0]
-        M = F @ M
-        s = F @ s + part
-        if j + 1 < P and dipole:
-            dG = cell.phases[j + 1].G - p.G
-            s = s + np.array([0.0, np.exp(1j * k * breaks[j + 1]) * dG], dtype=complex)
+
+def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
+    k, omega = float(k), float(omega)
+    phases = cell.phases
+    segments = []
+    x = 0.0
+    for p in phases:
+        segments.append(_Segment(p, x, k, omega, _load_amplitude(kind, p.G, k)))
+        x += p.length
+    # dipole load: GW' jumps by exp(ikx) [G] at the interior interfaces
+    jumps = [0j] * len(segments)
+    if kind != "monopole":
+        for j in range(len(segments) - 1):
+            nxt = segments[j + 1]
+            jumps[j] = cmath.exp(1j * k * nxt.x) * (nxt.G - segments[j].G)
+
+    # march the affine map y_end = M y_0 + s across the cell
+    m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    s0, s1 = 0j, 0j
+    for seg, jump in zip(segments, jumps):
+        m00, m10 = seg.step(m00, m10)
+        m01, m11 = seg.step(m01, m11)
+        s0, s1 = seg.step(s0, s1)
+        s0, s1 = s0 + seg.load[0], s1 + seg.load[1] + jump
 
     # Floquet closure: z = exp(-ik) (M z + s) + d0
-    d0 = np.zeros(2, dtype=complex)
-    if dipole:
-        d0[1] = cell.phases[0].G - cell.phases[-1].G
-    phase = np.exp(-1j * k)
-    A = np.eye(2, dtype=complex) - phase * M
-    rhs = phase * s + d0
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= _RCOND_FLOOR * max(sv[0], 1.0):
+    d1 = phases[0].G - phases[-1].G if kind != "monopole" else 0.0
+    phase = cmath.exp(-1j * k)
+    a00, a01, a10, a11 = 1.0 - phase * m00, -phase * m01, -phase * m10, 1.0 - phase * m11
+    r0, r1 = phase * s0, phase * s1 + d1
+    smax, smin = _singular_values(a00, a01, a10, a11)
+    if smin <= _RCOND_FLOOR * max(smax, 1.0):
         raise ResonanceError(
-            f"(k, omega) = ({k}, {omega}) lies on a Bloch branch; "
-            "the cell response is resonant",
+            f"(k, omega) = ({k!r}, {omega!r}) lies on a Bloch branch of cell "
+            f"{cell_digest(cell)}; the {kind} cell response is resonant",
             eigenvalue=omega**2,
             omega_sq=omega**2,
         )
-    z = np.linalg.solve(A, rhs)
+    det = a00 * a11 - a01 * a10
+    y = ((a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det)
 
-    starts = np.array([seg_M[j] @ z + seg_s[j] for j in range(P)])
-
-    # per-segment Gauss nodes and node states for cell averages
-    all_nodes, all_w, all_W, all_GWp = [], [], [], []
-    for j in range(P):
-        p = cell.phases[j]
-        amp = _load_amplitude(kind, p.G, k)
-        t, w = gauss_nodes_weights(_AVG_NODES, 0.0, p.length)
-        c, sn = _propagator(p.G, p.rho, omega, t)
-        y0, y1 = starts[j]
-        W = c * y0 + (sn / p.G) * y1
-        GWp = (-p.rho * omega**2 * sn) * y0 + c * y1
-        part = _source_state(p.G, p.rho, omega, k, breaks[j], amp, t)
-        W = W + part[:, 0]
-        GWp = GWp + part[:, 1]
-        all_nodes.append(breaks[j] + t)
-        all_w.append(w)
-        all_W.append(W)
-        all_GWp.append(GWp)
+    starts = []
+    for seg, jump in zip(segments, jumps):
+        starts.append(y)
+        y0, y1 = seg.step(*y)
+        y = (y0 + seg.load[0], y1 + seg.load[1] + jump)
 
     return ExactField(
-        cell=cell,
-        k=float(k),
-        omega=float(omega),
-        kind=kind,
-        starts=starts,
-        nodes=np.concatenate(all_nodes),
-        weights=np.concatenate(all_w),
-        W_nodes=np.concatenate(all_W),
-        GWp_nodes=np.concatenate(all_GWp),
+        cell=cell, k=k, omega=omega, kind=kind, starts=tuple(starts), segments=tuple(segments)
     )
 
 
@@ -288,13 +352,3 @@ def dispersion_function(cell: UnitCell1D, omega: float) -> float:
         s = p.length * np.sinc(q * p.length / np.pi)
         M = np.array([[c, s / p.G], [-p.rho * omega**2 * s, c]]) @ M
     return float(0.5 * np.trace(M))
-
-
-def cell_average(cell: UnitCell1D, fn: Callable[[np.ndarray], np.ndarray]) -> complex:
-    """Per-segment Gauss quadrature of a piecewise-smooth integrand."""
-    breaks = cell.breakpoints
-    total = 0.0 + 0.0j
-    for j in range(len(cell.phases)):
-        x, w = gauss_nodes_weights(_AVG_NODES, breaks[j], breaks[j + 1])
-        total += np.dot(w, fn(x))
-    return complex(total)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cell_functions import averages, solve_v, solve_v_exact, solve_w, solve_w_exact
 from .errors import ValidationError, ZeroMeanImpedanceError
-from .material import FourierField, UnitCell1D
+from .material import FourierField, UnitCell1D, cell_digest
 from .spectral import BlochEigensystem, assemble
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "effective_impedance",
     "effective_parameters",
     "impedance_from_parameters",
+    "impedance_reconstruction_residual",
     "mean_fields",
     "localization_fields",
     "classify_visibility",
@@ -134,9 +135,23 @@ def effective_impedance(
     method: str = "exact",
     order: int = 128,
 ) -> complex:
-    """Z = 1/<w>; the imaginary part is a diagnostic and should sit at roundoff."""
-    avg = _averages_at(cell, k, omega, method, order)
-    return impedance_from_averages(avg)
+    """Z = 1/<w>; the imaginary part is a diagnostic and should sit at roundoff.
+
+    Only the monopole response w is solved, on either route.
+    """
+    if method == "exact":
+        w = solve_w_exact(cell, k, omega)
+    elif method == "spectral":
+        w = solve_w(assemble(cell, k, order), omega)
+    else:
+        raise ValidationError(f"method must be 'exact' or 'spectral', got {method!r}")
+    mw = complex(w.mean)
+    if abs(mw) <= ZERO_MEAN_TOL:
+        raise ZeroMeanImpedanceError(
+            f"<w> = {mw:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
+            f"on cell {cell_digest(cell)}; the effective impedance is undefined there"
+        )
+    return 1.0 / mw
 
 
 def impedance_from_averages(avg: dict[str, complex]) -> complex:
@@ -214,6 +229,22 @@ def impedance_from_parameters(p: EffectiveParameters) -> complex:
     return (
         k**2 * p.stiffness + k * omega * coupling - omega**2 * p.density
     )
+
+
+def impedance_reconstruction_residual(p: EffectiveParameters, z: complex) -> float:
+    """|Z(p) - z| relative to the size of the terms of Z(p).
+
+    The terms k^2 C, k omega (S2 + conj S2) and omega^2 rho cancel on a
+    Bloch branch, where Z vanishes, so the residual is scaled by
+    k^2 |C| + |k omega| |S2 + conj S2| + omega^2 |rho| >= |Z(p)|, not by |z|.
+    """
+    k, omega = p.k, p.omega
+    terms = (
+        k**2 * abs(p.stiffness)
+        + abs(k * omega) * abs(p.coupling_velocity + np.conj(p.coupling_velocity))
+        + omega**2 * abs(p.density)
+    )
+    return float(abs(impedance_from_parameters(p) - z) / max(terms, 1e-30))
 
 
 def mean_fields(
@@ -333,14 +364,8 @@ def dynamic_identity_residuals(
         w = solve_w_exact(cell, k, omega)
         v = solve_v_exact(cell, k, omega)
         zeta = solve_zeta_exact(cell, k)
-        mean_rho_w_zeta = complex(
-            np.dot(w.weights, _node_rho(cell, w) * w.W_nodes * np.conj(zeta.W_nodes))
-        )
-        mean_rho_zeta_v = complex(
-            np.dot(v.weights, _node_rho(cell, v) * np.conj(zeta.W_nodes) * v.W_nodes)
-        )
-        mean_zeta = zeta.mean
-        mean_flux_zeta = zeta.mean_flux
+        mean_rho_w_zeta = w.mean_rho_conj(zeta)
+        mean_rho_zeta_v = v.mean_rho_conj(zeta)
     else:
         op = assemble(cell, k, order)
         w = solve_w(op, omega)
@@ -348,8 +373,8 @@ def dynamic_identity_residuals(
         zeta = solve_zeta(op)
         mean_rho_w_zeta = complex(zeta.coeffs.conj() @ op.mass @ w.coeffs)
         mean_rho_zeta_v = complex(zeta.coeffs.conj() @ op.mass @ v.coeffs)
-        mean_zeta = zeta.mean
-        mean_flux_zeta = zeta.mean_flux
+    mean_zeta = zeta.mean
+    mean_flux_zeta = zeta.mean_flux
     avg = averages(w, v, cell)
     mw, mv = avg["mean_w"], avg["mean_v"]
     mrw, mrv = avg["mean_rho_w"], avg["mean_rho_v"]
@@ -383,9 +408,7 @@ def dynamic_identity_residuals(
         res[f"symmetry_{name}"] = value
     Z = impedance_from_averages(avg)
     for label, p in (("direct", p_direct), ("symmetric", p_sym)):
-        res[f"impedance_reconstruction_{label}"] = abs(
-            impedance_from_parameters(p) - Z
-        ) / max(abs(Z), 1e-30)
+        res[f"impedance_reconstruction_{label}"] = impedance_reconstruction_residual(p, Z)
 
     # flux averages through the static dipole response
     res["cell_basis_monopole"] = abs(
@@ -395,11 +418,3 @@ def dynamic_identity_residuals(
         mfv - np.conj(mean_flux_zeta) - om2 * mean_rho_zeta_v
     ) / max(abs(mfv), 1e-30)
     return res
-
-
-def _node_rho(cell: UnitCell1D, f) -> np.ndarray:
-    breaks = cell.breakpoints
-    idx = np.clip(
-        np.searchsorted(breaks, f.nodes, side="right") - 1, 0, len(cell.phases) - 1
-    )
-    return cell.values("rho")[idx]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from willis_homog._piecewise import PiecewisePoly, gauss_nodes_weights, piecewise_constant
+from willis_homog._piecewise import PiecewisePoly, piecewise_constant
 from willis_homog.material import bilaminate
 
 
@@ -83,10 +83,3 @@ def test_piecewise_constant_from_cell() -> None:
     g = piecewise_constant(cell, cell.values("G"))
     assert_allclose([g(0.2), g(0.8)], [1.0, 0.1], atol=1e-15)
     assert_allclose(g.mean(), 0.55, rtol=1e-15)
-
-
-def test_gauss_nodes_integrate_polynomials_exactly() -> None:
-    x, w = gauss_nodes_weights(4, 0.0, 2.0)
-    # degree 7 is exact for 4-point Gauss
-    assert_allclose(np.sum(w * x**7), 2.0**8 / 8, rtol=1e-13)
-    assert_allclose(np.sum(w), 2.0, rtol=1e-15)

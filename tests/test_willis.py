@@ -129,3 +129,27 @@ def test_mean_blowup_rate_on_visible_branch() -> None:
         mags.append(abs(solve_monopole_exact(BILAMINATE, k, omega).mean))
     slope = np.polyfit(np.log(gaps), np.log(mags), 1)[0]
     assert abs(slope + 1.0) < 0.05
+
+
+@pytest.mark.parametrize("k", [0.5, 1.5])
+def test_exact_identities_hold_next_to_the_branch(k: float) -> None:
+    # Z -> 0 on the branch; the reconstruction residual must not divide by it
+    from willis_homog.dispersion import exact_branch
+
+    omega = 0.999 * exact_branch(BILAMINATE, np.array([k])).omega[0]
+    res = dynamic_identity_residuals(BILAMINATE, k, omega, method="exact")
+    for name, value in res.items():
+        assert value <= 1e-8, name
+
+
+def test_reconstruction_residual_detects_stiffness_error() -> None:
+    import dataclasses
+
+    from willis_homog.willis import impedance_reconstruction_residual
+
+    k, omega = 0.5, 0.2
+    p = effective_parameters(BILAMINATE, k, omega, method="exact")
+    z = effective_impedance(BILAMINATE, k, omega, method="exact")
+    assert impedance_reconstruction_residual(p, z) <= 1e-10
+    wrong = dataclasses.replace(p, stiffness=p.stiffness * (1.0 + 1e-6))
+    assert impedance_reconstruction_residual(wrong, z) > 1e-8
