@@ -48,7 +48,7 @@ def polyline(frame: Frame, xs, ys, color: str, width: float = 1.8, dash: str = "
 
 def _diverging(t: float) -> str:
     """Blue-white-red ramp for t in [-1, 1]."""
-    t = float(np.clip(t, -1.0, 1.0))
+    t = min(max(t, -1.0), 1.0)
     if t < 0.0:
         s = 1.0 + t
         r, g, b = 48 + s * 207, 98 + s * 157, 182 + s * 73
@@ -68,17 +68,22 @@ def heat_cells(frame: Frame, xs, ys, values, flagged=None) -> list[str]:
     vmax = vmax or 1.0
     dx = xs[1] - xs[0] if xs.size > 1 else (frame.x_max - frame.x_min)
     dy = ys[1] - ys[0] if ys.size > 1 else (frame.y_max - frame.y_min)
+    bad = ~finite if flagged is None else ~finite | np.asarray(flagged, dtype=bool)
+    scaled = np.where(finite, vals, 0.0) / vmax
+    # y and height depend only on the row
+    y_attrs = []
+    for y in ys:
+        y1 = frame.py(y + dy)
+        y_attrs.append((f"{y1:.2f}", f"{frame.py(y) - y1:.2f}"))
     out = []
     for i, x in enumerate(xs):
         x0 = frame.px(x)
-        w = frame.px(x + dx) - x0
-        for j, y in enumerate(ys):
-            y1 = frame.py(y + dy)
-            h = frame.py(y) - y1
-            bad = not np.isfinite(vals[i, j]) or (flagged is not None and flagged[i, j])
-            color = "rgb(128,128,128)" if bad else _diverging(vals[i, j] / vmax)
+        w = f"{frame.px(x + dx) - x0:.2f}"
+        x0 = f"{x0:.2f}"
+        for (y1, h), t, is_bad in zip(y_attrs, scaled[i].tolist(), bad[i].tolist()):
+            color = "rgb(128,128,128)" if is_bad else _diverging(t)
             out.append(
-                f'<rect x="{x0:.2f}" y="{y1:.2f}" width="{w:.2f}" height="{h:.2f}"'
+                f'<rect x="{x0}" y="{y1}" width="{w}" height="{h}"'
                 f' fill="{color}" stroke="none"/>'
             )
     return out

@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +46,6 @@ from .material import (
     homogeneous,
 )
 from .willis import dynamic_identity_residuals, effective_impedance
-
-THREADS_ENV = "WILLIS_HOMOG_THREADS"
 
 _DEFAULT_TOLERANCES = {
     "exact": 1e-8,
@@ -240,27 +236,6 @@ def load_config(path: str | None, preset: str | None, basis_n: int | None) -> Ru
 # output helpers
 
 
-def _worker_count() -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            cap = max(1, min(cap, int(env)))
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return cap
-
-
-def _map_ordered(fn, items):
-    """Apply fn across items on the worker pool, results in input order."""
-    items = list(items)
-    workers = _worker_count()
-    if workers == 1 or len(items) < 4:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
@@ -285,7 +260,7 @@ def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
     lines = list(header)
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(f"{v:.17g}" if type(v) is float else _fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -387,11 +362,7 @@ def cmd_modulation_map(config: RunConfig, args) -> int:
     _, coeffs = homogenize(config.cell, method="exact")
     k = config.k_grid()
     w = config.omega_grid()
-
-    def row(ki: float) -> np.ndarray:
-        return modulation_m2(coeffs, ki, w)
-
-    m2 = np.asarray(_map_ordered(row, k))
+    m2 = np.asarray([modulation_m2(coeffs, ki, w) for ki in k])
     rows = [
         (float(ki), float(wj), float(m2[i, j]), float(abs(m2[i, j])))
         for i, ki in enumerate(k)
@@ -419,16 +390,9 @@ def cmd_impedance_map(config: RunConfig, args) -> int:
     _, coeffs = homogenize(config.cell, method="exact")
     k = config.k_grid()
     w = config.omega_grid()
-
-    def row(ki: float) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.asarray(two_scale_impedance(coeffs, ki, w), dtype=float),
-            np.asarray(modulation_m2(coeffs, ki, w), dtype=float),
-        )
-
-    blocks = _map_ordered(row, k)
-    cal = np.asarray([b[0] for b in blocks])
-    m2 = np.asarray([b[1] for b in blocks])
+    # row by row: one broadcast over the grid rounds differently
+    cal = np.asarray([two_scale_impedance(coeffs, ki, w) for ki in k], dtype=float)
+    m2 = np.asarray([modulation_m2(coeffs, ki, w) for ki in k], dtype=float)
     m2_scale = 1.0 + np.abs(np.subtract.outer(coeffs.s_g * k**2, coeffs.s_rho * w**2))
     near_zero = np.abs(m2) <= 1e-9 * m2_scale
     z2 = np.where(near_zero, np.nan, cal / np.where(near_zero, 1.0, m2))
@@ -559,15 +523,13 @@ def build_verification_report(
         for name, value in dyn.items():
             checks.append(CheckResult(f"dynamic/{name}", route, float(value), route_tol))
         fields, coeffs_route = homogenize(cell, method=route, order=order or 128)
-        if route == "exact" and coefficients is not None:
-            coeffs_route = coefficients
+        if route == "exact":
+            if coefficients is not None:
+                coeffs_route = coefficients
+            coeffs = coeffs_route
         static = identity_suite(cell, fields, coeffs_route)
         for name, value in static.items():
             checks.append(CheckResult(f"static/{name}", route, float(value), route_tol))
-
-    coeffs = coefficients
-    if coeffs is None:
-        _, coeffs = homogenize(cell, method="exact")
 
     # oracle triangle at two wavenumbers
     spectral_disp_tol = max(tol["spectral"], 1.0 / basis_n)

@@ -16,7 +16,7 @@ import numpy as np
 from .asymptotics import HomogCoefficients, two_scale_root
 from .errors import NumericalError, ResonanceError, ValidationError
 from .exact import dispersion_function
-from .material import UnitCell1D
+from .material import UnitCell1D, cell_digest
 from .spectral import assemble
 from .willis import effective_impedance
 
@@ -36,6 +36,9 @@ SCAN_STEP = 0.01
 
 #: bisection tolerance on omega
 ROOT_TOL = 1e-12
+
+#: omega points per D(omega) evaluation while scanning for brackets
+SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -84,16 +87,21 @@ def _bisect(fn, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _lowest_crossing(fn, start: float, step: float, limit: float, tol: float) -> float:
-    """First zero of fn above ``start`` located by scan plus bisection."""
-    a, fa = start, fn(start)
+def _scan_chunks(limit: float, step: float):
+    """Scan points 0, step, 2 step, ... up to ``limit``, in chunks.
+
+    The points come from the repeated ``min(a + step, limit)`` accumulation
+    of a point-by-point scan, so they carry the same bits.
+    """
+    a, chunk = 0.0, [0.0]
     while a < limit:
-        b = min(a + step, limit)
-        fb = fn(b)
-        if fa * fb <= 0.0:
-            return _bisect(fn, a, b, tol)
-        a, fa = b, fb
-    raise NumericalError(f"no branch crossing found below omega = {limit:.6g}")
+        a = min(a + step, limit)
+        chunk.append(a)
+        if len(chunk) == SCAN_CHUNK:
+            yield np.array(chunk)
+            chunk = []
+    if chunk:
+        yield np.array(chunk)
 
 
 def exact_branch(
@@ -105,20 +113,65 @@ def exact_branch(
 ) -> DispersionBranch:
     """Lowest branch from the transfer-matrix relation D(omega) = cos k.
 
-    ``relation`` defaults to the general trace-based dispersion function;
-    pass :func:`exact_bilaminate_relation` to use the two-phase closed form.
+    ``relation`` maps an array of omega to D(omega); it defaults to the
+    general trace-based :func:`~willis_homog.exact.dispersion_function`.
+    Pass ``lambda w: exact_bilaminate_relation(cell, w)`` to use the
+    two-phase closed form.
+
+    D does not depend on k, so it is scanned once, in chunks, until every
+    k has its first sign change of D - cos k; then all k are bisected
+    together.  Each root equals that of a scan plus bisection run for one
+    k at a time, bit for bit.
     """
     rel = relation if relation is not None else (lambda w: dispersion_function(cell, w))
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
-    omegas = np.empty_like(k_grid)
-    for i, k in enumerate(k_grid):
-        target = np.cos(k)
-        if abs(target - 1.0) < 1e-15:
-            omegas[i] = 0.0
+    targets = np.cos(k_grid)
+    omegas = np.zeros_like(k_grid)
+    todo = np.flatnonzero(~(np.abs(targets - 1.0) < 1e-15))
+
+    # scan: brackets [a, b] with fa = D(a) - cos k, first sign change per k
+    t = targets[todo]
+    a, b, fa = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    unbracketed = np.ones(t.size, dtype=bool)
+    w_last = d_last = None
+    for w in _scan_chunks(omega_max, step):
+        if not unbracketed.any():
+            break
+        d = rel(w)
+        if w_last is not None:
+            w, d = np.concatenate(([w_last], w)), np.concatenate(([d_last], d))
+        w_last, d_last = w[-1], d[-1]
+        if w.size < 2:
             continue
-        omegas[i] = _lowest_crossing(
-            lambda w: rel(w) - target, 0.0, step, omega_max, ROOT_TOL
+        rows = np.flatnonzero(unbracketed)
+        f = d[None, :] - t[rows, None]
+        cross = f[:, :-1] * f[:, 1:] <= 0.0
+        hit = cross.any(axis=1)
+        rows, first = rows[hit], cross[hit].argmax(axis=1)
+        a[rows], b[rows], fa[rows] = w[first], w[first + 1], f[hit, first]
+        unbracketed[rows] = False
+    if unbracketed.any():
+        k_bad = k_grid[todo[np.argmax(unbracketed)]]
+        raise NumericalError(
+            f"exact_branch scan: no branch crossing found below omega_max = {omega_max:.6g} "
+            f"for k = {float(k_bad)!r} ({int(unbracketed.sum())} of {k_grid.size} k unresolved) "
+            f"in cell {cell_digest(cell)}"
         )
+
+    # lockstep bisection; a root is final once its bracket is within ROOT_TOL
+    live = np.arange(t.size)
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        done = b - a <= ROOT_TOL
+        omegas[todo[live[done]]] = mid[done]
+        keep = ~done
+        live, a, b, fa, t, mid = live[keep], a[keep], b[keep], fa[keep], t[keep], mid[keep]
+        if live.size == 0:
+            break
+        fm = rel(mid) - t
+        left = fa * fm <= 0.0
+        a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fm)
+    omegas[todo[live]] = 0.5 * (a + b)
     return DispersionBranch(label="exact", k=k_grid, omega=omegas)
 
 
@@ -187,7 +240,10 @@ def willis_exact_root(
                 return effective_impedance(cell, k, w + nudge, method="exact").real
             except ResonanceError:
                 continue
-        raise NumericalError(f"impedance not evaluable near omega = {w:.6g}")
+        raise NumericalError(
+            f"willis_exact_root: impedance not evaluable near omega = {w:.6g} at k = {float(k)!r} "
+            f"(omega_max = {omega_max:.6g}) in cell {cell_digest(cell)}"
+        )
 
     a = 1e-9 if k == 0.0 else 0.0
     fa = z(a) if a else z(1e-9)
@@ -201,4 +257,7 @@ def willis_exact_root(
             if abs(z(root)) < 1.0:
                 return float(root)
         w_lo, fa = w_hi, fb
-    raise NumericalError(f"no impedance root found below omega = {omega_max:.6g}")
+    raise NumericalError(
+        f"willis_exact_root: no impedance root found below omega_max = {omega_max:.6g} "
+        f"for k = {float(k)!r} in cell {cell_digest(cell)}"
+    )

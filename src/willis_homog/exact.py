@@ -64,10 +64,6 @@ _INV_FACTORIAL = tuple(1.0 / math.factorial(j) for j in range(64))
 _SERIES_LIMITS = tuple((1e-17 * math.factorial(m)) ** (1.0 / m) for m in range(1, 40))
 
 
-def _segment_q(G: float, rho: float, omega: float) -> float:
-    return float(omega) * np.sqrt(rho / G)
-
-
 def _centred(z: tuple[complex, ...]) -> tuple[complex, list[complex], float]:
     c = sum(z) / len(z)
     x = [zi - c for zi in z]
@@ -339,16 +335,28 @@ def solve_static_dipole_exact(cell: UnitCell1D, k: float) -> ExactField:
     return _solve(cell, k, 0.0, "static_dipole")
 
 
-def dispersion_function(cell: UnitCell1D, omega: float) -> float:
+def dispersion_function(cell: UnitCell1D, omega):
     """Half-trace D(omega) of the cell monodromy matrix.
 
     Bloch waves exist where D(omega) = cos k; pass bands are |D| <= 1.
-    Valid for any number of phases.
+    Valid for any number of phases.  ``omega`` may be an array: each
+    phase's transfer matrices are stacked into one ``(..., 2, 2)`` matmul,
+    and every element equals the scalar call bit for bit.  A scalar
+    ``omega`` returns a float.
     """
+    w = np.asarray(omega, dtype=float)
+    # libm pow, which a Python float ** 2 calls; an array w ** 2 is w * w and rounds differently
+    w2 = np.float_power(w, 2)
     M = np.eye(2)
     for p in cell.phases:
-        q = _segment_q(p.G, p.rho, omega)
-        c = np.cos(q * p.length)
-        s = p.length * np.sinc(q * p.length / np.pi)
-        M = np.array([[c, s / p.G], [-p.rho * omega**2 * s, c]]) @ M
-    return float(0.5 * np.trace(M))
+        qh = w * np.sqrt(p.rho / p.G) * p.length
+        c = np.cos(qh)
+        s = p.length * np.sinc(qh / np.pi)
+        step = np.empty(w.shape + (2, 2))
+        step[..., 0, 0] = c
+        step[..., 0, 1] = s / p.G
+        step[..., 1, 0] = -p.rho * w2 * s
+        step[..., 1, 1] = c
+        M = step @ M
+    d = 0.5 * (M[..., 0, 0] + M[..., 1, 1])
+    return d if np.ndim(omega) else float(d)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from willis_homog.asymptotics import homogenize
 from willis_homog.dispersion import (
+    SCAN_STEP,
     effective_speed,
     exact_bilaminate_relation,
     exact_branch,
@@ -14,9 +15,9 @@ from willis_homog.dispersion import (
     spectral_acoustic_branch,
     willis_exact_root,
 )
-from willis_homog.errors import ValidationError
+from willis_homog.errors import NumericalError, ValidationError
 from willis_homog.exact import dispersion_function
-from willis_homog.material import Phase, UnitCell1D, bilaminate, homogeneous
+from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 
 BILAMINATE = bilaminate(0.1, 0.1)
 
@@ -108,3 +109,121 @@ def test_exact_branch_slope_at_origin_is_effective_speed() -> None:
     k = 1e-3
     omega = exact_branch(BILAMINATE, np.array([k])).omega[0]
     assert abs(omega / k - effective_speed(coeffs)) < 1e-6
+
+
+# -- bitwise regression against the point-by-point scan ----------------------
+
+THREE_PHASE = UnitCell1D(
+    phases=(Phase(0.3, 1.0, 1.0), Phase(0.5, 0.2, 3.0), Phase(0.2, 2.5, 0.4))
+)
+SIX_PHASE = UnitCell1D(
+    phases=(
+        Phase(0.10, 4.0, 0.5),
+        Phase(0.25, 0.3, 2.0),
+        Phase(0.05, 7.5, 9.0),
+        Phase(0.20, 1.2, 0.1),
+        Phase(0.15, 0.6, 4.4),
+        Phase(0.25, 2.9, 1.7),
+    )
+)
+K64 = np.linspace(0.0, np.pi, 64, endpoint=False)
+
+
+def _reference_half_trace(cell: UnitCell1D, omega: float) -> float:
+    """D(omega) by one numpy 2x2 product per phase, a scalar at a time."""
+    M = np.eye(2)
+    for p in cell.phases:
+        q = float(omega) * np.sqrt(p.rho / p.G)
+        c = np.cos(q * p.length)
+        s = p.length * np.sinc(q * p.length / np.pi)
+        M = np.array([[c, s / p.G], [-p.rho * omega**2 * s, c]]) @ M
+    return float(0.5 * np.trace(M))
+
+
+def _reference_branch(rel, k_grid, omega_max: float = 20.0, step: float = SCAN_STEP) -> np.ndarray:
+    """Lowest root of rel(omega) = cos k by scan plus bisection, one k at a time."""
+
+    def bisect(fn, a, b):
+        fa = fn(a)
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if b - a <= 1e-12:
+                return mid
+            fm = fn(mid)
+            if fa * fm <= 0.0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        return 0.5 * (a + b)
+
+    out = np.empty_like(k_grid)
+    for i, k in enumerate(k_grid):
+        target = np.cos(k)
+        if abs(target - 1.0) < 1e-15:
+            out[i] = 0.0
+            continue
+
+        def fn(w):
+            return rel(w) - target
+
+        a, fa = 0.0, fn(0.0)
+        while a < omega_max:
+            b = min(a + step, omega_max)
+            fb = fn(b)
+            if fa * fb <= 0.0:
+                out[i] = bisect(fn, a, b)
+                break
+            a, fa = b, fb
+        else:
+            raise AssertionError(f"reference scan found no crossing for k = {k}")
+    return out
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [bilaminate(0.1, 0.1), bilaminate(0.5, 0.5), THREE_PHASE, SIX_PHASE],
+    ids=["bilaminate(0.1,0.1)", "bilaminate(0.5,0.5)", "3-phase", "6-phase"],
+)
+def test_exact_branch_matches_pointwise_scan_bitwise(cell: UnitCell1D) -> None:
+    ref = _reference_branch(lambda w: _reference_half_trace(cell, w), K64)
+    assert np.array_equal(exact_branch(cell, K64).omega, ref)
+
+
+def test_exact_branch_closed_form_matches_pointwise_scan_bitwise() -> None:
+    def rel(w):
+        return exact_bilaminate_relation(BILAMINATE, w)
+
+    batched = exact_branch(BILAMINATE, K64, relation=rel).omega
+    assert np.array_equal(batched, _reference_branch(rel, K64))
+
+
+@pytest.mark.parametrize("cell", [BILAMINATE, THREE_PHASE, SIX_PHASE])
+def test_dispersion_function_on_array_equals_scalar_calls(cell: UnitCell1D) -> None:
+    omega = np.concatenate(([0.0], np.random.default_rng(7).uniform(0.0, 20.0, 500)))
+    batched = dispersion_function(cell, omega)
+    scalar = [dispersion_function(cell, w) for w in omega.tolist()]
+    assert np.array_equal(batched, scalar)
+    assert np.array_equal(batched, [_reference_half_trace(cell, w) for w in omega.tolist()])
+    assert type(dispersion_function(cell, 0.7)) is float
+    assert dispersion_function(cell, omega.reshape(3, -1)).shape == (3, 167)
+
+
+def test_exact_branch_error_names_k_and_cell() -> None:
+    # c = 10, so k = 3 needs omega = 30, past the default omega_max = 20
+    stiff = homogeneous(100.0, 1.0)
+    with pytest.raises(NumericalError) as err:
+        exact_branch(stiff, [1.0, 3.0])
+    msg = str(err.value)
+    assert "exact_branch" in msg
+    assert "k = 3.0" in msg
+    assert "omega_max = 20" in msg
+    assert cell_digest(stiff) in msg
+
+
+def test_willis_exact_root_error_names_k_and_cell() -> None:
+    with pytest.raises(NumericalError) as err:
+        willis_exact_root(BILAMINATE, 3.0, omega_max=0.5)
+    msg = str(err.value)
+    assert "willis_exact_root" in msg
+    assert "k = 3.0" in msg
+    assert cell_digest(BILAMINATE) in msg
