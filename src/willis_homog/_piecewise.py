@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import ValidationError
-from .material import UnitCell1D
+from .material import UnitCell1D, segment_index
 
 __all__ = ["PiecewisePoly", "piecewise_constant"]
 
@@ -95,10 +95,7 @@ class PiecewisePoly:
         return complex(total)
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
-        xw = np.mod(np.asarray(x, dtype=float), 1.0)
-        idx = np.clip(
-            np.searchsorted(self.breaks, xw, side="right") - 1, 0, len(self.polys) - 1
-        )
+        xw, idx = segment_index(self.breaks, x)
         out = np.empty(xw.shape, dtype=complex)
         flat_x, flat_i, flat_o = xw.ravel(), idx.ravel(), out.ravel()
         for j, p in enumerate(self.polys):

@@ -13,7 +13,6 @@ Galerkin system, so each route can certify the other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,13 +29,10 @@ __all__ = [
     "StaticSolve",
     "coefficients",
     "dipole_mean_n2",
-    "evaluate_impedance",
     "homogenize",
     "identity_suite",
     "modulation_m2",
     "solve_static_chain",
-    "symmetrize_full",
-    "symmetrize_partial",
     "two_scale_impedance",
     "two_scale_root",
     "willis_impedance_order2",
@@ -54,37 +50,6 @@ MODULATION_FLOOR = 1e-12
 CANCELLATION_FLOOR = 64.0 * np.finfo(float).eps
 
 StaticField = PiecewisePoly | FourierField
-
-
-# ---------------------------------------------------------------------------
-# tensor symmetrization (dimension-agnostic helpers)
-
-
-def symmetrize_full(tensor: np.ndarray) -> np.ndarray:
-    """Average a tensor over all permutations of its indices."""
-    t = np.asarray(tensor)
-    perms = list(itertools.permutations(range(t.ndim)))
-    out = np.zeros_like(t)
-    for p in perms:
-        out = out + np.transpose(t, p)
-    return out / len(perms)
-
-
-def symmetrize_partial(tensor: np.ndarray, fixed: int = 1) -> np.ndarray:
-    """Average over permutations of the trailing indices only.
-
-    The first ``fixed`` indices stay in place.  Idempotent, and equal to
-    :func:`symmetrize_full` when ``fixed == 0``.
-    """
-    t = np.asarray(tensor)
-    if not 0 <= fixed <= t.ndim:
-        raise ValidationError(f"fixed index count must be in [0, {t.ndim}], got {fixed}")
-    head = tuple(range(fixed))
-    perms = list(itertools.permutations(range(fixed, t.ndim)))
-    out = np.zeros_like(t)
-    for p in perms:
-        out = out + np.transpose(t, head + p)
-    return out / len(perms)
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +383,18 @@ def willis_impedance_order2(c: HomogCoefficients, k, omega, route: str = "modula
     if route == "mean":
         z0 = -c.mu0 * k**2 + c.rho0 * omega**2
         z0_scale = np.abs(c.mu0 * k**2) + np.abs(c.rho0 * omega**2)
-        if np.any(np.abs(z0) <= CANCELLATION_FLOOR * z0_scale):
-            raise NumericalError("leading-order impedance vanishes on the acoustic cone")
+        # 1/(w0 + w2) = z0^2 / ((s - 1) z0 + z1) tends to 0 on the acoustic cone
+        # (on a two-scale root z1 = -z0 and it is z0 / (s - 2))
+        on_cone = np.abs(z0) <= CANCELLATION_FLOOR * z0_scale
+        z0 = np.where(on_cone, 1.0, z0)
         z1 = c.mu2 * k**4 - c.rho2 * k**2 * omega**2
         s = c.s_g * k**2 - c.s_rho * omega**2
         w0 = -1.0 / z0
         w2 = (s + z1 / z0) / z0
-        if np.any(np.abs(w0 + w2) <= MODULATION_FLOOR * (np.abs(w0) + np.abs(w2))):
+        den = np.where(on_cone, 1.0, w0 + w2)
+        if np.any(np.abs(den) <= MODULATION_FLOOR * (np.abs(w0) + np.abs(w2))):
             raise NumericalError("mean-field expansion denominator vanishes")
-        return 1.0 / (w0 + w2)
+        return np.where(on_cone, 0.0, 1.0 / den)[()]
     raise ValidationError(f"unknown route {route!r}, expected 'modulated' or 'mean'")
 
 
@@ -437,31 +405,6 @@ def two_scale_root(c: HomogCoefficients, k: float) -> float:
     if den <= 0.0 or num < 0.0:
         raise NumericalError(f"two-scale branch terminates before k = {k:.6g}")
     return float(np.sqrt(num / den))
-
-
-@dataclass(frozen=True)
-class ImpedanceEvaluation:
-    """All polynomial observables at one (k, omega) point."""
-
-    k: float
-    omega: float
-    cal_z2: float
-    m2: float
-    z2: float
-    z2_mean: float
-    n2: complex
-
-
-def evaluate_impedance(c: HomogCoefficients, k: float, omega: float) -> ImpedanceEvaluation:
-    return ImpedanceEvaluation(
-        k=float(k),
-        omega=float(omega),
-        cal_z2=float(two_scale_impedance(c, k, omega)),
-        m2=float(modulation_m2(c, k, omega)),
-        z2=float(willis_impedance_order2(c, k, omega, route="modulated")),
-        z2_mean=float(willis_impedance_order2(c, k, omega, route="mean")),
-        n2=complex(dipole_mean_n2(c, k, omega)),
-    )
 
 
 # ---------------------------------------------------------------------------

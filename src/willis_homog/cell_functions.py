@@ -10,19 +10,18 @@ three averages (plus <G>) are all the effective-medium layer needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ResonanceError, ValidationError
+from .errors import ResonanceError
 from .exact import (
     ExactField,
     solve_dipole_exact,
     solve_monopole_exact,
     solve_static_dipole_exact,
 )
-from .material import FourierField, UnitCell1D
-from .spectral import BlochOperator, resolvent_solve, solve_eigensystem
+from .material import UnitCell1D
+from .spectral import BlochOperator, resolvent_solve
 
 __all__ = [
     "CellSolution",
@@ -32,12 +31,9 @@ __all__ = [
     "solve_w_exact",
     "solve_v_exact",
     "solve_zeta_exact",
-    "superpose",
     "averages",
     "homogeneous_means",
 ]
-
-_KINDS = ("monopole", "dipole", "static_dipole")
 
 
 @dataclass(eq=False)
@@ -48,15 +44,10 @@ class CellSolution:
     coeffs: np.ndarray
     kind: str
     omega: float
-    method: str
 
     @property
     def k(self) -> float:
         return self.operator.k
-
-    @cached_property
-    def field(self) -> FourierField:
-        return self.operator.field(self.coeffs)
 
     @property
     def mean(self) -> complex:
@@ -70,90 +61,39 @@ class CellSolution:
     def mean_flux(self) -> complex:
         return self.operator.mean_flux(self.coeffs)
 
-    def value(self, x) -> np.ndarray | complex:
-        return self.field(x)
+
+def _solve(operator: BlochOperator, omega: float, kind: str) -> CellSolution:
+    load = operator.monopole_load() if kind == "monopole" else operator.dipole_load()
+    coeffs = resolvent_solve(operator, omega, load)
+    return CellSolution(operator=operator, coeffs=coeffs, kind=kind, omega=float(omega))
 
 
-def _load(operator: BlochOperator, kind: str) -> np.ndarray:
-    if kind == "monopole":
-        return operator.monopole_load()
-    if kind in ("dipole", "static_dipole"):
-        return operator.dipole_load()
-    raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
+def _require_nonzero_k(k: float) -> None:
+    if abs(float(k) % (2.0 * np.pi)) < 1e-12:
+        raise ResonanceError(
+            "static dipole response is undefined at k = 0 "
+            "(constants span the kernel)"
+        )
 
 
-def _solve(
-    operator: BlochOperator,
-    omega: float,
-    kind: str,
-    method: str,
-    modes: int | None,
-) -> CellSolution:
-    load = _load(operator, kind)
-    if method == "resolvent":
-        coeffs = resolvent_solve(operator, omega, load)
-    elif method == "eigen":
-        system = solve_eigensystem(operator)
-        omega_sq = float(omega) ** 2
-        rel, lam_near = operator.resonance_distance(omega_sq)
-        if rel < 1e-8:
-            raise ResonanceError(
-                f"omega^2 = {omega_sq} within the resonance window of "
-                f"eigenvalue {lam_near}",
-                eigenvalue=lam_near,
-                omega_sq=omega_sq,
-            )
-        amps = system.projection(load) / (system.eigenvalues - omega_sq)
-        if modes is not None:
-            if not 1 <= modes <= operator.size:
-                raise ValidationError(
-                    f"modes must lie in [1, {operator.size}], got {modes}"
-                )
-            amps[modes:] = 0.0
-        coeffs = system.vectors @ amps
-    else:
-        raise ValidationError(f"method must be 'resolvent' or 'eigen', got {method!r}")
-    return CellSolution(
-        operator=operator, coeffs=coeffs, kind=kind, omega=float(omega), method=method
-    )
-
-
-def solve_w(
-    operator: BlochOperator,
-    omega: float,
-    method: str = "resolvent",
-    modes: int | None = None,
-) -> CellSolution:
+def solve_w(operator: BlochOperator, omega: float) -> CellSolution:
     """Response to the unit mean load f = 1 at frequency omega."""
-    return _solve(operator, omega, "monopole", method, modes)
+    return _solve(operator, omega, "monopole")
 
 
-def solve_v(
-    operator: BlochOperator,
-    omega: float,
-    method: str = "resolvent",
-    modes: int | None = None,
-) -> CellSolution:
+def solve_v(operator: BlochOperator, omega: float) -> CellSolution:
     """Response to the unit dipole load at frequency omega."""
-    return _solve(operator, omega, "dipole", method, modes)
+    return _solve(operator, omega, "dipole")
 
 
-def solve_zeta(
-    operator: BlochOperator, method: str = "resolvent", modes: int | None = None
-) -> CellSolution:
+def solve_zeta(operator: BlochOperator) -> CellSolution:
     """Static dipole response (the omega = 0 dipole solve).
 
     Undefined at k = 0, where the static operator has the constants in its
     kernel; that case raises ResonanceError.
     """
-    if abs(float(operator.k) % (2.0 * np.pi)) < 1e-12:
-        raise ResonanceError(
-            "static dipole response is undefined at k = 0 "
-            "(constants span the kernel)",
-            eigenvalue=0.0,
-            omega_sq=0.0,
-        )
-    return _solve(operator, 0.0, "static_dipole", method, modes)
+    _require_nonzero_k(operator.k)
+    return _solve(operator, 0.0, "static_dipole")
 
 
 def solve_w_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
@@ -168,28 +108,8 @@ def solve_v_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
 
 def solve_zeta_exact(cell: UnitCell1D, k: float) -> ExactField:
     """Closed-form static dipole response (reference route)."""
-    if abs(float(k) % (2.0 * np.pi)) < 1e-12:
-        raise ResonanceError(
-            "static dipole response is undefined at k = 0 "
-            "(constants span the kernel)",
-            eigenvalue=0.0,
-            omega_sq=0.0,
-        )
+    _require_nonzero_k(k)
     return solve_static_dipole_exact(cell, k)
-
-
-def superpose(f_mean: complex, gamma_mean: complex, w: CellSolution, v: CellSolution):
-    """Cell response to constant loads (f, gamma) by linearity."""
-    if w.operator is not v.operator:
-        raise ValidationError("superpose needs solutions from one operator")
-    coeffs = complex(f_mean) * w.coeffs + complex(gamma_mean) * v.coeffs
-    return CellSolution(
-        operator=w.operator,
-        coeffs=coeffs,
-        kind="superposition",
-        omega=w.omega,
-        method=w.method,
-    )
 
 
 def averages(w, v, cell: UnitCell1D) -> dict[str, complex]:
@@ -217,11 +137,7 @@ def homogeneous_means(G: float, rho: float, k: float, omega: float) -> dict[str,
     """
     disp = G * k**2 - rho * omega**2
     if abs(disp) < 1e-14:
-        raise ResonanceError(
-            "uniform cell is resonant where G k^2 = rho omega^2",
-            eigenvalue=omega**2,
-            omega_sq=omega**2,
-        )
+        raise ResonanceError("uniform cell is resonant where G k^2 = rho omega^2")
     w = 1.0 / disp
     v = 1j * k * G / (-disp)
     return {

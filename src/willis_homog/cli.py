@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .dispersion import (
     spectral_acoustic_branch,
     willis_exact_root,
 )
-from .errors import ConfigError, WillisHomogError
+from .errors import ConfigError, NumericalError, WillisHomogError
 from .exact import solve_dipole_exact, solve_monopole_exact
 from .material import (
     UnitCell1D,
@@ -246,13 +247,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_header(config: RunConfig, tolerances: dict[str, float] | None = None) -> list[str]:
-    tol = tolerances if tolerances is not None else config.tolerances
+def _csv_header(config: RunConfig) -> list[str]:
     return [
         f"# willis-homog {__version__}",
         f"# cell: {cell_digest(config.cell)} {json.dumps(cell_to_dict(config.cell), separators=(',', ':'))}",
         f"# basis_n: {config.basis_n}",
-        f"# tolerances: {json.dumps(tol, sort_keys=True, separators=(',', ':'))}",
+        f"# tolerances: {json.dumps(config.tolerances, sort_keys=True, separators=(',', ':'))}",
     ]
 
 
@@ -268,6 +268,12 @@ def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _grid_columns(k: np.ndarray, w: np.ndarray, *values: np.ndarray) -> list[list]:
+    """k, omega and each (k, omega) array as flat row-major lists of Python scalars."""
+    kk, ww = np.meshgrid(k, w, indexing="ij")
+    return [a.ravel().tolist() for a in (kk, ww, *values)]
 
 
 def _grid_frame(k: np.ndarray, w: np.ndarray) -> Frame:
@@ -363,16 +369,11 @@ def cmd_modulation_map(config: RunConfig, args) -> int:
     k = config.k_grid()
     w = config.omega_grid()
     m2 = np.asarray([modulation_m2(coeffs, ki, w) for ki in k])
-    rows = [
-        (float(ki), float(wj), float(m2[i, j]), float(abs(m2[i, j])))
-        for i, ki in enumerate(k)
-        for j, wj in enumerate(w)
-    ]
     _write_csv(
         out / "modulation.csv",
         _csv_header(config),
         ["k", "omega", "re_m2", "abs_m2"],
-        rows,
+        zip(*_grid_columns(k, w, m2, np.abs(m2))),
     )
     frame = _grid_frame(k, w)
     for name, values in (("modulation_re.svg", m2), ("modulation_abs.svg", np.abs(m2))):
@@ -403,24 +404,11 @@ def cmd_impedance_map(config: RunConfig, args) -> int:
     crossing[:, :-1] |= sign[:, :-1] != sign[:, 1:]
     crossing[:, 1:] |= sign[:, 1:] != sign[:, :-1]
 
-    rows = [
-        (
-            float(ki),
-            float(wj),
-            float(cal[i, j]),
-            float(m2[i, j]),
-            float(z2[i, j]),
-            bool(near_zero[i, j]),
-            bool(crossing[i, j]),
-        )
-        for i, ki in enumerate(k)
-        for j, wj in enumerate(w)
-    ]
     _write_csv(
         out / "impedance.csv",
         _csv_header(config),
         ["k", "omega", "cal_z2", "m2", "z2", "near_zero", "zero_crossing"],
-        rows,
+        zip(*_grid_columns(k, w, cal, m2, z2, near_zero, crossing)),
     )
     frame = _grid_frame(k, w)
     for name, values, flags in (
@@ -496,6 +484,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+@contextmanager
+def _check_group(checks: list[CheckResult], name: str, route: str, tolerance: float):
+    """Record a NumericalError inside the block as one failing check named ``name``."""
+    try:
+        yield
+    except NumericalError as exc:
+        print(f"check {name} ({route}) could not run: {exc}", file=sys.stderr)
+        checks.append(CheckResult(name, route, math.inf, tolerance))
+
+
 def build_verification_report(
     cell: UnitCell1D,
     basis_n: int = 128,
@@ -506,12 +504,17 @@ def build_verification_report(
     """Run the dynamic, static, dispersion and polynomial check suites.
 
     ``coefficients`` overrides the exact-route table (harness hook for
-    mutation testing); by default it is computed from the cell.
+    mutation testing); by default it is computed from the cell.  A static,
+    triangle or polynomial check group that raises NumericalError becomes
+    one failing check with residual inf, and the report goes on.  The
+    dynamic checks run at the caller's ``probe`` and still raise there, so
+    a probe on a Bloch branch remains a numerical error (exit 3).
     """
     tol = dict(_DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     checks: list[CheckResult] = []
     k_probe, w_probe = probe
+    coeffs = coefficients
 
     for route, route_tol, order in (
         ("exact", tol["exact"], None),
@@ -522,84 +525,89 @@ def build_verification_report(
         )
         for name, value in dyn.items():
             checks.append(CheckResult(f"dynamic/{name}", route, float(value), route_tol))
-        fields, coeffs_route = homogenize(cell, method=route, order=order or 128)
-        if route == "exact":
-            if coefficients is not None:
-                coeffs_route = coefficients
-            coeffs = coeffs_route
-        static = identity_suite(cell, fields, coeffs_route)
-        for name, value in static.items():
-            checks.append(CheckResult(f"static/{name}", route, float(value), route_tol))
+        with _check_group(checks, "static", route, route_tol):
+            fields, coeffs_route = homogenize(cell, method=route, order=order or 128)
+            if route == "exact":
+                if coefficients is not None:
+                    coeffs_route = coefficients
+                coeffs = coeffs_route
+            static = identity_suite(cell, fields, coeffs_route)
+            for name, value in static.items():
+                checks.append(CheckResult(f"static/{name}", route, float(value), route_tol))
 
     # oracle triangle at two wavenumbers
     spectral_disp_tol = max(tol["spectral"], 1.0 / basis_n)
     for k in (0.5, 1.5):
-        w_exact = exact_branch(cell, np.array([k])).omega[0]
-        w_root = willis_exact_root(cell, k)
-        w_spec = spectral_acoustic_branch(cell, np.array([k]), order=basis_n).omega[0]
-        checks.append(
-            CheckResult(f"triangle/impedance_root_k={k:g}", "exact", abs(w_exact - w_root), tol["triangle"])
-        )
+        with _check_group(checks, f"triangle/k={k:g}", "exact", tol["triangle"]):
+            w_exact = exact_branch(cell, np.array([k])).omega[0]
+            w_root = willis_exact_root(cell, k)
+            w_spec = spectral_acoustic_branch(cell, np.array([k]), order=basis_n).omega[0]
+            checks.append(
+                CheckResult(f"triangle/impedance_root_k={k:g}", "exact", abs(w_exact - w_root), tol["triangle"])
+            )
+            checks.append(
+                CheckResult(
+                    f"triangle/spectral_branch_k={k:g}", "spectral", abs(w_exact - w_spec), spectral_disp_tol
+                )
+            )
+
+    with _check_group(checks, "polynomial", "exact", tol["polynomial_match"]):
+        if coeffs is None:
+            raise NumericalError("no exact coefficient table: the exact static chain failed")
+        # polynomial observables against the exact oracle in the long-wave window
+        eps, khat, what = 0.02, 1.0, 0.3
+        kk, ww = eps * khat, eps * what
+        z_exact = effective_impedance(cell, kk, ww, method="exact")
+        z2 = willis_impedance_order2(coeffs, kk, ww, route="modulated")
         checks.append(
             CheckResult(
-                f"triangle/spectral_branch_k={k:g}", "spectral", abs(w_exact - w_spec), spectral_disp_tol
+                "polynomial/impedance_matches_oracle",
+                "exact",
+                abs(z_exact - z2) / abs(z_exact),
+                tol["polynomial_match"],
+            )
+        )
+        cal = two_scale_impedance(coeffs, kk, ww)
+        mean_w = solve_monopole_exact(cell, kk, ww).mean
+        mean_v = solve_dipole_exact(cell, kk, ww).mean
+        checks.append(
+            CheckResult(
+                "polynomial/modulation_matches_oracle",
+                "exact",
+                abs(cal * mean_w - modulation_m2(coeffs, kk, ww)),
+                tol["polynomial_match"],
+            )
+        )
+        n2 = dipole_mean_n2(coeffs, kk, ww)
+        checks.append(
+            CheckResult(
+                "polynomial/dipole_matches_oracle",
+                "exact",
+                abs(cal * mean_v - n2) / abs(n2),
+                tol["polynomial_match"],
             )
         )
 
-    # polynomial observables against the exact oracle in the long-wave window
-    eps, khat, what = 0.02, 1.0, 0.3
-    kk, ww = eps * khat, eps * what
-    z_exact = effective_impedance(cell, kk, ww, method="exact")
-    z2 = willis_impedance_order2(coeffs, kk, ww, route="modulated")
-    checks.append(
-        CheckResult(
-            "polynomial/impedance_matches_oracle",
-            "exact",
-            abs(z_exact - z2) / abs(z_exact),
-            tol["polynomial_match"],
+        # zero-level co-location of the two impedance routes at two-scale roots
+        worst_a = worst_b = 0.0
+        for k in np.geomspace(2e-5, 1.2e-4, 20):
+            w = two_scale_root(coeffs, float(k))
+            scale = (
+                abs(coeffs.mu0) * k**2
+                + abs(coeffs.rho0) * w**2
+                + abs(coeffs.mu2) * k**4
+                + abs(coeffs.rho2) * k**2 * w**2
+            )
+            za = willis_impedance_order2(coeffs, k, w, route="modulated")
+            zb = willis_impedance_order2(coeffs, k, w, route="mean")
+            worst_a = max(worst_a, abs(za) / scale)
+            worst_b = max(worst_b, abs(za - zb) / scale)
+        checks.append(
+            CheckResult("polynomial/root_construction", "exact", worst_a, tol["root_construction"])
         )
-    )
-    cal = two_scale_impedance(coeffs, kk, ww)
-    mean_w = solve_monopole_exact(cell, kk, ww).mean
-    mean_v = solve_dipole_exact(cell, kk, ww).mean
-    checks.append(
-        CheckResult(
-            "polynomial/modulation_matches_oracle",
-            "exact",
-            abs(cal * mean_w - modulation_m2(coeffs, kk, ww)),
-            tol["polynomial_match"],
+        checks.append(
+            CheckResult("polynomial/root_dual_route", "exact", worst_b, tol["root_dual_route"])
         )
-    )
-    n2 = dipole_mean_n2(coeffs, kk, ww)
-    checks.append(
-        CheckResult(
-            "polynomial/dipole_matches_oracle",
-            "exact",
-            abs(cal * mean_v - n2) / abs(n2),
-            tol["polynomial_match"],
-        )
-    )
-
-    # zero-level co-location of the two impedance routes at two-scale roots
-    worst_a = worst_b = 0.0
-    for k in np.geomspace(2e-5, 1.2e-4, 20):
-        w = two_scale_root(coeffs, float(k))
-        scale = (
-            abs(coeffs.mu0) * k**2
-            + abs(coeffs.rho0) * w**2
-            + abs(coeffs.mu2) * k**4
-            + abs(coeffs.rho2) * k**2 * w**2
-        )
-        za = willis_impedance_order2(coeffs, k, w, route="modulated")
-        zb = willis_impedance_order2(coeffs, k, w, route="mean")
-        worst_a = max(worst_a, abs(za) / scale)
-        worst_b = max(worst_b, abs(za - zb) / scale)
-    checks.append(
-        CheckResult("polynomial/root_construction", "exact", worst_a, tol["root_construction"])
-    )
-    checks.append(
-        CheckResult("polynomial/root_dual_route", "exact", worst_b, tol["root_dual_route"])
-    )
 
     return VerificationReport(
         version=__version__,

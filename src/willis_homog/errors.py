@@ -24,16 +24,7 @@ class NumericalError(WillisHomogError):
 
 
 class ResonanceError(NumericalError):
-    """The driving frequency sits inside the resonance window of an eigenvalue.
-
-    Carries the offending eigenvalue so callers can switch to a projected
-    (cluster-excluding) solve.
-    """
-
-    def __init__(self, message: str, eigenvalue: float, omega_sq: float):
-        super().__init__(message)
-        self.eigenvalue = float(eigenvalue)
-        self.omega_sq = float(omega_sq)
+    """The driving frequency sits inside the resonance window of an eigenvalue."""
 
 
 class SolvabilityError(NumericalError):

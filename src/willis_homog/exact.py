@@ -302,9 +302,7 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
     if smin <= _RCOND_FLOOR * max(smax, 1.0):
         raise ResonanceError(
             f"(k, omega) = ({k!r}, {omega!r}) lies on a Bloch branch of cell "
-            f"{cell_digest(cell)}; the {kind} cell response is resonant",
-            eigenvalue=omega**2,
-            omega_sq=omega**2,
+            f"{cell_digest(cell)}; the {kind} cell response is resonant"
         )
     det = a00 * a11 - a01 * a10
     y = ((a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "cell_digest",
     "cell_from_dict",
     "cell_to_dict",
-    "load_cell",
 ]
 
 #: admissible closed-form coefficient fields
@@ -177,11 +175,16 @@ def fourier_coefficients(cell: UnitCell1D, field: str, N: int) -> FourierField:
     return FourierField(coeffs)
 
 
+def segment_index(breaks: np.ndarray, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """(x mod 1, index of the segment holding it), right-continuous at interfaces."""
+    xw = np.mod(np.asarray(x, dtype=float), 1.0)
+    idx = np.clip(np.searchsorted(breaks, xw, side="right") - 1, 0, len(breaks) - 2)
+    return xw, idx
+
+
 def sample(cell: UnitCell1D, x: np.ndarray | float, field: str = "G") -> np.ndarray | float:
     """Pointwise field value, right-continuous at interfaces, periodic in x."""
-    xw = np.mod(np.asarray(x, dtype=float), 1.0)
-    breaks = cell.breakpoints
-    idx = np.clip(np.searchsorted(breaks, xw, side="right") - 1, 0, len(cell.phases) - 1)
+    _, idx = segment_index(cell.breakpoints, x)
     out = cell.values(field)[idx]
     return out if out.shape else float(out)
 
@@ -205,13 +208,6 @@ def cell_from_dict(data: dict) -> UnitCell1D:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed cell description: {exc!r}") from exc
     return UnitCell1D(phases)
-
-
-def load_cell(source: str | Path | dict) -> UnitCell1D:
-    """Load a cell from a dict or a JSON file path."""
-    if isinstance(source, dict):
-        return cell_from_dict(source)
-    return cell_from_dict(json.loads(Path(source).read_text(encoding="utf-8")))
 
 
 def cell_digest(cell: UnitCell1D) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ResonanceError, SolvabilityError, ValidationError
-from .material import FourierField, UnitCell1D, fourier_coefficients
+from .material import FourierField, UnitCell1D, cell_digest, fourier_coefficients
 
 __all__ = [
     "BlochOperator",
@@ -44,6 +44,14 @@ RESIDUAL_RTOL = 1e-10
 
 #: relative gap under which neighbouring eigenvalues form one cluster
 CLUSTER_RTOL = 1e-8
+
+
+def _where(operator: "BlochOperator", omega_sq: float) -> str:
+    """Location of a solve, for error messages."""
+    return (
+        f"(k, omega) = ({operator.k!r}, {float(np.sqrt(omega_sq))!r}), "
+        f"N = {operator.order}, cell {cell_digest(operator.cell)}"
+    )
 
 
 @dataclass(eq=False)
@@ -82,6 +90,15 @@ class BlochOperator:
         j = int(np.argmin(rel))
         return float(rel[j]), float(lam[j])
 
+    def check_resonance(self, omega_sq: float) -> None:
+        """Raise ResonanceError inside the resonance window of an eigenvalue."""
+        rel, lam_near = self.resonance_distance(omega_sq)
+        if rel < RESONANCE_RTOL:
+            raise ResonanceError(
+                f"omega^2 = {omega_sq!r} within the resonance window of "
+                f"eigenvalue {lam_near!r} at {_where(self, omega_sq)}"
+            )
+
     def monopole_load(self) -> np.ndarray:
         """Coefficients of the unit mean load f = 1."""
         r = np.zeros(self.size, dtype=complex)
@@ -110,9 +127,6 @@ class BlochOperator:
     def rho_norm(self, coeffs: np.ndarray) -> float:
         """Norm induced by the mass matrix."""
         return float(np.sqrt(np.real(np.vdot(coeffs, self.mass @ coeffs))))
-
-    def field(self, coeffs: np.ndarray) -> FourierField:
-        return FourierField(coeffs=np.asarray(coeffs, dtype=complex))
 
 
 def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
@@ -165,11 +179,6 @@ class BlochEigensystem:
         """Cell means of all modes."""
         return self.vectors[self.operator.index0, :]
 
-    @cached_property
-    def rho_means(self) -> np.ndarray:
-        """<rho phi_m> for all modes."""
-        return (self.operator.mass @ self.vectors)[self.operator.index0, :]
-
     def projection(self, load: np.ndarray) -> np.ndarray:
         """Modal load amplitudes (phi_m^H r)."""
         return self.vectors.conj().T @ np.asarray(load, dtype=complex)
@@ -189,19 +198,9 @@ class BlochEigensystem:
 
     def modal_solution(self, load: np.ndarray, omega_sq: float) -> np.ndarray:
         """Coefficients of (A - omega^2 B)^{-1} r through the eigenbasis."""
-        rel, lam_near = self.operator.resonance_distance(omega_sq)
-        if rel < RESONANCE_RTOL:
-            raise ResonanceError(
-                f"omega^2 = {omega_sq} within the resonance window of "
-                f"eigenvalue {lam_near}",
-                eigenvalue=lam_near,
-                omega_sq=omega_sq,
-            )
+        self.operator.check_resonance(omega_sq)
         amps = self.projection(load) / (self.eigenvalues - omega_sq)
         return self.vectors @ amps
-
-    def mode_field(self, index: int) -> FourierField:
-        return self.operator.field(self.vectors[:, index])
 
 
 def solve_eigensystem(operator: BlochOperator) -> BlochEigensystem:
@@ -226,14 +225,7 @@ def resolvent_solve(
     the relative residual of the factorized solve exceeds RESIDUAL_RTOL.
     """
     omega_sq = float(omega) ** 2
-    rel, lam_near = operator.resonance_distance(omega_sq)
-    if rel < RESONANCE_RTOL:
-        raise ResonanceError(
-            f"omega^2 = {omega_sq} within the resonance window of "
-            f"eigenvalue {lam_near}",
-            eigenvalue=lam_near,
-            omega_sq=omega_sq,
-        )
+    operator.check_resonance(omega_sq)
     load = np.asarray(load, dtype=complex)
     K = operator.stiffness - omega_sq * operator.mass
     lu, piv = scipy.linalg.lu_factor(K)
@@ -245,7 +237,7 @@ def resolvent_solve(
     if residual > bound:
         raise NumericalError(
             f"resolvent solve residual {residual:.3e} exceeds backward-error "
-            f"bound {bound:.3e}"
+            f"bound {bound:.3e} at {_where(operator, omega_sq)}"
         )
     return coeffs
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cell_functions import averages, solve_v, solve_v_exact, solve_w, solve_w_exact
 from .errors import ValidationError, ZeroMeanImpedanceError
-from .material import FourierField, UnitCell1D, cell_digest
+from .material import UnitCell1D, cell_digest
 from .spectral import BlochEigensystem, assemble
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "impedance_from_parameters",
     "impedance_reconstruction_residual",
     "mean_fields",
-    "localization_fields",
     "classify_visibility",
     "parameters_from_averages",
     "dynamic_identity_residuals",
@@ -272,34 +271,6 @@ def mean_fields(
         stress=stress,
         momentum=momentum,
     )
-
-
-def localization_fields(
-    cell: UnitCell1D, k: float, omega: float, order: int = 128
-) -> tuple[FourierField, FourierField]:
-    """Zero-mean fields (A, B) reconstructing u from its mean data.
-
-    A = (<v>/<w>) w - v multiplies the relative mean strain <e - gamma>;
-    B = (1/(i omega)) [(1 - w/<w>) + (ik<v>/<w>) w - ik v] multiplies the
-    mean velocity.  u = <u> + A <e - gamma> + B <velocity> holds exactly.
-    """
-    if omega == 0:
-        raise ValidationError("localization fields need omega != 0")
-    op = assemble(cell, k, order)
-    w = solve_w(op, omega)
-    v = solve_v(op, omega)
-    mw, mv = w.mean, v.mean
-    if abs(mw) <= ZERO_MEAN_TOL:
-        raise ZeroMeanImpedanceError(
-            f"<w> = {mw:.3e} is numerically zero; localization is undefined"
-        )
-    a_coeffs = (mv / mw) * w.coeffs - v.coeffs
-    one = np.zeros_like(w.coeffs)
-    one[op.index0] = 1.0
-    b_coeffs = (
-        one - w.coeffs / mw + (1j * k * mv / mw) * w.coeffs - 1j * k * v.coeffs
-    ) / (1j * omega)
-    return op.field(a_coeffs), op.field(b_coeffs)
 
 
 def classify_visibility(

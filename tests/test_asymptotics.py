@@ -10,8 +10,6 @@ from willis_homog.asymptotics import (
     identity_suite,
     modulation_m2,
     solve_static_chain,
-    symmetrize_full,
-    symmetrize_partial,
     two_scale_impedance,
     two_scale_root,
     willis_impedance_order2,
@@ -68,25 +66,6 @@ def test_uniform_cell_polynomials_reduce() -> None:
     assert_allclose(modulation_m2(coeffs, k, omega), -1.0, rtol=1e-12)
     assert_allclose(willis_impedance_order2(coeffs, k, omega), 1.7 * k**2 - 0.8 * omega**2, rtol=1e-12)
     assert_allclose(dipole_mean_n2(coeffs, k, omega), 1j * k * 1.7, rtol=1e-12)
-
-
-def test_symmetrize_full_order3() -> None:
-    t = np.zeros((2, 2, 2))
-    t[0, 1, 0] = 6.0
-    s = symmetrize_full(t)
-    for idx in ((0, 1, 0), (1, 0, 0), (0, 0, 1)):
-        assert s[idx] == pytest.approx(2.0)
-    assert s[1, 1, 1] == 0.0
-    assert_allclose(symmetrize_full(s), s, atol=1e-15)
-
-
-def test_symmetrize_partial_keeps_fixed_axis() -> None:
-    t = np.arange(8.0).reshape(2, 2, 2)
-    s = symmetrize_partial(t, fixed=1)
-    assert_allclose(s, 0.5 * (t + np.transpose(t, (0, 2, 1))), atol=1e-15)
-    assert_allclose(symmetrize_partial(t, fixed=3), t, atol=1e-15)
-    with pytest.raises(ValidationError):
-        symmetrize_partial(t, fixed=4)
 
 
 def test_exact_identity_suite_at_roundoff() -> None:
@@ -192,3 +171,15 @@ def test_polynomial_tracks_exact_impedance() -> None:
 def test_unknown_method_rejected() -> None:
     with pytest.raises(ValidationError):
         solve_static_chain(BILAMINATE, method="collocation")
+
+
+def test_mean_route_is_zero_on_the_acoustic_cone() -> None:
+    # a uniform cell has mu2 = rho2 = 0, so its two-scale roots lie on the
+    # cone z0 = 0, where the mean route tends to its limit 0
+    _, coeffs = homogenize(homogeneous(2.0, 1.0), method="exact")
+    k = 0.3
+    omega = two_scale_root(coeffs, k)
+    assert willis_impedance_order2(coeffs, k, omega, route="mean") == 0.0
+    row = willis_impedance_order2(coeffs, k, np.array([0.1, omega, 0.5]), route="mean")
+    assert row[1] == 0.0
+    assert_allclose(row[[0, 2]], 2.0 * k**2 - np.array([0.1, 0.5]) ** 2, rtol=1e-12)

@@ -13,7 +13,6 @@ from willis_homog.cell_functions import (
     solve_w_exact,
     solve_zeta,
     solve_zeta_exact,
-    superpose,
 )
 from willis_homog.errors import ResonanceError
 from willis_homog.material import bilaminate, homogeneous
@@ -83,12 +82,3 @@ def test_spectral_route_converges_to_exact() -> None:
     assert errs_w[1] < 0.5 * errs_w[0] < 0.02
     assert errs_v[1] < 0.5 * errs_v[0] < 0.02
 
-
-def test_superposition_is_linear() -> None:
-    cell = bilaminate(0.1, 0.1)
-    op = assemble(cell, 0.5, 32)
-    w = solve_w(op, 0.2)
-    v = solve_v(op, 0.2)
-    combo = superpose(2.0, -1.5j, w, v)
-    assert_allclose(combo.mean, 2.0 * w.mean - 1.5j * v.mean, rtol=1e-13)
-    assert_allclose(combo.mean_flux, 2.0 * w.mean_flux - 1.5j * v.mean_flux, rtol=1e-13)

@@ -185,3 +185,25 @@ def test_build_config_rejects_unordered_range() -> None:
 def test_build_config_rejects_unknown_tolerance() -> None:
     with pytest.raises(ConfigError):
         build_config({"cell": {"bilaminate": [0.1, 0.1]}, "tolerances": {"nope": 1.0}})
+
+
+@pytest.mark.parametrize(
+    "cell", [{"homogeneous": [1, 1]}, {"homogeneous": [2, 1]}, {"bilaminate": [0.1, 10]}]
+)
+def test_verify_does_not_crash_on_simple_cells(tmp_path: Path, capsys, cell) -> None:
+    # mu2 = rho2 = 0 puts the two-scale roots on the acoustic cone
+    cfg = write_config(tmp_path / "c.json", {"cell": cell})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+    assert "numerical error" not in capsys.readouterr().err
+
+
+def test_numerical_error_in_a_check_group_is_a_failing_check(capsys) -> None:
+    cell = bilaminate(0.1, 0.1)
+    _, coeffs = homogenize(cell, method="exact")
+    # a negative mean density ends the two-scale branch before the root probes
+    bad = dataclasses.replace(coeffs, rho0=-coeffs.rho0)
+    report = build_verification_report(cell, coefficients=bad)
+    failed = [c for c in report.checks if c.name == "polynomial"]
+    assert len(failed) == 1 and failed[0].residual == float("inf")
+    assert not report.passed
+    assert "two-scale branch terminates" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog.errors import ResonanceError
-from willis_homog.material import bilaminate, homogeneous
+from willis_homog.material import bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import (
     assemble,
     projected_solve,
@@ -91,3 +91,14 @@ def test_mean_flux_on_uniform_cell() -> None:
     c1 = np.zeros(op.size, dtype=complex)
     c1[op.index0 + 1] = 1.0
     assert_allclose(op.mean_flux(c1), 0.0, atol=1e-14)
+
+
+def test_resonance_error_names_location() -> None:
+    cell = homogeneous()
+    op = assemble(cell, 1.0, 8)
+    with pytest.raises(ResonanceError) as info:
+        resolvent_solve(op, 1.0, op.monopole_load())
+    message = str(info.value)
+    assert cell_digest(cell) in message
+    assert "(k, omega) = (1.0, 1.0)" in message
+    assert "N = 8" in message
