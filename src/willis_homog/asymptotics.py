@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ._piecewise import PiecewisePoly, piecewise_constant
 from .errors import NumericalError, SolvabilityError, ValidationError
@@ -208,15 +207,14 @@ def _spectral_chain(cell: UnitCell1D, order: int) -> dict[str, StaticSolve]:
     m = np.arange(-n, n + 1)
     ik_m = 2j * np.pi * m
     center = n
-    g2 = fourier_coefficients(cell, "G", 2 * n).coeffs
-    rho2 = fourier_coefficients(cell, "rho", 2 * n).coeffs
+    op = assemble(cell, 0.0, n)
+    g2 = op.G_hat.coeffs
+    rho2 = op.rho_hat.coeffs
     rho_hat = rho2[n : 3 * n + 1]
     rho0 = cell.mean("rho")
 
-    op = assemble(cell, 0.0, n)
     keep = np.arange(op.size) != op.index0
     stiff_red = op.stiffness[np.ix_(keep, keep)]
-    lu = lu_factor(stiff_red)
 
     e0 = np.zeros(2 * n + 1, dtype=complex)
     e0[center] = 1.0
@@ -225,35 +223,44 @@ def _spectral_chain(cell: UnitCell1D, order: int) -> dict[str, StaticSolve]:
     # zero at the discretization error level, so the gate scales with n
     rtol = max(SOLVABILITY_RTOL, 1.0 / n**2)
 
-    def solve(F: np.ndarray, r: np.ndarray) -> StaticSolve:
-        mean_r = complex(r[center])
-        if abs(mean_r) > rtol * max(1.0, float(np.sum(np.abs(r)))):
-            raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e}")
-        b = ik_m * _convolve_trunc(g2, F) - (r - mean_r * e0)
-        b_red = b[keep]
-        c_red = lu_solve(lu, b_red)
-        c = np.zeros(2 * n + 1, dtype=complex)
-        c[keep] = c_red
-        residual = float(
-            np.linalg.norm(stiff_red @ c_red - b_red) / max(1.0, np.linalg.norm(b_red))
-        )
-        flux = _convolve_trunc(g2, ik_m * c + F)
-        return StaticSolve(u=FourierField(c), flux=FourierField(flux), residual=residual)
+    def solve(*sources: tuple[np.ndarray, np.ndarray]) -> list[StaticSolve]:
+        """Solves for (F, r) pairs that do not depend on each other, in one factorization."""
+        b_red = []
+        for F, r in sources:
+            mean_r = complex(r[center])
+            if abs(mean_r) > rtol * max(1.0, float(np.sum(np.abs(r)))):
+                raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e}")
+            b_red.append((ik_m * _convolve_trunc(g2, F) - (r - mean_r * e0))[keep])
+        c_red = np.linalg.solve(stiff_red, np.stack(b_red, axis=1))
+        out = []
+        for j, (F, _) in enumerate(sources):
+            c = np.zeros(2 * n + 1, dtype=complex)
+            c[keep] = c_red[:, j]
+            residual = float(
+                np.linalg.norm(stiff_red @ c_red[:, j] - b_red[j]) / max(1.0, np.linalg.norm(b_red[j]))
+            )
+            flux = _convolve_trunc(g2, ik_m * c + F)
+            out.append(StaticSolve(u=FourierField(c), flux=FourierField(flux), residual=residual))
+        return out
 
-    chi1 = solve(e0, zeros)
+    # three factorizations, one per level of the chain's dependencies
+    chi1, eta0 = solve((e0, zeros), (zeros, (rho_hat - rho0 * e0) / rho0))
     mu0 = _real(chi1.flux.mean, "mu0")
-    eta0 = solve(zeros, (rho_hat - rho0 * e0) / rho0)
-    chi2 = solve(chi1.u.coeffs, (mu0 / rho0) * rho_hat - chi1.flux.coeffs)
-    chi2_dip = chi2
     rho1 = _real(np.dot(rho_hat[::-1], chi1.u.coeffs), "rho1")
-    mu1_dip = _real(chi2_dip.flux.mean, "mu1_dip")
     rho_chi1 = _convolve_trunc(rho2, chi1.u.coeffs)
-    chi3 = solve(chi2.u.coeffs, (mu0 / rho0) * rho_chi1 - chi2.flux.coeffs)
-    eta1 = solve(eta0.u.coeffs, rho_chi1 / rho0 - eta0.flux.coeffs)
-    alpha1 = solve(zeros, rho_chi1 - rho1 * e0)
-    chi3_dip = solve(
-        chi2_dip.u.coeffs,
-        (mu0 / rho0) * (rho_chi1 - rho1 * e0) + mu1_dip * e0 - chi2_dip.flux.coeffs,
+    chi2, eta1, alpha1 = solve(
+        (chi1.u.coeffs, (mu0 / rho0) * rho_hat - chi1.flux.coeffs),
+        (eta0.u.coeffs, rho_chi1 / rho0 - eta0.flux.coeffs),
+        (zeros, rho_chi1 - rho1 * e0),
+    )
+    chi2_dip = chi2
+    mu1_dip = _real(chi2_dip.flux.mean, "mu1_dip")
+    chi3, chi3_dip = solve(
+        (chi2.u.coeffs, (mu0 / rho0) * rho_chi1 - chi2.flux.coeffs),
+        (
+            chi2_dip.u.coeffs,
+            (mu0 / rho0) * (rho_chi1 - rho1 * e0) + mu1_dip * e0 - chi2_dip.flux.coeffs,
+        ),
     )
     return {
         "chi1": chi1,

@@ -36,7 +36,7 @@ from .dispersion import (
     spectral_acoustic_branch,
     willis_exact_root,
 )
-from .errors import ConfigError, NumericalError, WillisHomogError
+from .errors import ConfigError, NumericalError, ResonanceError, WillisHomogError
 from .exact import solve_dipole_exact, solve_monopole_exact
 from .material import (
     UnitCell1D,
@@ -56,6 +56,12 @@ _DEFAULT_TOLERANCES = {
     "root_construction": 1e-10,
     "root_dual_route": 1e-9,
 }
+
+#: verify's (k, omega) probe when the config sets none
+_DEFAULT_PROBE = (0.5, 0.2)
+
+#: frequency of the fallback probe, in units of c0 k
+_FALLBACK_PROBE_SPEED = 0.4
 
 _PRESETS: dict[str, dict] = {
     "fig2": {
@@ -111,7 +117,7 @@ class RunConfig:
     route: str
     k_range: tuple[float, float, int]
     omega_range: tuple[float, float, int]
-    probe: tuple[float, float]
+    probe: tuple[float, float] | None
     tolerances: dict[str, float]
 
     def k_grid(self) -> np.ndarray:
@@ -181,11 +187,12 @@ def build_config(data: dict) -> RunConfig:
     if route not in ("exact", "spectral"):
         raise ConfigError(f"config field 'route': must be 'exact' or 'spectral', got {route!r}")
 
-    probe_raw = data.get("probe", [0.5, 0.2])
-    try:
-        probe = (float(probe_raw[0]), float(probe_raw[1]))
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError("config field 'probe': expected [k, omega]") from exc
+    probe = None
+    if "probe" in data:
+        try:
+            probe = (float(data["probe"][0]), float(data["probe"][1]))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError("config field 'probe': expected [k, omega]") from exc
 
     tol = dict(_DEFAULT_TOLERANCES)
     for key, value in dict(data.get("tolerances", {})).items():
@@ -498,7 +505,7 @@ def build_verification_report(
     cell: UnitCell1D,
     basis_n: int = 128,
     tolerances: dict[str, float] | None = None,
-    probe: tuple[float, float] = (0.5, 0.2),
+    probe: tuple[float, float] | None = None,
     coefficients: HomogCoefficients | None = None,
 ) -> VerificationReport:
     """Run the dynamic, static, dispersion and polynomial check suites.
@@ -508,21 +515,34 @@ def build_verification_report(
     triangle or polynomial check group that raises NumericalError becomes
     one failing check with residual inf, and the report goes on.  The
     dynamic checks run at the caller's ``probe`` and still raise there, so
-    a probe on a Bloch branch remains a numerical error (exit 3).
+    a probe on a Bloch branch remains a numerical error (exit 3).  Without
+    a ``probe`` they run at (0.5, 0.2); if the exact route finds that point
+    resonant, they move once to omega = 0.4 c0 k, with the quasistatic
+    speed c0 = sqrt(<1/G>^-1 / <rho>), and say so on stderr.
     """
     tol = dict(_DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     checks: list[CheckResult] = []
-    k_probe, w_probe = probe
+    k_probe, w_probe = probe or _DEFAULT_PROBE
     coeffs = coefficients
 
     for route, route_tol, order in (
         ("exact", tol["exact"], None),
         ("spectral", tol["spectral"], basis_n),
     ):
-        dyn = dynamic_identity_residuals(
-            cell, k_probe, w_probe, method=route, order=order or 128
-        )
+        try:
+            dyn = dynamic_identity_residuals(cell, k_probe, w_probe, method=route, order=order or 128)
+        except ResonanceError as exc:
+            if probe is not None or route != "exact":
+                raise
+            c0 = math.sqrt(1.0 / (cell.mean("1/G") * cell.mean("rho")))
+            w_probe = _FALLBACK_PROBE_SPEED * c0 * k_probe
+            print(
+                f"verify: default probe is resonant ({exc}); "
+                f"dynamic checks moved to (k, omega) = ({k_probe!r}, {w_probe!r})",
+                file=sys.stderr,
+            )
+            dyn = dynamic_identity_residuals(cell, k_probe, w_probe, method=route)
         for name, value in dyn.items():
             checks.append(CheckResult(f"dynamic/{name}", route, float(value), route_tol))
         with _check_group(checks, "static", route, route_tol):

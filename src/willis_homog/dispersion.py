@@ -182,7 +182,7 @@ def spectral_acoustic_branch(
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     omegas = np.empty_like(k_grid)
     for i, k in enumerate(k_grid):
-        lam = assemble(cell, float(k), order).eigenvalues[0]
+        lam = assemble(cell, float(k), order).lowest_eigenvalue()
         omegas[i] = np.sqrt(max(lam, 0.0))
     return DispersionBranch(label="spectral_acoustic", k=k_grid, omega=omegas)
 

@@ -11,6 +11,14 @@ A c = lambda B c has a real spectrum with rho-orthonormal eigenvectors.
 Cell responses come either from the resolvent (direct solve of
 (A - omega^2 B) c = r) or from the modal expansion, which must agree to
 roundoff when all 2N+1 modes are kept.
+
+The hot paths never form the whole spectrum.  By Sylvester's law of
+inertia a Cholesky factorization of A - sigma B succeeds exactly when every
+eigenvalue lies above sigma, so one factorization certifies that a
+frequency is off resonance, and one certifies the lowest eigenvalue found
+by block inverse iteration.  The full spectrum (``eigenvalues``,
+``solve_eigensystem``) comes from the pencil reduced by the Cholesky
+factor of B.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ResonanceError, SolvabilityError, ValidationError
 from .material import FourierField, UnitCell1D, cell_digest, fourier_coefficients
@@ -45,13 +52,23 @@ RESIDUAL_RTOL = 1e-10
 #: relative gap under which neighbouring eigenvalues form one cluster
 CLUSTER_RTOL = 1e-8
 
+#: lowest eigenvalue: block size and iteration cap of the inverse iteration
+LOWEST_BLOCK = 4
+LOWEST_MAXITER = 50
 
-def _where(operator: "BlochOperator", omega_sq: float) -> str:
+#: lowest eigenvalue: certified margin, relative to the eigenvalue plus this
+#: many roundoff units of ||A|| / lambda_min(B), the pencil's absolute floor
+LOWEST_RTOL = 1e-10
+LOWEST_FLOOR_ULPS = 64.0
+
+
+def _where(operator: "BlochOperator", omega_sq: float | None = None) -> str:
     """Location of a solve, for error messages."""
-    return (
-        f"(k, omega) = ({operator.k!r}, {float(np.sqrt(omega_sq))!r}), "
-        f"N = {operator.order}, cell {cell_digest(operator.cell)}"
-    )
+    if omega_sq is None:
+        at = f"k = {operator.k!r}"
+    else:
+        at = f"(k, omega) = ({operator.k!r}, {float(np.sqrt(omega_sq))!r})"
+    return f"{at}, N = {operator.order}, cell {cell_digest(operator.cell)}"
 
 
 @dataclass(eq=False)
@@ -76,12 +93,74 @@ class BlochOperator:
         """Row/column of the constant mode."""
         return self.order
 
+    def _by_wavenumber(self) -> np.ndarray:
+        """Mode indices ordered by |k_m| ascending: the lowest Fourier modes first."""
+        return np.argsort(np.abs(self.wavenumbers), kind="stable")
+
+    def _reduced(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(C, L, p): the Hermitian C = L^-1 A[p, p] L^-H with B[p, p] = L L^H.
+
+        p orders the modes by |k_m| ascending.  A grows as k_m^2 along it,
+        and on a matrix graded that way the Hermitian eigensolver keeps the
+        small eigenvalues accurate relative to themselves, not to ||A||.
+        """
+        p = self._by_wavenumber()
+        L = np.linalg.cholesky(self.mass[np.ix_(p, p)])
+        C = np.linalg.solve(L, np.linalg.solve(L, self.stiffness[np.ix_(p, p)]).conj().T)
+        return 0.5 * (C + C.conj().T), L, p
+
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Discrete Bloch eigenvalues, ascending (cached)."""
-        return scipy.linalg.eigh(
-            self.stiffness, self.mass, eigvals_only=True
+        return np.linalg.eigvalsh(self._reduced()[0])
+
+    def _all_above(self, sigma: float) -> bool:
+        """True when a Cholesky factorization proves every eigenvalue > sigma."""
+        try:
+            np.linalg.cholesky(self.stiffness - sigma * self.mass)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def lowest_eigenvalue(self) -> float:
+        """Lowest discrete eigenvalue, without the rest of the spectrum.
+
+        Block inverse iteration on the positive definite A - s B (s < 0, so
+        k = 0 works too) from the lowest Fourier modes, with Rayleigh-Ritz
+        on the block.  The Ritz value lam bounds the eigenvalue from above;
+        a Cholesky factorization of A - (lam - margin) B bounds it from
+        below.  NumericalError if the iteration stalls or the bound fails.
+        """
+        A, B = self.stiffness, self.mass
+        rho_min = float(np.min(self.cell.values("rho")))
+        floor = LOWEST_FLOOR_ULPS * np.finfo(float).eps * np.linalg.norm(A, np.inf) / rho_min
+        # minus the quasistatic scale c0^2 (k^2 + 1), k folded into the first zone
+        shift = -(float(np.min(np.abs(self.wavenumbers))) ** 2 + 1.0) / (
+            self.cell.mean("1/G") * self.cell.mean("rho")
         )
+        K = A - shift * B
+        X = np.eye(self.size, dtype=complex)[:, self._by_wavenumber()[:LOWEST_BLOCK]]
+        lam = np.inf
+        for _ in range(LOWEST_MAXITER):
+            X = np.linalg.qr(np.linalg.solve(K, B @ X))[0]
+            ritz, X = _rayleigh_ritz(A, B, X)
+            step, lam = lam - ritz[0], float(ritz[0])
+            margin = LOWEST_RTOL * abs(lam) + floor
+            # the Ritz value falls geometrically, so a step this small
+            # leaves far less than the margin to go
+            if step <= 1e-3 * margin:
+                break
+        else:
+            raise NumericalError(
+                f"lowest eigenvalue: inverse iteration did not converge in "
+                f"{LOWEST_MAXITER} steps at {_where(self)}"
+            )
+        if not self._all_above(lam - margin):
+            raise NumericalError(
+                f"lowest eigenvalue: an eigenvalue lies below the Ritz value {lam!r} "
+                f"minus its margin {margin:.3e} at {_where(self)}"
+            )
+        return lam
 
     def resonance_distance(self, omega_sq: float) -> tuple[float, float]:
         """(relative distance, nearest eigenvalue) for a squared frequency."""
@@ -91,7 +170,16 @@ class BlochOperator:
         return float(rel[j]), float(lam[j])
 
     def check_resonance(self, omega_sq: float) -> None:
-        """Raise ResonanceError inside the resonance window of an eigenvalue."""
+        """Raise ResonanceError inside the resonance window of an eigenvalue.
+
+        The window |lam - omega^2| < RESONANCE_RTOL (1 + |lam|) lies below
+        sigma = (omega^2 + RESONANCE_RTOL) / (1 - RESONANCE_RTOL), so one
+        Cholesky factorization of A - sigma B clears it; the eigenvalue
+        list is read only when that factorization fails.
+        """
+        sigma = (omega_sq + RESONANCE_RTOL) / (1.0 - RESONANCE_RTOL)
+        if self._all_above(sigma):
+            return
         rel, lam_near = self.resonance_distance(omega_sq)
         if rel < RESONANCE_RTOL:
             raise ResonanceError(
@@ -148,7 +236,7 @@ def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
     km = 2.0 * np.pi * m + float(k)
     diff = m[:, None] - m[None, :] + 2 * order
     A = G_hat.coeffs[diff] * km[None, :] * km[:, None]
-    B = rho_hat.coeffs[diff].copy()
+    B = rho_hat.coeffs[diff]
     return BlochOperator(
         cell=cell,
         k=float(k),
@@ -159,6 +247,14 @@ def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
         G_hat=G_hat,
         rho_hat=rho_hat,
     )
+
+
+def _rayleigh_ritz(A: np.ndarray, B: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values (ascending) and B-orthonormal Ritz vectors of the pencil on span(X)."""
+    Linv = np.linalg.inv(np.linalg.cholesky(X.conj().T @ (B @ X)))
+    c = Linv @ (X.conj().T @ (A @ X)) @ Linv.conj().T
+    vals, Y = np.linalg.eigh(0.5 * (c + c.conj().T))
+    return vals, X @ (Linv.conj().T @ Y)
 
 
 @dataclass(eq=False)
@@ -205,7 +301,10 @@ class BlochEigensystem:
 
 def solve_eigensystem(operator: BlochOperator) -> BlochEigensystem:
     """Solve A c = lambda B c; modes come back ascending and rho-orthonormal."""
-    lam, vec = scipy.linalg.eigh(operator.stiffness, operator.mass)
+    C, L, p = operator._reduced()
+    lam, Y = np.linalg.eigh(C)
+    vec = np.empty_like(Y)
+    vec[p] = np.linalg.solve(L.conj().T, Y)
     idx0 = operator.index0
     for m in range(vec.shape[1]):
         col = vec[:, m]
@@ -228,8 +327,7 @@ def resolvent_solve(
     operator.check_resonance(omega_sq)
     load = np.asarray(load, dtype=complex)
     K = operator.stiffness - omega_sq * operator.mass
-    lu, piv = scipy.linalg.lu_factor(K)
-    coeffs = scipy.linalg.lu_solve((lu, piv), load)
+    coeffs = np.linalg.solve(K, load)
     residual = np.linalg.norm(K @ coeffs - load)
     bound = RESIDUAL_RTOL * (
         np.linalg.norm(K, np.inf) * np.linalg.norm(coeffs) + np.linalg.norm(load)

@@ -207,3 +207,18 @@ def test_numerical_error_in_a_check_group_is_a_failing_check(capsys) -> None:
     assert len(failed) == 1 and failed[0].residual == float("inf")
     assert not report.passed
     assert "two-scale branch terminates" in capsys.readouterr().err
+
+
+def test_verify_moves_a_resonant_default_probe(tmp_path: Path, capsys) -> None:
+    # the cell's speed is 0.4, so its branch passes through (0.5, 0.2)
+    cfg = write_config(tmp_path / "c.json", {"cell": {"homogeneous": [0.16, 1]}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+    err = capsys.readouterr().err
+    assert "numerical error" not in err
+    assert "default probe is resonant" in err and "(0.5, 0.08" in err
+
+
+def test_verify_keeps_the_default_probe_off_the_branch(capsys) -> None:
+    report = build_verification_report(bilaminate(0.1, 0.1))
+    assert report == build_verification_report(bilaminate(0.1, 0.1), probe=(0.5, 0.2))
+    assert capsys.readouterr().err == ""

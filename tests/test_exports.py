@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,15 @@ def test_every_exported_name_exists(name: str) -> None:
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
+def test_cli_imports_no_third_party_module_but_numpy() -> None:
+    code = (
+        "import sys; import numpy; before = set(sys.modules); import willis_homog.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = str(Path(willis_homog.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = set(out.stdout.split()) - set(sys.stdlib_module_names) - {"numpy", "willis_homog"}
+    assert not added, f"import willis_homog.cli loads {sorted(added)}"
