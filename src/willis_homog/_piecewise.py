@@ -2,27 +2,43 @@
 
 The static corrector problems have piecewise-polynomial data on a
 piecewise-constant cell, so their solutions stay piecewise polynomial.
-Carrying them as per-segment polynomials (in the local coordinate
-x - x_j for conditioning) makes every antiderivative, product and cell
-average exact up to roundoff.
+A field is one complex array of shape (segments, degree + 1): row j holds
+the ascending coefficients of p_j(x - x_j), in the local coordinate for
+conditioning.  Antiderivatives, products and cell averages are then exact
+up to roundoff, and do not depend on how wide the array is padded:
+products convolve the nonzero leading part of each row, and values come
+from Horner's rule started at the top coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import ValidationError
 from .material import UnitCell1D, segment_index
 
 __all__ = ["PiecewisePoly", "piecewise_constant"]
 
+#: samples per segment of the max_abs estimate
+SEGMENT_SAMPLES = 64
 
-def _as_poly(p) -> Polynomial:
-    return p if isinstance(p, Polynomial) else Polynomial([p])
+
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row j of ``coeffs`` at t[j] (t may carry trailing sample axes)."""
+    c = coeffs.reshape(coeffs.shape + (1,) * (t.ndim - 1))
+    value = c[:, -1] + t * 0  # shaped like t even for constant rows
+    for i in range(2, c.shape[1] + 1):
+        value = c[:, -i] + value * t
+    return value
+
+
+def _lead(row: np.ndarray) -> np.ndarray:
+    """A coefficient row without its trailing zeros (at least one entry)."""
+    nonzero = np.flatnonzero(row)
+    return row[: nonzero[-1] + 1] if nonzero.size else row[:1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,102 +46,95 @@ class PiecewisePoly:
     """Per-segment polynomials p_j(x - x_j) on shared breakpoints."""
 
     breaks: np.ndarray
-    polys: tuple[Polynomial, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.polys) != len(self.breaks) - 1:
-            raise ValidationError("need one polynomial per segment")
+        breaks = np.asarray(self.breaks, dtype=float)
+        coeffs = np.asarray(self.coeffs, dtype=complex)
+        if coeffs.ndim != 2 or coeffs.shape[0] != breaks.size - 1 or coeffs.shape[1] == 0:
+            raise ValidationError("need one coefficient row per segment")
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.breaks)
 
-    def _check_compatible(self, other: "PiecewisePoly") -> None:
-        if not np.array_equal(self.breaks, other.breaks):
-            raise ValidationError("piecewise operands live on different partitions")
-
-    def map(self, fn: Callable[[Polynomial, int], Polynomial]) -> "PiecewisePoly":
-        return PiecewisePoly(self.breaks, tuple(fn(p, j) for j, p in enumerate(self.polys)))
-
-    def __add__(self, other):
+    def _operand(self, other) -> np.ndarray:
+        """Coefficient array of a field on the same partition, or of a constant."""
         if isinstance(other, PiecewisePoly):
-            self._check_compatible(other)
-            return self.map(lambda p, j: p + other.polys[j])
-        return self.map(lambda p, j: p + other)
+            if not np.array_equal(self.breaks, other.breaks):
+                raise ValidationError("piecewise operands live on different partitions")
+            return other.coeffs
+        return np.full((self.coeffs.shape[0], 1), other, dtype=complex)
+
+    def __add__(self, other) -> "PiecewisePoly":
+        a, b = self.coeffs, self._operand(other)
+        if a.shape[1] < b.shape[1]:
+            a, b = b, a
+        out = a.copy()
+        out[:, : b.shape[1]] += b
+        return PiecewisePoly(self.breaks, out)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self.map(lambda p, j: -p)
+    def __neg__(self) -> "PiecewisePoly":
+        return PiecewisePoly(self.breaks, -self.coeffs)
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, PiecewisePoly) else -np.asarray(other))
+    def __sub__(self, other) -> "PiecewisePoly":
+        return self + (-other)
 
-    def __rsub__(self, other):
+    def __rsub__(self, other) -> "PiecewisePoly":
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, PiecewisePoly):
-            self._check_compatible(other)
-            return self.map(lambda p, j: p * other.polys[j])
-        return self.map(lambda p, j: p * other)
+    def __mul__(self, other) -> "PiecewisePoly":
+        if not isinstance(other, PiecewisePoly):
+            return PiecewisePoly(self.breaks, self.coeffs * other)
+        rows = [np.convolve(_lead(a), _lead(b)) for a, b in zip(self.coeffs, self._operand(other))]
+        width = max(r.size for r in rows)
+        return PiecewisePoly(self.breaks, np.stack([np.pad(r, (0, width - r.size)) for r in rows]))
 
     __rmul__ = __mul__
 
     def derivative(self) -> "PiecewisePoly":
-        return self.map(lambda p, j: p.deriv())
+        shifted = np.pad(self.coeffs[:, 1:], ((0, 0), (0, 1)))
+        return PiecewisePoly(self.breaks, shifted * np.arange(1, shifted.shape[1] + 1))
 
-    def antiderivative(self, start: float = 0.0) -> "PiecewisePoly":
-        """Continuous antiderivative with value ``start`` at x = 0."""
-        polys = []
-        acc = complex(start)
-        for p, length in zip(self.polys, self.lengths):
-            prim = p.integ()
-            prim = prim - prim(0.0) + acc
-            polys.append(prim)
-            acc = prim(length)
-        return PiecewisePoly(self.breaks, tuple(polys))
+    def _primitive(self) -> tuple[np.ndarray, np.ndarray]:
+        """(per-segment primitives vanishing at x_j, their increments over each segment)."""
+        c = self.coeffs
+        prim = np.zeros((c.shape[0], c.shape[1] + 1), dtype=complex)
+        prim[:, 1:] = c / np.arange(1, c.shape[1] + 1)
+        return prim, _horner(prim, self.lengths)
 
+    def antiderivative(self) -> "PiecewisePoly":
+        """Continuous antiderivative, zero at x = 0."""
+        prim, increments = self._primitive()
+        prim[1:, 0] = np.cumsum(increments[:-1])
+        return PiecewisePoly(self.breaks, prim)
+
+    @property
     def mean(self) -> complex:
         """Exact integral over the unit cell."""
-        total = 0.0 + 0.0j
-        for p, length in zip(self.polys, self.lengths):
-            prim = p.integ()
-            total += prim(length) - prim(0.0)
-        return complex(total)
+        return complex(np.cumsum(self._primitive()[1])[-1])
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
         xw, idx = segment_index(self.breaks, x)
-        out = np.empty(xw.shape, dtype=complex)
-        flat_x, flat_i, flat_o = xw.ravel(), idx.ravel(), out.ravel()
-        for j, p in enumerate(self.polys):
-            sel = flat_i == j
-            if np.any(sel):
-                flat_o[sel] = p(flat_x[sel] - self.breaks[j])
+        out = _horner(self.coeffs[idx.ravel()], (xw - self.breaks[idx]).ravel()).reshape(xw.shape)
         return out if out.shape else complex(out)
-
-    def end_value(self) -> complex:
-        """Value at x = 1 from the last segment (left limit)."""
-        return complex(self.polys[-1](self.lengths[-1]))
-
-    def start_value(self) -> complex:
-        return complex(self.polys[0](0.0))
 
     def periodicity_defect(self) -> float:
         """|p(1-) - p(0+)|; zero for a continuous periodic function."""
-        return abs(self.end_value() - self.start_value())
+        end = _horner(self.coeffs[-1:], self.lengths[-1:])[0]
+        return abs(complex(end) - complex(self.coeffs[0, 0]))
 
     def zero_mean(self) -> "PiecewisePoly":
-        return self - self.mean()
+        return self - self.mean
 
-    def max_abs(self, samples_per_segment: int = 64) -> float:
-        """L-infinity norm estimated on a per-segment grid (exact enough for
-        the low-degree polynomials appearing here)."""
-        worst = 0.0
-        for p, length in zip(self.polys, self.lengths):
-            t = np.linspace(0.0, length, samples_per_segment)
-            worst = max(worst, float(np.max(np.abs(p(t)))))
-        return worst
+    def max_abs(self) -> float:
+        """L-infinity norm estimated on SEGMENT_SAMPLES points per segment."""
+        t = np.linspace(0.0, self.lengths, SEGMENT_SAMPLES, axis=-1)
+        return float(np.max(np.abs(_horner(self.coeffs, t))))
 
 
 def piecewise_constant(cell: UnitCell1D, values: Sequence[float]) -> PiecewisePoly:
@@ -133,4 +142,4 @@ def piecewise_constant(cell: UnitCell1D, values: Sequence[float]) -> PiecewisePo
     vals = np.asarray(values)
     if vals.size != len(cell.phases):
         raise ValidationError("need one value per phase")
-    return PiecewisePoly(cell.breakpoints, tuple(Polynomial([v]) for v in vals))
+    return PiecewisePoly(cell.breakpoints, vals.reshape(-1, 1))

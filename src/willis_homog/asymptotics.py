@@ -6,9 +6,17 @@ law ``(G(u' + F))' = r`` on the cell, and by the coefficient table built
 from their averages.  From the table three polynomial observables in
 (k, omega) are formed: the fourth-order two-scale impedance, the
 modulation factor that multiplies it in the mean-field expansion, and the
-dipole mean polynomial.  Every solve runs on two independent routes, exact
-piecewise integration on the cell partition and a truncated Fourier
-Galerkin system, so each route can certify the other.
+dipole mean polynomial.
+
+The chain is written once, in ``solve_static_chain``, as a recipe of sums,
+products and means of fields.  Each route keeps its own field algebra and
+solver, so each certifies the other: the exact route integrates piecewise
+polynomials in closed form (``_piecewise``), the spectral route solves a
+Fourier Galerkin system with the stiffness of ``spectral.assemble``
+(``material.FourierField``).  Two oracles share no code with the recipe:
+the frozen rational coefficients of ``bilaminate(0.1, 0.1)`` in the tests,
+and ``verify``'s ``polynomial/*_matches_oracle`` checks against the exact
+dynamic impedance of the transfer-matrix route.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 
 from ._piecewise import PiecewisePoly, piecewise_constant
 from .errors import NumericalError, SolvabilityError, ValidationError
-from .material import FourierField, Phase, UnitCell1D, fourier_coefficients
+from .material import FourierField, Phase, UnitCell1D, cell_digest
 from .spectral import assemble
 
 __all__ = [
@@ -48,6 +56,9 @@ MODULATION_FLOOR = 1e-12
 #: k^2 scale and must not trip the guard while digits remain
 CANCELLATION_FLOOR = 64.0 * np.finfo(float).eps
 
+#: (k, omega) at which identity_suite checks the first-order mean equation
+IDENTITY_PROBE = (1.0, 0.3)
+
 StaticField = PiecewisePoly | FourierField
 
 
@@ -75,7 +86,8 @@ class StaticCellFunctions:
     ``chi1/chi2/chi3`` drive the source-side expansion, ``chi2_dip`` and
     ``chi3_dip`` the dipole-side one (their balance laws coincide with the
     source-side ones at second order in 1D), ``eta0/eta1`` carry the source
-    modulation and ``alpha1`` the static dipole response.
+    modulation and ``alpha1`` the static dipole response.  ``G`` and
+    ``rho`` are the cell's coefficient fields on the same route.
     """
 
     method: str
@@ -88,190 +100,81 @@ class StaticCellFunctions:
     alpha1: StaticSolve
     chi2_dip: StaticSolve
     chi3_dip: StaticSolve
+    G: StaticField
+    rho: StaticField
 
     def solves(self) -> dict[str, StaticSolve]:
-        return {
-            "chi1": self.chi1,
-            "chi2": self.chi2,
-            "chi3": self.chi3,
-            "eta0": self.eta0,
-            "eta1": self.eta1,
-            "alpha1": self.alpha1,
-            "chi2_dip": self.chi2_dip,
-            "chi3_dip": self.chi3_dip,
-        }
+        return {name: v for name, v in vars(self).items() if isinstance(v, StaticSolve)}
 
 
-def _mean(f: StaticField) -> complex:
-    return f.mean if isinstance(f, FourierField) else complex(f.mean())
+def _at(cell: UnitCell1D, method: str) -> str:
+    """Route and cell of a static computation, for error messages."""
+    return f"{method} route, cell {cell_digest(cell)}"
 
 
-def _max_abs(f: StaticField) -> float:
-    if isinstance(f, FourierField):
-        x = np.linspace(0.0, 1.0, 512, endpoint=False)
-        return float(np.max(np.abs(f(x))))
-    return f.max_abs()
-
-
-def _derivative(f: StaticField) -> StaticField:
-    if isinstance(f, FourierField):
-        m = np.arange(-f.order, f.order + 1)
-        return FourierField(2j * np.pi * m * f.coeffs)
-    return f.derivative()
-
-
-def _real(value: complex, what: str) -> float:
+def _real(value: complex, what: str, cell: UnitCell1D, method: str) -> float:
     value = complex(value)
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise NumericalError(f"{what} must be real, got imaginary part {value.imag:.3e}")
+        raise NumericalError(
+            f"{what} must be real, got imaginary part {value.imag:.3e} ({_at(cell, method)})"
+        )
     return value.real
 
 
-def _convolve_trunc(mat_hat: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-    """Coefficients of (material * field) truncated to the order of the field."""
-    n = (u_hat.size - 1) // 2
-    out = np.convolve(mat_hat, u_hat)
-    mid = out.size // 2
-    return out[mid - n : mid + n + 1]
-
-
-def _weighted_mean(cell: UnitCell1D, field: str, u: StaticField) -> complex:
-    """<field * u> on the route of ``u``."""
-    if isinstance(u, FourierField):
-        hat = fourier_coefficients(cell, field, u.order).coeffs
-        return complex(np.dot(hat[::-1], u.coeffs))
-    w = piecewise_constant(cell, cell.values(field))
-    return complex((w * u).mean())
-
-
-def _weighted_pair_mean(cell: UnitCell1D, field: str, u1: StaticField, u2: StaticField) -> complex:
-    """<field * u1 * u2> on the route of the fields."""
-    if isinstance(u1, FourierField):
-        hat = fourier_coefficients(cell, field, 2 * u1.order).coeffs
-        w = _convolve_trunc(hat, u1.coeffs)
-        return complex(np.dot(w[::-1], u2.coeffs))
-    w = piecewise_constant(cell, cell.values(field))
-    return complex((w * u1 * u2).mean())
-
-
-def _exact_chain(cell: UnitCell1D) -> dict[str, StaticSolve]:
-    inv_g = piecewise_constant(cell, 1.0 / cell.values("G"))
-    rho = piecewise_constant(cell, cell.values("rho"))
-    nphase = len(cell.phases)
-    ones = piecewise_constant(cell, np.ones(nphase))
-    zeros = piecewise_constant(cell, np.zeros(nphase))
-    rho0 = cell.mean("rho")
+def _exact_route(cell: UnitCell1D):
+    """Unit field, G, rho and the closed-form solver on the cell partition."""
+    one = piecewise_constant(cell, np.ones(len(cell.phases)))
+    G, rho, inv_g = (piecewise_constant(cell, cell.values(name)) for name in ("G", "rho", "1/G"))
 
     def solve(F: PiecewisePoly, r: PiecewisePoly) -> StaticSolve:
-        mean_r = complex(r.mean())
+        mean_r = r.mean
         if abs(mean_r) > SOLVABILITY_RTOL * max(1.0, r.max_abs()):
-            raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e}")
+            raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'exact')})")
         # flux form: G(u' + F) = R + C with R the zero-mean antiderivative of r
-        R = (r - mean_r).antiderivative(0.0)
-        C = (complex(F.mean()) - complex((R * inv_g).mean())) / complex(inv_g.mean())
+        R = (r - mean_r).antiderivative()
+        C = (F.mean - (R * inv_g).mean) / inv_g.mean
         du = (R + C) * inv_g - F
-        u = du.antiderivative(0.0).zero_mean()
+        u = du.antiderivative().zero_mean()
         flux = R + C
         residual = max(u.periodicity_defect(), flux.periodicity_defect())
         return StaticSolve(u=u, flux=flux, residual=residual)
 
-    chi1 = solve(ones, zeros)
-    mu0 = _real(chi1.flux.mean(), "mu0")
-    eta0 = solve(zeros, (rho - rho0) * (1.0 / rho0))
-    chi2 = solve(chi1.u, rho * (mu0 / rho0) - chi1.flux)
-    # the dipole-side second corrector solves the same balance law in 1D
-    chi2_dip = chi2
-    rho1 = _real((rho * chi1.u).mean(), "rho1")
-    mu1_dip = _real(chi2_dip.flux.mean(), "mu1_dip")
-    chi3 = solve(chi2.u, rho * chi1.u * (mu0 / rho0) - chi2.flux)
-    eta1 = solve(eta0.u, rho * chi1.u * (1.0 / rho0) - eta0.flux)
-    alpha1 = solve(zeros, rho * chi1.u - rho1)
-    chi3_dip = solve(
-        chi2_dip.u,
-        (rho * chi1.u - rho1) * (mu0 / rho0) + mu1_dip - chi2_dip.flux,
-    )
-    return {
-        "chi1": chi1,
-        "chi2": chi2,
-        "chi3": chi3,
-        "eta0": eta0,
-        "eta1": eta1,
-        "alpha1": alpha1,
-        "chi2_dip": chi2_dip,
-        "chi3_dip": chi3_dip,
-    }
+    return one, G, rho, lambda *pairs: [solve(F, r) for F, r in pairs]
 
 
-def _spectral_chain(cell: UnitCell1D, order: int) -> dict[str, StaticSolve]:
+def _spectral_route(cell: UnitCell1D, order: int):
+    """Unit field, G, rho (to order 2N) and the Galerkin solver at order N."""
     n = int(order)
-    m = np.arange(-n, n + 1)
-    ik_m = 2j * np.pi * m
-    center = n
     op = assemble(cell, 0.0, n)
-    g2 = op.G_hat.coeffs
-    rho2 = op.rho_hat.coeffs
-    rho_hat = rho2[n : 3 * n + 1]
-    rho0 = cell.mean("rho")
-
+    G = op.G_hat
     keep = np.arange(op.size) != op.index0
     stiff_red = op.stiffness[np.ix_(keep, keep)]
-
-    e0 = np.zeros(2 * n + 1, dtype=complex)
-    e0[center] = 1.0
-    zeros = np.zeros(2 * n + 1, dtype=complex)
     # truncation moves the measured source mean of the later solves off
     # zero at the discretization error level, so the gate scales with n
     rtol = max(SOLVABILITY_RTOL, 1.0 / n**2)
 
-    def solve(*sources: tuple[np.ndarray, np.ndarray]) -> list[StaticSolve]:
+    def solve(*pairs: tuple[FourierField, FourierField]) -> list[StaticSolve]:
         """Solves for (F, r) pairs that do not depend on each other, in one factorization."""
         b_red = []
-        for F, r in sources:
-            mean_r = complex(r[center])
-            if abs(mean_r) > rtol * max(1.0, float(np.sum(np.abs(r)))):
-                raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e}")
-            b_red.append((ik_m * _convolve_trunc(g2, F) - (r - mean_r * e0))[keep])
+        for F, r in pairs:
+            mean_r = r.mean
+            if abs(mean_r) > rtol * max(1.0, float(np.sum(np.abs(r.coeffs)))):
+                raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'spectral')})")
+            # the reduced system drops the mean, so r enters without it
+            b_red.append(((G * F).derivative() - r).coeffs[keep])
         c_red = np.linalg.solve(stiff_red, np.stack(b_red, axis=1))
+        c = np.zeros((len(pairs), op.size), dtype=complex)
+        c[:, keep] = c_red.T
         out = []
-        for j, (F, _) in enumerate(sources):
-            c = np.zeros(2 * n + 1, dtype=complex)
-            c[keep] = c_red[:, j]
+        for j, (F, _) in enumerate(pairs):
+            u = FourierField(c[j])
             residual = float(
                 np.linalg.norm(stiff_red @ c_red[:, j] - b_red[j]) / max(1.0, np.linalg.norm(b_red[j]))
             )
-            flux = _convolve_trunc(g2, ik_m * c + F)
-            out.append(StaticSolve(u=FourierField(c), flux=FourierField(flux), residual=residual))
+            out.append(StaticSolve(u=u, flux=G * (u.derivative() + F), residual=residual))
         return out
 
-    # three factorizations, one per level of the chain's dependencies
-    chi1, eta0 = solve((e0, zeros), (zeros, (rho_hat - rho0 * e0) / rho0))
-    mu0 = _real(chi1.flux.mean, "mu0")
-    rho1 = _real(np.dot(rho_hat[::-1], chi1.u.coeffs), "rho1")
-    rho_chi1 = _convolve_trunc(rho2, chi1.u.coeffs)
-    chi2, eta1, alpha1 = solve(
-        (chi1.u.coeffs, (mu0 / rho0) * rho_hat - chi1.flux.coeffs),
-        (eta0.u.coeffs, rho_chi1 / rho0 - eta0.flux.coeffs),
-        (zeros, rho_chi1 - rho1 * e0),
-    )
-    chi2_dip = chi2
-    mu1_dip = _real(chi2_dip.flux.mean, "mu1_dip")
-    chi3, chi3_dip = solve(
-        (chi2.u.coeffs, (mu0 / rho0) * rho_chi1 - chi2.flux.coeffs),
-        (
-            chi2_dip.u.coeffs,
-            (mu0 / rho0) * (rho_chi1 - rho1 * e0) + mu1_dip * e0 - chi2_dip.flux.coeffs,
-        ),
-    )
-    return {
-        "chi1": chi1,
-        "chi2": chi2,
-        "chi3": chi3,
-        "eta0": eta0,
-        "eta1": eta1,
-        "alpha1": alpha1,
-        "chi2_dip": chi2_dip,
-        "chi3_dip": chi3_dip,
-    }
+    return FourierField(np.zeros(op.size)) + 1.0, G, op.rho_hat, solve
 
 
 def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = 128) -> StaticCellFunctions:
@@ -286,10 +189,33 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = 128
         Truncation order for the spectral route, ignored otherwise.
     """
     if method == "exact":
-        return StaticCellFunctions(method=method, order=None, **_exact_chain(cell))
-    if method == "spectral":
-        return StaticCellFunctions(method=method, order=int(order), **_spectral_chain(cell, order))
-    raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'spectral'")
+        one, G, rho, solve = _exact_route(cell)
+    elif method == "spectral":
+        one, G, rho, solve = _spectral_route(cell, order)
+    else:
+        raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'spectral'")
+    zero = one * 0.0
+    rho0 = cell.mean("rho")
+
+    # one solve call per level of the chain's dependencies
+    chi1, eta0 = solve((one, zero), (zero, (rho - rho0) * (1.0 / rho0)))
+    mu0 = _real(chi1.flux.mean, "mu0", cell, method)
+    rho_chi1 = rho * chi1.u
+    rho1 = _real(rho_chi1.mean, "rho1", cell, method)
+    chi2, eta1, alpha1 = solve(
+        (chi1.u, rho * (mu0 / rho0) - chi1.flux),
+        (eta0.u, rho_chi1 * (1.0 / rho0) - eta0.flux),
+        (zero, rho_chi1 - rho1),
+    )
+    # the dipole-side second corrector solves the same balance law in 1D
+    chi2_dip = chi2
+    mu1_dip = _real(chi2_dip.flux.mean, "mu1_dip", cell, method)
+    chi3, chi3_dip = solve(
+        (chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux),
+        (chi2_dip.u, (rho_chi1 - rho1) * (mu0 / rho0) + mu1_dip - chi2_dip.flux),
+    )
+    order = None if method == "exact" else int(order)
+    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, chi2_dip, chi3_dip, G, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +252,25 @@ class HomogCoefficients:
 
 def coefficients(cell: UnitCell1D, fields: StaticCellFunctions) -> HomogCoefficients:
     """Coefficient table from a solved corrector chain (route-consistent)."""
+
+    def mean(field: StaticField, what: str) -> float:
+        return _real(field.mean, what, cell, fields.method)
+
+    rho = fields.rho
+    rho_chi1 = rho * fields.chi1.u
     return HomogCoefficients(
         rho0=cell.mean("rho"),
-        mu0=_real(_mean(fields.chi1.flux), "mu0"),
-        rho1=_real(_weighted_mean(cell, "rho", fields.chi1.u), "rho1"),
-        mu1=_real(_mean(fields.chi2.flux), "mu1"),
-        rho2=_real(_weighted_mean(cell, "rho", fields.chi2.u), "rho2"),
-        mu2=_real(_mean(fields.chi3.flux), "mu2"),
-        mu1_dip=_real(_mean(fields.chi2_dip.flux), "mu1_dip"),
-        mu2_dip=_real(_mean(fields.chi3_dip.flux), "mu2_dip"),
-        rho2_dip=_real(_weighted_mean(cell, "rho", fields.chi2_dip.u), "rho2_dip"),
-        s_g=_real(_mean(fields.eta1.flux), "s_g"),
-        s_rho=_real(_weighted_mean(cell, "rho", fields.eta0.u), "s_rho"),
-        q=_real(_weighted_pair_mean(cell, "rho", fields.chi1.u, fields.chi1.u), "q"),
+        mu0=mean(fields.chi1.flux, "mu0"),
+        rho1=mean(rho_chi1, "rho1"),
+        mu1=mean(fields.chi2.flux, "mu1"),
+        rho2=mean(rho * fields.chi2.u, "rho2"),
+        mu2=mean(fields.chi3.flux, "mu2"),
+        mu1_dip=mean(fields.chi2_dip.flux, "mu1_dip"),
+        mu2_dip=mean(fields.chi3_dip.flux, "mu2_dip"),
+        rho2_dip=mean(rho * fields.chi2_dip.u, "rho2_dip"),
+        s_g=mean(fields.eta1.flux, "s_g"),
+        s_rho=mean(rho * fields.eta0.u, "s_rho"),
+        q=mean(rho_chi1 * fields.chi1.u, "q"),
     )
 
 
@@ -350,6 +282,13 @@ def homogenize(cell: UnitCell1D, method: str = "exact", order: int = 128) -> tup
 
 # ---------------------------------------------------------------------------
 # polynomial observables
+
+
+def _first(mask, k, omega) -> str:
+    """The first (k, omega) where ``mask`` holds, for error messages."""
+    i = int(np.argmax(mask))
+    kk, ww = (float(np.broadcast_to(v, np.shape(mask)).flat[i]) for v in (k, omega))
+    return f"(k, omega) = ({kk!r}, {ww!r})"
 
 
 def two_scale_impedance(c: HomogCoefficients, k, omega):
@@ -384,8 +323,9 @@ def willis_impedance_order2(c: HomogCoefficients, k, omega, route: str = "modula
     if route == "modulated":
         m2 = modulation_m2(c, k, omega)
         m2_scale = 1.0 + np.abs(c.s_g * k**2) + np.abs(c.s_rho * omega**2)
-        if np.any(np.abs(m2) <= MODULATION_FLOOR * m2_scale):
-            raise NumericalError("modulation factor vanishes, impedance undefined")
+        vanishes = np.abs(m2) <= MODULATION_FLOOR * m2_scale
+        if np.any(vanishes):
+            raise NumericalError(f"modulation factor vanishes at {_first(vanishes, k, omega)}, impedance undefined")
         return two_scale_impedance(c, k, omega) / m2
     if route == "mean":
         z0 = -c.mu0 * k**2 + c.rho0 * omega**2
@@ -399,8 +339,9 @@ def willis_impedance_order2(c: HomogCoefficients, k, omega, route: str = "modula
         w0 = -1.0 / z0
         w2 = (s + z1 / z0) / z0
         den = np.where(on_cone, 1.0, w0 + w2)
-        if np.any(np.abs(den) <= MODULATION_FLOOR * (np.abs(w0) + np.abs(w2))):
-            raise NumericalError("mean-field expansion denominator vanishes")
+        vanishes = np.abs(den) <= MODULATION_FLOOR * (np.abs(w0) + np.abs(w2))
+        if np.any(vanishes):
+            raise NumericalError(f"mean-field expansion denominator vanishes at {_first(vanishes, k, omega)}")
         return np.where(on_cone, 0.0, 1.0 / den)[()]
     raise ValidationError(f"unknown route {route!r}, expected 'modulated' or 'mean'")
 
@@ -410,7 +351,10 @@ def two_scale_root(c: HomogCoefficients, k: float) -> float:
     num = c.mu0 * k**2 - c.mu2 * k**4
     den = c.rho0 - c.rho2 * k**2
     if den <= 0.0 or num < 0.0:
-        raise NumericalError(f"two-scale branch terminates before k = {k:.6g}")
+        raise NumericalError(
+            f"two-scale branch terminates before k = {k:.6g}: "
+            f"mu0 k^2 - mu2 k^4 = {num:.3e}, rho0 - rho2 k^2 = {den:.3e}"
+        )
     return float(np.sqrt(num / den))
 
 
@@ -418,12 +362,7 @@ def two_scale_root(c: HomogCoefficients, k: float) -> float:
 # identity suite
 
 
-def identity_suite(
-    cell: UnitCell1D,
-    fields: StaticCellFunctions,
-    coeffs: HomogCoefficients,
-    khat_what: tuple[float, float] = (1.0, 0.3),
-) -> dict[str, float]:
+def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogCoefficients) -> dict[str, float]:
     """Named relative residuals certifying the static chain.
 
     Every entry vanishes for the continuum problem; on the exact route the
@@ -435,10 +374,10 @@ def identity_suite(
 
     solves = fields.solves()
     out["solver_residual"] = max(s.residual for s in solves.values())
-    out["zero_mean"] = max(abs(_mean(s.u)) for s in solves.values())
+    out["zero_mean"] = max(abs(s.u.mean) for s in solves.values())
 
     # flux of the modulation corrector against the density dipole
-    eta0_flux = _real(_mean(fields.eta0.flux), "eta0 flux mean")
+    eta0_flux = _real(fields.eta0.flux.mean, "eta0 flux mean", cell, fields.method)
     target = c.rho1 / c.rho0
     out["eta0_flux_matches_density_dipole"] = abs(eta0_flux - target) / max(1.0, abs(target))
 
@@ -448,35 +387,36 @@ def identity_suite(
     )
 
     # the unreduced first-order mean equation forces a vanishing correction
-    k, w = khat_what
+    k, w = IDENTITY_PROBE
     ik = 1j * k
     z0 = -c.mu0 * k**2 + c.rho0 * w**2
     if abs(z0) <= MODULATION_FLOOR:
-        raise NumericalError("probe point sits on the leading-order acoustic cone")
+        raise NumericalError(
+            f"probe (k, omega) = ({k!r}, {w!r}) sits on the leading-order acoustic cone "
+            f"({_at(cell, fields.method)})"
+        )
     w0 = -1.0 / z0
     w1 = (-ik * eta0_flux - (c.mu1 * ik**3 + c.rho1 * ik * w**2) * w0) / z0
     out["first_order_mean_vanishes"] = abs(w1) / abs(w0)
 
     # <G chi1'> equals mu0 - <G> (constant-flux identity)
-    g_dchi1 = _real(_weighted_mean(cell, "G", _derivative(fields.chi1.u)), "G chi1' mean")
+    g_dchi1 = _real((fields.G * fields.chi1.u.derivative()).mean, "G chi1' mean", cell, fields.method)
     mean_g = cell.mean("G")
     out["first_order_flux_identity"] = abs(g_dchi1 - (c.mu0 - mean_g)) / (abs(c.mu0) + mean_g)
 
     # static dipole flux against the density-weighted corrector square
-    alpha1_flux = _real(_mean(fields.alpha1.flux), "alpha1 flux mean")
+    alpha1_flux = _real(fields.alpha1.flux.mean, "alpha1 flux mean", cell, fields.method)
     out["static_dipole_flux_matches_covariance"] = abs(alpha1_flux - c.q) / max(
         abs(c.q), abs(alpha1_flux), 1e-12
     )
 
     # constant-density companion: eta0 drops out and s_g collapses to q
-    companion = UnitCell1D(
-        tuple(Phase(length=p.length, G=p.G, rho=1.0) for p in cell.phases)
-    )
+    companion = UnitCell1D(tuple(Phase(length=p.length, G=p.G, rho=1.0) for p in cell.phases))
     comp_fields, comp = homogenize(companion, method=fields.method, order=fields.order or 128)
     comp_scale = max(abs(comp.q), 1e-12)
     out["constant_density_reduction"] = max(
         abs(comp.s_g - comp.q) / comp_scale,
         abs(comp.s_rho) / comp_scale,
-        _max_abs(comp_fields.eta0.u),
+        comp_fields.eta0.u.max_abs(),
     )
     return out

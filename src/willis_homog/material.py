@@ -39,6 +39,9 @@ FIELD_NAMES = ("G", "rho", "1/G")
 
 _LENGTH_TOL = 1e-12
 
+#: sample points of the FourierField max_abs estimate
+FIELD_SAMPLES = 512
+
 
 @dataclass(frozen=True)
 class Phase:
@@ -131,6 +134,47 @@ class FourierField:
         """Cell average, i.e. the m = 0 coefficient."""
         return complex(self.coeffs[self.order])
 
+    def __add__(self, other) -> "FourierField":
+        """Sum; of two fields, truncated to the lower of their orders."""
+        if not isinstance(other, FourierField):
+            c = self.coeffs.copy()
+            c[self.order] += other
+            return FourierField(c)
+        n = min(self.order, other.order)
+        return FourierField(_centre(self.coeffs, n) + _centre(other.coeffs, n))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FourierField":
+        return FourierField(-self.coeffs)
+
+    def __sub__(self, other) -> "FourierField":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "FourierField":
+        return (-self) + other
+
+    def __mul__(self, other) -> "FourierField":
+        """Product; of two fields, truncated to the lower of their orders."""
+        if not isinstance(other, FourierField):
+            return FourierField(self.coeffs * other)
+        a, b = (self, other) if self.order >= other.order else (other, self)
+        n = b.order
+        if a.order >= 2 * n:
+            # the harmonics |m| <= n draw on those of a up to 2n only
+            return FourierField(np.convolve(_centre(a.coeffs, 2 * n), b.coeffs, mode="valid"))
+        return FourierField(_centre(np.convolve(a.coeffs, b.coeffs), n))
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "FourierField":
+        m = np.arange(-self.order, self.order + 1)
+        return FourierField(2j * np.pi * m * self.coeffs)
+
+    def max_abs(self) -> float:
+        """L-infinity norm estimated on FIELD_SAMPLES equispaced points."""
+        return float(np.max(np.abs(self(np.linspace(0.0, 1.0, FIELD_SAMPLES, endpoint=False)))))
+
     def coefficient(self, m: int) -> complex:
         """c_m for |m| <= N."""
         n = self.order
@@ -149,6 +193,12 @@ class FourierField:
     def conjugate_symmetry_defect(self) -> float:
         """max_m |c_{-m} - conj(c_m)|; zero for real-valued functions."""
         return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
+
+
+def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """The harmonics |m| <= order of a centred coefficient array."""
+    mid = coeffs.size // 2
+    return coeffs[mid - order : mid + order + 1]
 
 
 def fourier_coefficients(cell: UnitCell1D, field: str, N: int) -> FourierField:

@@ -52,6 +52,10 @@ RESIDUAL_RTOL = 1e-10
 #: relative gap under which neighbouring eigenvalues form one cluster
 CLUSTER_RTOL = 1e-8
 
+#: largest load amplitude on the resonant cluster of a projected solve,
+#: relative to the load norm
+SOLVABILITY_RTOL = 1e-8
+
 #: lowest eigenvalue: block size and iteration cap of the inverse iteration
 LOWEST_BLOCK = 4
 LOWEST_MAXITER = 50
@@ -340,12 +344,7 @@ def resolvent_solve(
     return coeffs
 
 
-def projected_solve(
-    eigensystem: BlochEigensystem,
-    omega_sq: float,
-    load: np.ndarray,
-    solvability_rtol: float = 1e-8,
-) -> np.ndarray:
+def projected_solve(eigensystem: BlochEigensystem, omega_sq: float, load: np.ndarray) -> np.ndarray:
     """Solve at an eigenfrequency on the complement of its eigencluster.
 
     The load must be orthogonal to the resonant cluster (a solvability
@@ -364,7 +363,7 @@ def projected_solve(
     amps = eigensystem.projection(load)
     scale = np.linalg.norm(load)
     bad = np.abs(amps[group]).max()
-    if scale > 0 and bad > solvability_rtol * scale:
+    if scale > 0 and bad > SOLVABILITY_RTOL * scale:
         raise SolvabilityError(
             f"load has amplitude {bad:.3e} on the resonant cluster; "
             "the cell problem is not solvable at this frequency"

@@ -44,7 +44,7 @@ __all__ = [
 #: |<w>| below this is treated as a zero-mean cell response
 ZERO_MEAN_TOL = 1e-12
 
-#: default visibility threshold on |<phi_j>|
+#: visibility threshold on |<phi_j>|
 VISIBILITY_TOL = 1e-6
 
 ROUTES = ("direct", "symmetric")
@@ -273,11 +273,7 @@ def mean_fields(
     )
 
 
-def classify_visibility(
-    eigensystem: BlochEigensystem,
-    branch: int,
-    visibility_tol: float = VISIBILITY_TOL,
-) -> VisibilityReport:
+def classify_visibility(eigensystem: BlochEigensystem, branch: int) -> VisibilityReport:
     """Visibility of one branch from the means of its eigencluster.
 
     A branch is visible when some mode of its (near-degenerate) cluster has
@@ -293,9 +289,9 @@ def classify_visibility(
     means = tuple(complex(m) for m in eigensystem.means[cluster])
     dip = eigensystem.projection(eigensystem.operator.dipole_load())
     dips = tuple(complex(d) for d in dip[cluster])
-    visible = max(abs(m) for m in means) > visibility_tol
+    visible = max(abs(m) for m in means) > VISIBILITY_TOL
     load_scale = max(np.linalg.norm(eigensystem.operator.dipole_load()), 1e-30)
-    solvable = max(abs(d) for d in dips) <= visibility_tol * load_scale
+    solvable = max(abs(d) for d in dips) <= VISIBILITY_TOL * load_scale
     if not visible and solvable:
         behavior = "continuous"
     elif visible and len(cluster) == 1:

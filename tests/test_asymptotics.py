@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog.asymptotics import (
+    HomogCoefficients,
+    StaticSolve,
+    coefficients,
     dipole_mean_n2,
     homogenize,
     identity_suite,
@@ -15,7 +20,7 @@ from willis_homog.asymptotics import (
     willis_impedance_order2,
 )
 from willis_homog.errors import NumericalError, ValidationError
-from willis_homog.material import Phase, UnitCell1D, bilaminate, homogeneous
+from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.willis import effective_impedance
 
 BILAMINATE = bilaminate(0.1, 0.1)
@@ -48,7 +53,7 @@ def test_exact_coefficients_match_frozen_table() -> None:
 def test_first_corrector_boundary_value() -> None:
     fields = solve_static_chain(BILAMINATE, method="exact")
     assert_allclose(fields.chi1.u(0.0), 9.0 / 44.0, rtol=1e-13)
-    assert abs(fields.chi1.u.mean()) < 1e-15
+    assert abs(fields.chi1.u.mean) < 1e-15
 
 
 def test_uniform_cell_higher_coefficients_vanish() -> None:
@@ -143,7 +148,7 @@ def test_two_scale_root_terminates() -> None:
     _, coeffs = homogenize(BILAMINATE, method="exact")
     # the radicand turns negative once mu2 k^4 overtakes mu0 k^2
     k_end = np.sqrt(coeffs.mu0 / coeffs.mu2)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"terminates before k = .*rho0 - rho2 k\^2 ="):
         two_scale_root(coeffs, 1.01 * k_end)
 
 
@@ -183,3 +188,46 @@ def test_mean_route_is_zero_on_the_acoustic_cone() -> None:
     row = willis_impedance_order2(coeffs, k, np.array([0.1, omega, 0.5]), route="mean")
     assert row[1] == 0.0
     assert_allclose(row[[0, 2]], 2.0 * k**2 - np.array([0.1, 0.5]) ** 2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["exact", "spectral"])
+def test_complex_coefficient_names_route_and_cell(method: str) -> None:
+    fields = solve_static_chain(BILAMINATE, method=method, order=32)
+    chi1 = StaticSolve(u=fields.chi1.u, flux=fields.chi1.flux * (1.0 + 1.0j), residual=0.0)
+    doctored = dataclasses.replace(fields, chi1=chi1)
+    with pytest.raises(NumericalError) as info:
+        coefficients(BILAMINATE, doctored)
+    message = str(info.value)
+    assert message.startswith("mu0 must be real")
+    assert f"{method} route, cell {cell_digest(BILAMINATE)}" in message
+
+
+def test_identity_probe_on_the_cone_names_probe_route_and_cell() -> None:
+    # mu0 / rho0 = 0.3^2 puts the probe (k, omega) = (1, 0.3) on the cone
+    cell = homogeneous(0.09, 1.0)
+    fields, coeffs = homogenize(cell, method="exact")
+    with pytest.raises(NumericalError) as info:
+        identity_suite(cell, fields, coeffs)
+    message = str(info.value)
+    assert "probe (k, omega) = (1.0, 0.3) sits on the leading-order acoustic cone" in message
+    assert f"exact route, cell {cell_digest(cell)}" in message
+
+
+# s_g = 1 and nothing else beyond the quasistatic pair: m2 = k^2 - 1
+UNIT_MODULATION = HomogCoefficients(
+    rho0=1.0, mu0=1.0, rho1=0.0, mu1=0.0, rho2=0.0, mu2=0.0, mu1_dip=0.0,
+    mu2_dip=0.0, rho2_dip=0.0, s_g=1.0, s_rho=0.0, q=0.0,
+)
+
+
+def test_vanishing_modulation_names_first_point() -> None:
+    k = np.array([0.5, 1.0, 2.0, 1.0])
+    with pytest.raises(NumericalError, match=r"modulation factor vanishes at \(k, omega\) = \(1\.0, 0\.5\)"):
+        willis_impedance_order2(UNIT_MODULATION, k, 0.5, route="modulated")
+
+
+def test_vanishing_mean_denominator_names_first_point() -> None:
+    # off the cone the mean-route denominator is m2 / z0, zero at k = 1
+    omega = np.array([[0.5], [0.25]])
+    with pytest.raises(NumericalError, match=r"denominator vanishes at \(k, omega\) = \(1\.0, 0\.5\)"):
+        willis_impedance_order2(UNIT_MODULATION, np.array([0.5, 1.0]), omega, route="mean")

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from willis_homog.errors import ValidationError
 from willis_homog.material import (
+    FourierField,
     Phase,
     UnitCell1D,
     bilaminate,
@@ -81,6 +82,45 @@ def test_conjugate_symmetry_of_real_fields() -> None:
     cell = bilaminate(0.3, 0.7)
     field = fourier_coefficients(cell, "G", 12)
     assert field.conjugate_symmetry_defect() < 1e-15
+
+
+def _direct_truncated(a: np.ndarray, b: np.ndarray, n: int, op) -> np.ndarray:
+    """c_m = op over harmonics, m = -n..n, by explicit sums over the index sets."""
+    na, nb = (a.size - 1) // 2, (b.size - 1) // 2
+    out = np.zeros(2 * n + 1, dtype=complex)
+    for m in range(-n, n + 1):
+        if op == "add":
+            out[m + n] = a[m + na] + b[m + nb]
+        else:
+            out[m + n] = sum(
+                a[p + na] * b[m - p + nb] for p in range(-na, na + 1) if abs(m - p) <= nb
+            )
+    return out
+
+
+@pytest.mark.parametrize("orders", [(3, 5), (5, 3), (4, 4), (8, 4), (2, 7)])
+def test_fourier_field_sums_and_products_truncate_to_the_lower_order(orders) -> None:
+    rng = np.random.default_rng(7)
+    na, nb = orders
+    a = rng.standard_normal(2 * na + 1) + 1j * rng.standard_normal(2 * na + 1)
+    b = rng.standard_normal(2 * nb + 1) + 1j * rng.standard_normal(2 * nb + 1)
+    fa, fb = FourierField(a), FourierField(b)
+    n = min(na, nb)
+    assert (fa + fb).order == (fa * fb).order == n
+    assert_allclose((fa + fb).coeffs, _direct_truncated(a, b, n, "add"), atol=1e-14)
+    assert_allclose((fa - fb).coeffs, _direct_truncated(a, -b, n, "add"), atol=1e-14)
+    assert_allclose((fa * fb).coeffs, _direct_truncated(a, b, n, "mul"), atol=1e-13)
+
+
+def test_fourier_field_scalar_algebra_and_calculus() -> None:
+    f = fourier_coefficients(bilaminate(0.1, 0.1), "rho", 16)
+    x = np.array([0.1, 0.3, 0.7])
+    assert_allclose((2.0 * f - 1.0)(x), 2.0 * f(x) - 1.0, atol=1e-13)
+    assert_allclose((1.0 - f).mean, 1.0 - f.mean, atol=1e-15)
+    # d/dx exp(2 pi i x) = 2 pi i exp(2 pi i x)
+    e1 = FourierField(np.array([0.0, 0.0, 1.0]))
+    assert_allclose(e1.derivative()(x), 2j * np.pi * e1(x), atol=1e-13)
+    assert e1.max_abs() == pytest.approx(1.0)
 
 
 def test_dict_roundtrip_preserves_cell() -> None:
