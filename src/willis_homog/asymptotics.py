@@ -28,7 +28,7 @@ import numpy as np
 from ._piecewise import PiecewisePoly, piecewise_constant
 from .errors import NumericalError, SolvabilityError, ValidationError
 from .material import FourierField, Phase, UnitCell1D, cell_digest
-from .spectral import assemble
+from .spectral import DEFAULT_ORDER, assemble
 
 __all__ = [
     "HomogCoefficients",
@@ -177,7 +177,7 @@ def _spectral_route(cell: UnitCell1D, order: int):
     return FourierField(np.zeros(op.size)) + 1.0, G, op.rho_hat, solve
 
 
-def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = 128) -> StaticCellFunctions:
+def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEFAULT_ORDER) -> StaticCellFunctions:
     """Solve the full corrector chain of a cell.
 
     Parameters
@@ -274,7 +274,7 @@ def coefficients(cell: UnitCell1D, fields: StaticCellFunctions) -> HomogCoeffici
     )
 
 
-def homogenize(cell: UnitCell1D, method: str = "exact", order: int = 128) -> tuple[StaticCellFunctions, HomogCoefficients]:
+def homogenize(cell: UnitCell1D, method: str = "exact", order: int = DEFAULT_ORDER) -> tuple[StaticCellFunctions, HomogCoefficients]:
     """Chain plus coefficient table in one call."""
     fields = solve_static_chain(cell, method=method, order=order)
     return fields, coefficients(cell, fields)
@@ -412,7 +412,7 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
 
     # constant-density companion: eta0 drops out and s_g collapses to q
     companion = UnitCell1D(tuple(Phase(length=p.length, G=p.G, rho=1.0) for p in cell.phases))
-    comp_fields, comp = homogenize(companion, method=fields.method, order=fields.order or 128)
+    comp_fields, comp = homogenize(companion, method=fields.method, order=fields.order or DEFAULT_ORDER)
     comp_scale = max(abs(comp.q), 1e-12)
     out["constant_density_reduction"] = max(
         abs(comp.s_g - comp.q) / comp_scale,

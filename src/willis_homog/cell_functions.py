@@ -1,10 +1,12 @@
-"""Monopole, dipole and static-dipole cell responses.
+"""Monopole, dipole and static-dipole cell responses on either route.
 
-Wraps the spectral solves (and the closed-form propagator route) behind one
-interface: ``solve_w`` returns the response to a unit mean load, ``solve_v``
-the response to a unit dipole load, ``solve_zeta`` the static dipole.  Any
-returned object exposes ``mean``, ``mean_rho`` and ``mean_flux``; those
-three averages (plus <G>) are all the effective-medium layer needs.
+``responses`` is the one place that picks a route: closed-form
+``ExactField``s (``method="exact"``) or ``CellSolution``s of one assembled
+operator (``method="spectral"``), which share one field interface: ``mean``,
+``mean_rho``, ``mean_flux`` and ``mean_rho_conj`` against the static dipole.
+On the spectral route the loads at one omega share one resonance
+certificate and one factorization.  ``solve_w``, ``solve_v``, ``solve_zeta``
+and their ``_exact`` twins solve one response each.
 """
 
 from __future__ import annotations
@@ -13,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResonanceError
+from .errors import ResonanceError, ValidationError
 from .exact import (
     ExactField,
     solve_dipole_exact,
     solve_monopole_exact,
     solve_static_dipole_exact,
 )
-from .material import UnitCell1D
-from .spectral import BlochOperator, resolvent_solve
+from .material import UnitCell1D, cell_digest
+from .spectral import DEFAULT_ORDER, BlochOperator, assemble, resolvent_solve
 
 __all__ = [
     "CellSolution",
@@ -46,10 +48,6 @@ class CellSolution:
     omega: float
 
     @property
-    def k(self) -> float:
-        return self.operator.k
-
-    @property
     def mean(self) -> complex:
         return self.operator.mean(self.coeffs)
 
@@ -61,29 +59,66 @@ class CellSolution:
     def mean_flux(self) -> complex:
         return self.operator.mean_flux(self.coeffs)
 
+    def mean_rho_conj(self, zeta: "CellSolution") -> complex:
+        """<rho u conj(zeta)> for the static dipole response ``zeta`` of this operator."""
+        if zeta.kind != "static_dipole" or zeta.operator is not self.operator:
+            raise ValidationError("mean_rho_conj needs the static dipole of the same operator")
+        return complex(zeta.coeffs.conj() @ self.operator.mass @ self.coeffs)
 
-def _solve(operator: BlochOperator, omega: float, kind: str) -> CellSolution:
-    load = operator.monopole_load() if kind == "monopole" else operator.dipole_load()
-    coeffs = resolvent_solve(operator, omega, load)
-    return CellSolution(operator=operator, coeffs=coeffs, kind=kind, omega=float(omega))
+
+def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellSolution]:
+    """Responses to the loads ``kinds`` at one omega, through one resolvent solve."""
+    loads = [operator.monopole_load() if kind == "monopole" else operator.dipole_load() for kind in kinds]
+    coeffs = np.ascontiguousarray(resolvent_solve(operator, omega, np.stack(loads, axis=1)).T)
+    return [CellSolution(operator, c, kind, float(omega)) for c, kind in zip(coeffs, kinds)]
 
 
-def _require_nonzero_k(k: float) -> None:
-    if abs(float(k) % (2.0 * np.pi)) < 1e-12:
+def _require_nonzero_k(cell: UnitCell1D, k: float) -> None:
+    k = float(k)
+    if abs(k - 2.0 * np.pi * np.rint(k / (2.0 * np.pi))) < 1e-12:
         raise ResonanceError(
             "static dipole response is undefined at k = 0 "
-            "(constants span the kernel)"
+            f"(constants span the kernel): k = {k!r} on cell {cell_digest(cell)}"
         )
+
+
+def responses(
+    cell: UnitCell1D,
+    k: float,
+    omega: float,
+    kinds: tuple[str, ...],
+    method: str,
+    order: int = DEFAULT_ORDER,
+) -> list:
+    """The responses ``kinds`` ("monopole", "dipole", "static_dipole") at (k, omega).
+
+    ``method`` is "exact" or "spectral" (truncation ``order``); any other
+    value raises ValidationError.  The static dipole ignores omega.
+    """
+    if method == "exact":
+        dynamic = {"monopole": solve_w_exact, "dipole": solve_v_exact}
+        return [
+            solve_zeta_exact(cell, k) if kind == "static_dipole" else dynamic[kind](cell, k, omega)
+            for kind in kinds
+        ]
+    if method != "spectral":
+        raise ValidationError(f"method must be 'exact' or 'spectral', got {method!r}")
+    op = assemble(cell, k, order)
+    dynamic = tuple(kind for kind in kinds if kind != "static_dipole")
+    out = dict(zip(dynamic, _solve(op, omega, dynamic))) if dynamic else {}
+    if "static_dipole" in kinds:
+        out["static_dipole"] = solve_zeta(op)
+    return [out[kind] for kind in kinds]
 
 
 def solve_w(operator: BlochOperator, omega: float) -> CellSolution:
     """Response to the unit mean load f = 1 at frequency omega."""
-    return _solve(operator, omega, "monopole")
+    return _solve(operator, omega, ("monopole",))[0]
 
 
 def solve_v(operator: BlochOperator, omega: float) -> CellSolution:
     """Response to the unit dipole load at frequency omega."""
-    return _solve(operator, omega, "dipole")
+    return _solve(operator, omega, ("dipole",))[0]
 
 
 def solve_zeta(operator: BlochOperator) -> CellSolution:
@@ -92,8 +127,8 @@ def solve_zeta(operator: BlochOperator) -> CellSolution:
     Undefined at k = 0, where the static operator has the constants in its
     kernel; that case raises ResonanceError.
     """
-    _require_nonzero_k(operator.k)
-    return _solve(operator, 0.0, "static_dipole")
+    _require_nonzero_k(operator.cell, operator.k)
+    return _solve(operator, 0.0, ("static_dipole",))[0]
 
 
 def solve_w_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
@@ -108,7 +143,7 @@ def solve_v_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
 
 def solve_zeta_exact(cell: UnitCell1D, k: float) -> ExactField:
     """Closed-form static dipole response (reference route)."""
-    _require_nonzero_k(k)
+    _require_nonzero_k(cell, k)
     return solve_static_dipole_exact(cell, k)
 
 

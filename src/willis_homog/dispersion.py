@@ -17,7 +17,7 @@ from .asymptotics import HomogCoefficients, two_scale_root
 from .errors import NumericalError, ResonanceError, ValidationError
 from .exact import dispersion_function
 from .material import UnitCell1D, cell_digest
-from .spectral import assemble
+from .spectral import DEFAULT_ORDER, assemble
 from .willis import effective_impedance
 
 __all__ = [
@@ -176,7 +176,7 @@ def exact_branch(
 
 
 def spectral_acoustic_branch(
-    cell: UnitCell1D, k_grid: np.ndarray, order: int = 128
+    cell: UnitCell1D, k_grid: np.ndarray, order: int = DEFAULT_ORDER
 ) -> DispersionBranch:
     """Acoustic branch from the lowest Galerkin eigenvalue per wavenumber."""
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))

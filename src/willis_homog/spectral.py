@@ -40,8 +40,9 @@ __all__ = [
     "projected_solve",
 ]
 
-#: smallest admissible truncation half-order
+#: smallest admissible truncation half-order, and the default one
 MIN_ORDER = 4
+DEFAULT_ORDER = 128
 
 #: relative half-width of the resonance window around discrete eigenvalues
 RESONANCE_RTOL = 1e-8
@@ -198,10 +199,8 @@ class BlochOperator:
         return r
 
     def dipole_load(self) -> np.ndarray:
-        """Weak-form load of the unit dipole, r_m = -i k_m G_hat[m]."""
-        orders = np.arange(-self.order, self.order + 1)
-        g = np.array([self.G_hat.coefficient(int(m)) for m in orders])
-        return -1j * self.wavenumbers * g
+        """Weak-form load of the unit dipole, r_m = -i k_m G_hat[m] (G_hat runs to order 2N)."""
+        return -1j * self.wavenumbers * self.G_hat.coeffs[self.order : 3 * self.order + 1]
 
     def mean(self, coeffs: np.ndarray) -> complex:
         return complex(coeffs[self.index0])
@@ -212,8 +211,7 @@ class BlochOperator:
 
     def mean_flux(self, coeffs: np.ndarray) -> complex:
         """<G D_k u>, the constant mode of G times the covariant gradient."""
-        orders = np.arange(-self.order, self.order + 1)
-        g = np.array([self.G_hat.coefficient(int(-m)) for m in orders])
+        g = self.G_hat.coeffs[self.order : 3 * self.order + 1][::-1]  # G_hat[-m], m = -N..N
         return complex(np.sum(g * 1j * self.wavenumbers * coeffs))
 
     def rho_norm(self, coeffs: np.ndarray) -> float:
@@ -324,22 +322,25 @@ def resolvent_solve(
 ) -> np.ndarray:
     """Direct solve of (A - omega^2 B) c = r with a residual check.
 
-    Refuses to solve inside the resonance window; raises NumericalError if
-    the relative residual of the factorized solve exceeds RESIDUAL_RTOL.
+    ``load`` is one right-hand side (size,) or columns (size, m) that share
+    the resonance certificate and the factorization.  Refuses to solve inside
+    the resonance window; raises NumericalError if the relative residual of
+    any column exceeds RESIDUAL_RTOL.
     """
     omega_sq = float(omega) ** 2
     operator.check_resonance(omega_sq)
     load = np.asarray(load, dtype=complex)
     K = operator.stiffness - omega_sq * operator.mass
     coeffs = np.linalg.solve(K, load)
-    residual = np.linalg.norm(K @ coeffs - load)
-    bound = RESIDUAL_RTOL * (
-        np.linalg.norm(K, np.inf) * np.linalg.norm(coeffs) + np.linalg.norm(load)
+    residual = np.atleast_1d(np.linalg.norm(K @ coeffs - load, axis=0))
+    bound = RESIDUAL_RTOL * np.atleast_1d(
+        np.linalg.norm(K, np.inf) * np.linalg.norm(coeffs, axis=0) + np.linalg.norm(load, axis=0)
     )
-    if residual > bound:
+    j = int(np.argmax(residual - bound))
+    if residual[j] > bound[j]:
         raise NumericalError(
-            f"resolvent solve residual {residual:.3e} exceeds backward-error "
-            f"bound {bound:.3e} at {_where(operator, omega_sq)}"
+            f"resolvent solve residual {residual[j]:.3e} exceeds backward-error "
+            f"bound {bound[j]:.3e} at {_where(operator, omega_sq)}"
         )
     return coeffs
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_functions import averages, solve_v, solve_v_exact, solve_w, solve_w_exact
+from .cell_functions import averages, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
 from .material import UnitCell1D, cell_digest
-from .spectral import BlochEigensystem, assemble
+from .spectral import DEFAULT_ORDER, BlochEigensystem
 
 __all__ = [
     "EffectiveParameters",
@@ -112,19 +112,14 @@ class VisibilityReport:
         return "Visible" if self.visible else "Invisible"
 
 
-def _averages_at(
-    cell: UnitCell1D, k: float, omega: float, method: str, order: int
-) -> dict[str, complex]:
-    if method == "exact":
-        w = solve_w_exact(cell, k, omega)
-        v = solve_v_exact(cell, k, omega)
-    elif method == "spectral":
-        op = assemble(cell, k, order)
-        w = solve_w(op, omega)
-        v = solve_v(op, omega)
-    else:
-        raise ValidationError(f"method must be 'exact' or 'spectral', got {method!r}")
-    return averages(w, v, cell)
+def impedance_from_mean(mean_w: complex, cell: UnitCell1D, k: float, omega: float) -> complex:
+    """Z = 1/<w>; ZeroMeanImpedanceError where <w> is numerically zero."""
+    if abs(mean_w) <= ZERO_MEAN_TOL:
+        raise ZeroMeanImpedanceError(
+            f"<w> = {mean_w:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
+            f"on cell {cell_digest(cell)}; the effective impedance is undefined there"
+        )
+    return 1.0 / mean_w
 
 
 def effective_impedance(
@@ -132,41 +127,20 @@ def effective_impedance(
     k: float,
     omega: float,
     method: str = "exact",
-    order: int = 128,
+    order: int = DEFAULT_ORDER,
 ) -> complex:
     """Z = 1/<w>; the imaginary part is a diagnostic and should sit at roundoff.
 
     Only the monopole response w is solved, on either route.
     """
-    if method == "exact":
-        w = solve_w_exact(cell, k, omega)
-    elif method == "spectral":
-        w = solve_w(assemble(cell, k, order), omega)
-    else:
-        raise ValidationError(f"method must be 'exact' or 'spectral', got {method!r}")
-    mw = complex(w.mean)
-    if abs(mw) <= ZERO_MEAN_TOL:
-        raise ZeroMeanImpedanceError(
-            f"<w> = {mw:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
-            f"on cell {cell_digest(cell)}; the effective impedance is undefined there"
-        )
-    return 1.0 / mw
-
-
-def impedance_from_averages(avg: dict[str, complex]) -> complex:
-    mw = avg["mean_w"]
-    if abs(mw) <= ZERO_MEAN_TOL:
-        raise ZeroMeanImpedanceError(
-            f"<w> = {mw:.3e} is numerically zero; the effective impedance "
-            "is undefined at this (k, omega)"
-        )
-    return 1.0 / mw
+    (w,) = responses(cell, k, omega, ("monopole",), method, order)
+    return impedance_from_mean(complex(w.mean), cell, k, omega)
 
 
 def parameters_from_averages(
-    avg: dict[str, complex], k: float, omega: float, route: str = "symmetric"
+    cell: UnitCell1D, avg: dict[str, complex], k: float, omega: float, route: str = "symmetric"
 ) -> EffectiveParameters:
-    """Constitutive parameters from the seven cell averages.
+    """Constitutive parameters from the seven cell averages of ``cell``.
 
     The ``direct`` route uses the averages as they appear in the mean-field
     representation; the ``symmetric`` route substitutes the mean identities
@@ -176,7 +150,7 @@ def parameters_from_averages(
         raise ValidationError(f"route must be one of {ROUTES}, got {route!r}")
     if omega == 0:
         raise ValidationError("constitutive parameters need omega != 0")
-    Z = impedance_from_averages(avg)
+    Z = impedance_from_mean(avg["mean_w"], cell, k, omega)
     mw, mv = avg["mean_w"], avg["mean_v"]
     mrw, mrv = avg["mean_rho_w"], avg["mean_rho_v"]
     mfw, mfv = avg["mean_G_dkw"], avg["mean_G_dkv"]
@@ -211,10 +185,10 @@ def effective_parameters(
     omega: float,
     route: str = "symmetric",
     method: str = "exact",
-    order: int = 128,
+    order: int = DEFAULT_ORDER,
 ) -> EffectiveParameters:
-    avg = _averages_at(cell, k, omega, method, order)
-    return parameters_from_averages(avg, k, omega, route)
+    w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
+    return parameters_from_averages(cell, averages(w, v, cell), k, omega, route)
 
 
 def impedance_from_parameters(p: EffectiveParameters) -> complex:
@@ -253,10 +227,11 @@ def mean_fields(
     f: complex,
     gamma: complex,
     method: str = "exact",
-    order: int = 128,
+    order: int = DEFAULT_ORDER,
 ) -> MeanFields:
     """Mean kinematic and dynamic fields for constant loads (f, gamma)."""
-    avg = _averages_at(cell, k, omega, method, order)
+    w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
+    avg = averages(w, v, cell)
     mu = f * avg["mean_w"] + gamma * avg["mean_v"]
     stress = f * avg["mean_G_dkw"] + gamma * avg["mean_G_dkv"] - gamma * avg["mean_G"]
     momentum = -1j * omega * (f * avg["mean_rho_w"] + gamma * avg["mean_rho_v"])
@@ -315,7 +290,7 @@ def dynamic_identity_residuals(
     k: float,
     omega: float,
     method: str = "exact",
-    order: int = 128,
+    order: int = DEFAULT_ORDER,
 ) -> dict[str, float]:
     """Named relative residuals of the exact mean-value identities.
 
@@ -325,23 +300,7 @@ def dynamic_identity_residuals(
     the impedance from the parameters; and the static-dipole (cell-basis)
     expressions for both flux averages.
     """
-    from .cell_functions import solve_zeta, solve_zeta_exact
-
-    if method == "exact":
-        w = solve_w_exact(cell, k, omega)
-        v = solve_v_exact(cell, k, omega)
-        zeta = solve_zeta_exact(cell, k)
-        mean_rho_w_zeta = w.mean_rho_conj(zeta)
-        mean_rho_zeta_v = v.mean_rho_conj(zeta)
-    else:
-        op = assemble(cell, k, order)
-        w = solve_w(op, omega)
-        v = solve_v(op, omega)
-        zeta = solve_zeta(op)
-        mean_rho_w_zeta = complex(zeta.coeffs.conj() @ op.mass @ w.coeffs)
-        mean_rho_zeta_v = complex(zeta.coeffs.conj() @ op.mass @ v.coeffs)
-    mean_zeta = zeta.mean
-    mean_flux_zeta = zeta.mean_flux
+    w, v, zeta = responses(cell, k, omega, ("monopole", "dipole", "static_dipole"), method, order)
     avg = averages(w, v, cell)
     mw, mv = avg["mean_w"], avg["mean_v"]
     mrw, mrv = avg["mean_rho_w"], avg["mean_rho_v"]
@@ -359,8 +318,8 @@ def dynamic_identity_residuals(
     ) / max(abs(ik * mfv), 1.0)
     res["mean_identity_monopole_flux"] = abs(mfw - np.conj(mv)) / max(abs(mv), 1e-30)
 
-    p_direct = parameters_from_averages(avg, k, omega, "direct")
-    p_sym = parameters_from_averages(avg, k, omega, "symmetric")
+    p_direct = parameters_from_averages(cell, avg, k, omega, "direct")
+    p_sym = parameters_from_averages(cell, avg, k, omega, "symmetric")
     scale = max(abs(p_sym.density), abs(p_sym.stiffness), 1e-30)
     res["route_agreement"] = (
         max(
@@ -373,15 +332,15 @@ def dynamic_identity_residuals(
     )
     for name, value in p_direct.symmetry_residuals().items():
         res[f"symmetry_{name}"] = value
-    Z = impedance_from_averages(avg)
+    Z = impedance_from_mean(mw, cell, k, omega)
     for label, p in (("direct", p_direct), ("symmetric", p_sym)):
         res[f"impedance_reconstruction_{label}"] = impedance_reconstruction_residual(p, Z)
 
     # flux averages through the static dipole response
     res["cell_basis_monopole"] = abs(
-        mfw - np.conj(mean_zeta) - om2 * mean_rho_w_zeta
+        mfw - np.conj(zeta.mean) - om2 * w.mean_rho_conj(zeta)
     ) / max(abs(mfw), 1e-30)
     res["cell_basis_dipole"] = abs(
-        mfv - np.conj(mean_flux_zeta) - om2 * mean_rho_zeta_v
+        mfv - np.conj(zeta.mean_flux) - om2 * v.mean_rho_conj(zeta)
     ) / max(abs(mfv), 1e-30)
     return res

@@ -14,8 +14,8 @@ from willis_homog.cell_functions import (
     solve_zeta,
     solve_zeta_exact,
 )
-from willis_homog.errors import ResonanceError
-from willis_homog.material import bilaminate, homogeneous
+from willis_homog.errors import ResonanceError, ValidationError
+from willis_homog.material import bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble
 
 
@@ -55,6 +55,28 @@ def test_static_dipole_undefined_at_zero_wavenumber() -> None:
         solve_zeta_exact(bilaminate(0.1, 0.1), 0.0)
     with pytest.raises(ResonanceError):
         solve_zeta(assemble(bilaminate(0.1, 0.1), 0.0, 16))
+
+
+@pytest.mark.parametrize("k", [-1e-13, 2.0 * np.pi - 1e-14, 4.0 * np.pi + 1e-13])
+def test_static_dipole_guard_catches_near_multiples_of_two_pi(k: float) -> None:
+    cell = bilaminate(0.1, 0.1)
+    for solve in (lambda: solve_zeta_exact(cell, k), lambda: solve_zeta(assemble(cell, k, 16))):
+        with pytest.raises(ResonanceError, match="undefined at k = 0") as info:
+            solve()
+        assert cell_digest(cell) in str(info.value) and repr(k) in str(info.value)
+
+
+def test_spectral_mean_rho_conj_needs_static_dipole_of_same_operator() -> None:
+    cell = bilaminate(0.1, 0.1)
+    op = assemble(cell, 0.5, 16)
+    w, zeta = solve_w(op, 0.2), solve_zeta(op)
+    # cell-basis identity <G D_k w> = conj<zeta> + omega^2 <rho w conj(zeta)>
+    flux = w.mean_flux
+    assert abs(flux - np.conj(zeta.mean) - 0.2**2 * w.mean_rho_conj(zeta)) < 1e-10 * abs(flux)
+    with pytest.raises(ValidationError):
+        w.mean_rho_conj(solve_v(op, 0.2))
+    with pytest.raises(ValidationError):
+        w.mean_rho_conj(solve_zeta(assemble(cell, 0.5, 16)))
 
 
 def test_homogeneous_means_match_exact_solver() -> None:

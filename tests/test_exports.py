@@ -55,5 +55,7 @@ def test_benchmark_tracer_targets_exist() -> None:
         if not hasattr(sys.modules.get(f"willis_homog.{module}"), attr)
     ]
     assert not missing, f"tracer targets missing from the package: {missing}"
+    # perfbench/selftest.py checks that the tracer wraps this binding site
+    assert sys.modules["willis_homog.cli"].effective_impedance is sys.modules["willis_homog.willis"].effective_impedance
     operator = sys.modules["willis_homog.spectral"].BlochOperator
     assert isinstance(operator.__dict__.get("eigenvalues"), functools.cached_property)

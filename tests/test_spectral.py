@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -193,3 +198,39 @@ def test_lowest_eigenvalue_errors_name_location(monkeypatch) -> None:
     with pytest.raises(NumericalError, match="lies below") as info:
         assemble(cell, 0.5, 16).lowest_eigenvalue()
     assert all(w in str(info.value) for w in where)
+
+
+def test_dipole_load_and_mean_flux_match_per_mode_coefficients() -> None:
+    op = assemble(bilaminate(0.2, 0.4), 0.7, 128)
+    orders = range(-op.order, op.order + 1)
+    g = np.array([op.G_hat.coefficient(m) for m in orders])
+    g_reflected = np.array([op.G_hat.coefficient(-m) for m in orders])
+    assert np.array_equal(op.dipole_load(), -1j * op.wavenumbers * g)
+    c = np.random.default_rng(5).standard_normal((op.size, 2)) @ np.array([1.0, 1j])
+    assert op.mean_flux(c) == complex(np.sum(g_reflected * 1j * op.wavenumbers * c))
+
+
+_STACKED_SOLVE = """
+import numpy as np
+from willis_homog.material import bilaminate
+from willis_homog.spectral import assemble, resolvent_solve
+for n in (8, 32, 128):
+    op = assemble(bilaminate(0.1, 0.1), 0.5, n)
+    loads = [op.monopole_load(), op.dipole_load()]
+    stacked = resolvent_solve(op, 0.2, np.stack(loads, axis=1))
+    for j, load in enumerate(loads):
+        assert np.array_equal(stacked[:, j], resolvent_solve(op, 0.2, load)), (n, j)
+"""
+
+
+def test_stacked_resolvent_solve_equals_separate_solves() -> None:
+    # bit-equal with one BLAS thread, as the benchmark runs; a threaded BLAS
+    # may split a multi-column solve differently, which moves it by roundoff
+    src = str(Path(spectral.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", _STACKED_SOLVE], env=env, check=True)
+    op = assemble(bilaminate(0.1, 0.1), 0.5, 128)
+    stacked = resolvent_solve(op, 0.2, np.stack([op.monopole_load(), op.dipole_load()], axis=1))
+    separate = resolvent_solve(op, 0.2, op.dipole_load())
+    assert np.linalg.norm(stacked[:, 1] - separate) <= 1e-12 * np.linalg.norm(separate)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from willis_homog import cell_functions
+from willis_homog.errors import ValidationError
 from willis_homog.material import bilaminate, homogeneous
 from willis_homog.spectral import assemble, solve_eigensystem
 from willis_homog.willis import (
@@ -153,3 +155,35 @@ def test_reconstruction_residual_detects_stiffness_error() -> None:
     assert impedance_reconstruction_residual(p, z) <= 1e-10
     wrong = dataclasses.replace(p, stiffness=p.stiffness * (1.0 + 1e-6))
     assert impedance_reconstruction_residual(wrong, z) > 1e-8
+
+
+def test_every_entry_point_rejects_an_unknown_method() -> None:
+    calls = [
+        lambda m: effective_impedance(BILAMINATE, 0.5, 0.2, method=m),
+        lambda m: effective_parameters(BILAMINATE, 0.5, 0.2, method=m),
+        lambda m: mean_fields(BILAMINATE, 0.5, 0.2, f=1.0, gamma=0.0, method=m),
+        lambda m: dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method=m),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="exakt"):
+            call("exakt")
+
+
+def test_spectral_loads_at_one_point_share_one_resolvent_solve(monkeypatch) -> None:
+    calls = []
+
+    def counted(operator, omega, load):
+        calls.append(np.shape(load))
+        return solve(operator, omega, load)
+
+    solve = cell_functions.resolvent_solve
+    monkeypatch.setattr(cell_functions, "resolvent_solve", counted)
+    for run, expected in (
+        (lambda: effective_impedance(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
+        (lambda: effective_parameters(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
+        (lambda: mean_fields(BILAMINATE, 0.5, 0.2, 1.0, 0.0, method="spectral", order=32), 1),
+        (lambda: dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 2),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == expected, calls
