@@ -11,6 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: stroke width of a branch polyline
+STROKE_WIDTH = 1.8
+
+#: ticks per axis
+N_TICKS = 6
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -35,13 +41,13 @@ class Frame:
         )
 
 
-def polyline(frame: Frame, xs, ys, color: str, width: float = 1.8, dash: str = "") -> str:
+def polyline(frame: Frame, xs, ys, color: str, dash: str = "") -> str:
     pts = " ".join(
         f"{frame.px(float(x)):.2f},{frame.py(float(y)):.2f}" for x, y in zip(xs, ys)
     )
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
-        f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
+        f'<polyline fill="none" stroke="{color}" stroke-width="{STROKE_WIDTH}"'
         f'{dash_attr} points="{pts}"/>'
     )
 
@@ -89,21 +95,21 @@ def heat_cells(frame: Frame, xs, ys, values, flagged=None) -> list[str]:
     return out
 
 
-def axes(frame: Frame, xlabel: str, ylabel: str, n_ticks: int = 6) -> list[str]:
+def axes(frame: Frame, xlabel: str, ylabel: str) -> list[str]:
     out = [
         f'<rect x="{frame.margin}" y="{frame.margin}"'
         f' width="{frame.width - 2 * frame.margin}"'
         f' height="{frame.height - 2 * frame.margin}"'
         f' fill="none" stroke="black" stroke-width="1"/>'
     ]
-    for t in np.linspace(frame.x_min, frame.x_max, n_ticks):
+    for t in np.linspace(frame.x_min, frame.x_max, N_TICKS):
         x = frame.px(t)
         y0 = frame.height - frame.margin
         out.append(f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 5}" stroke="black"/>')
         out.append(
             f'<text x="{x:.2f}" y="{y0 + 18}" font-size="11" text-anchor="middle">{t:.3g}</text>'
         )
-    for t in np.linspace(frame.y_min, frame.y_max, n_ticks):
+    for t in np.linspace(frame.y_min, frame.y_max, N_TICKS):
         y = frame.py(t)
         out.append(
             f'<line x1="{frame.margin - 5}" y1="{y:.2f}" x2="{frame.margin}" y2="{y:.2f}" stroke="black"/>'

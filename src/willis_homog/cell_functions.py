@@ -1,12 +1,12 @@
-"""Monopole, dipole and static-dipole cell responses on either route.
+"""Monopole and dipole cell responses on either route.
 
 ``responses`` is the one place that picks a route: closed-form
 ``ExactField``s (``method="exact"``) or ``CellSolution``s of one assembled
 operator (``method="spectral"``), which share one field interface: ``mean``,
-``mean_rho``, ``mean_flux`` and ``mean_rho_conj`` against the static dipole.
-On the spectral route the loads at one omega share one resonance
-certificate and one factorization.  ``solve_w``, ``solve_v``, ``solve_zeta``
-and their ``_exact`` twins solve one response each.
+``mean_rho`` and ``mean_flux``.  On the spectral route the loads at one
+omega share one resonance certificate and one factorization.  ``solve_w``,
+``solve_v``, ``solve_zeta`` and their ``_exact`` twins solve one response
+each; the static dipole ``zeta`` is the dipole response at omega = 0.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ class CellSolution:
 
     operator: BlochOperator
     coeffs: np.ndarray
-    kind: str
-    omega: float
 
     @property
     def mean(self) -> complex:
@@ -59,18 +57,13 @@ class CellSolution:
     def mean_flux(self) -> complex:
         return self.operator.mean_flux(self.coeffs)
 
-    def mean_rho_conj(self, zeta: "CellSolution") -> complex:
-        """<rho u conj(zeta)> for the static dipole response ``zeta`` of this operator."""
-        if zeta.kind != "static_dipole" or zeta.operator is not self.operator:
-            raise ValidationError("mean_rho_conj needs the static dipole of the same operator")
-        return complex(zeta.coeffs.conj() @ self.operator.mass @ self.coeffs)
-
 
 def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellSolution]:
     """Responses to the loads ``kinds`` at one omega, through one resolvent solve."""
-    loads = [operator.monopole_load() if kind == "monopole" else operator.dipole_load() for kind in kinds]
+    load = {"monopole": operator.monopole_load, "dipole": operator.dipole_load}
+    loads = [load[kind]() for kind in kinds]
     coeffs = np.ascontiguousarray(resolvent_solve(operator, omega, np.stack(loads, axis=1)).T)
-    return [CellSolution(operator, c, kind, float(omega)) for c, kind in zip(coeffs, kinds)]
+    return [CellSolution(operator, c) for c in coeffs]
 
 
 def _require_nonzero_k(cell: UnitCell1D, k: float) -> None:
@@ -90,25 +83,17 @@ def responses(
     method: str,
     order: int = DEFAULT_ORDER,
 ) -> list:
-    """The responses ``kinds`` ("monopole", "dipole", "static_dipole") at (k, omega).
+    """The responses ``kinds`` ("monopole" and/or "dipole") at (k, omega).
 
     ``method`` is "exact" or "spectral" (truncation ``order``); any other
-    value raises ValidationError.  The static dipole ignores omega.
+    value raises ValidationError.
     """
     if method == "exact":
-        dynamic = {"monopole": solve_w_exact, "dipole": solve_v_exact}
-        return [
-            solve_zeta_exact(cell, k) if kind == "static_dipole" else dynamic[kind](cell, k, omega)
-            for kind in kinds
-        ]
+        solve = {"monopole": solve_w_exact, "dipole": solve_v_exact}
+        return [solve[kind](cell, k, omega) for kind in kinds]
     if method != "spectral":
         raise ValidationError(f"method must be 'exact' or 'spectral', got {method!r}")
-    op = assemble(cell, k, order)
-    dynamic = tuple(kind for kind in kinds if kind != "static_dipole")
-    out = dict(zip(dynamic, _solve(op, omega, dynamic))) if dynamic else {}
-    if "static_dipole" in kinds:
-        out["static_dipole"] = solve_zeta(op)
-    return [out[kind] for kind in kinds]
+    return _solve(assemble(cell, k, order), omega, kinds)
 
 
 def solve_w(operator: BlochOperator, omega: float) -> CellSolution:
@@ -128,7 +113,7 @@ def solve_zeta(operator: BlochOperator) -> CellSolution:
     kernel; that case raises ResonanceError.
     """
     _require_nonzero_k(operator.cell, operator.k)
-    return _solve(operator, 0.0, ("static_dipole",))[0]
+    return _solve(operator, 0.0, ("dipole",))[0]
 
 
 def solve_w_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:

@@ -31,7 +31,7 @@ __all__ = [
     "willis_exact_root",
 ]
 
-#: default omega scan step when bracketing roots
+#: omega scan step when bracketing roots
 SCAN_STEP = 0.01
 
 #: bisection tolerance on omega
@@ -87,15 +87,15 @@ def _bisect(fn, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_chunks(limit: float, step: float):
-    """Scan points 0, step, 2 step, ... up to ``limit``, in chunks.
+def _scan_chunks(limit: float):
+    """Scan points 0, SCAN_STEP, 2 SCAN_STEP, ... up to ``limit``, in chunks.
 
-    The points come from the repeated ``min(a + step, limit)`` accumulation
-    of a point-by-point scan, so they carry the same bits.
+    The points come from the repeated ``min(a + SCAN_STEP, limit)``
+    accumulation of a point-by-point scan, so they carry the same bits.
     """
     a, chunk = 0.0, [0.0]
     while a < limit:
-        a = min(a + step, limit)
+        a = min(a + SCAN_STEP, limit)
         chunk.append(a)
         if len(chunk) == SCAN_CHUNK:
             yield np.array(chunk)
@@ -107,11 +107,14 @@ def _scan_chunks(limit: float, step: float):
 def exact_branch(
     cell: UnitCell1D,
     k_grid: np.ndarray,
-    omega_max: float = 20.0,
-    step: float = SCAN_STEP,
+    omega_max: float | None = None,
     relation=None,
 ) -> DispersionBranch:
     """Lowest branch from the transfer-matrix relation D(omega) = cos k.
+
+    ``omega_max`` defaults to the Rayleigh bound 1.1 max|k| c + 0.05 with
+    c = sqrt(<G>/<rho>): the Bloch wave exp(ikx) has Rayleigh quotient
+    k^2 <G>/<rho>, so the lowest branch lies below |k| c.
 
     ``relation`` maps an array of omega to D(omega); it defaults to the
     general trace-based :func:`~willis_homog.exact.dispersion_function`.
@@ -125,6 +128,9 @@ def exact_branch(
     """
     rel = relation if relation is not None else (lambda w: dispersion_function(cell, w))
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
+    if omega_max is None:
+        c = float(np.sqrt(cell.mean("G") / cell.mean("rho")))
+        omega_max = 1.1 * float(np.max(np.abs(k_grid), initial=0.0)) * c + 0.05
     targets = np.cos(k_grid)
     omegas = np.zeros_like(k_grid)
     todo = np.flatnonzero(~(np.abs(targets - 1.0) < 1e-15))
@@ -134,7 +140,7 @@ def exact_branch(
     a, b, fa = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     unbracketed = np.ones(t.size, dtype=bool)
     w_last = d_last = None
-    for w in _scan_chunks(omega_max, step):
+    for w in _scan_chunks(omega_max):
         if not unbracketed.any():
             break
         d = rel(w)
@@ -224,7 +230,6 @@ def willis_exact_root(
     cell: UnitCell1D,
     k: float,
     omega_max: float = 20.0,
-    step: float = SCAN_STEP,
 ) -> float:
     """Lowest positive root in omega of the exact effective impedance.
 
@@ -235,7 +240,7 @@ def willis_exact_root(
     """
 
     def z(w: float) -> float:
-        for nudge in (0.0, 0.31 * step, -0.29 * step):
+        for nudge in (0.0, 0.31 * SCAN_STEP, -0.29 * SCAN_STEP):
             try:
                 return effective_impedance(cell, k, w + nudge, method="exact").real
             except ResonanceError:
@@ -245,11 +250,9 @@ def willis_exact_root(
             f"(omega_max = {omega_max:.6g}) in cell {cell_digest(cell)}"
         )
 
-    a = 1e-9 if k == 0.0 else 0.0
-    fa = z(a) if a else z(1e-9)
-    w_lo = a if a else 1e-9
+    w_lo, fa = 1e-9, z(1e-9)
     while w_lo < omega_max:
-        w_hi = min(w_lo + step, omega_max)
+        w_hi = min(w_lo + SCAN_STEP, omega_max)
         fb = z(w_hi)
         if fa * fb <= 0.0:
             root = _bisect(z, w_lo, w_hi, ROOT_TOL)

@@ -16,12 +16,11 @@ No quadrature is involved.  On segment j (left end x_j, length h, wave
 number q = omega sqrt(rho/G)) the load's contribution to the end state and
 every cell average reduce to moments
 
-    int_0^h t^m exp(-i kappa t) {cos qt, sin(qt)/q} dt,   m in {0, 1},
+    int_0^h t^m exp(-ikt) {cos qt, sin(qt)/q} dt,   m in {0, 1}.
 
-with kappa = k for the averages and kappa = 0 for the rho-weighted products
-with the static dipole.  Written as iterated integrals of exponentials over
-a simplex, each moment is h^n times a divided difference of exp over the
-nodes {0, (+-iq - i kappa) h, ikh} (Hermite-Genocchi); for example
+Written as iterated integrals of exponentials over a simplex, each moment
+is h^n times a divided difference of exp over the nodes
+{0, (+-iq - ik) h} (Hermite-Genocchi); for example
 int_0^h (h - t) exp(-ikt) sin(qt)/q dt = h^3 exp[0, 0, a, b] with
 a, b = (+-iq - ik) h.  One helper, :func:`_dd_exp`, evaluates those
 divided differences stably, so the removable limits q = 0 (the static
@@ -78,16 +77,15 @@ def _taylor_row(c: complex, x: list[complex], r: float) -> list[complex]:
     """
     n = len(x) - 1
     terms = n + 1 + bisect.bisect(_SERIES_LIMITS, r)
-    x0, x1, x2, x3, x4 = (*x, 0j, 0j, 0j, 0j)[:5]
-    v0, v1, v2, v3, v4 = _INV_FACTORIAL[terms], 0j, 0j, 0j, 0j
+    x0, x1, x2, x3 = (*x, 0j, 0j, 0j)[:4]
+    v0, v1, v2, v3 = _INV_FACTORIAL[terms], 0j, 0j, 0j
     for j in range(terms - 1, -1, -1):
-        v4 = v4 * x4 + v3
         v3 = v3 * x3 + v2
         v2 = v2 * x2 + v1
         v1 = v1 * x1 + v0
         v0 = v0 * x0 + _INV_FACTORIAL[j]
     e = cmath.exp(c)
-    return [e * v for v in (v0, v1, v2, v3, v4)[: n + 1]]
+    return [e * v for v in (v0, v1, v2, v3)[: n + 1]]
 
 
 def _dd_last(z: tuple[complex, ...], memo: dict) -> complex:
@@ -111,7 +109,7 @@ def _dd_last(z: tuple[complex, ...], memo: dict) -> complex:
 def _dd_exp(*z: complex) -> list[complex]:
     """Newton row [exp[z_0], exp[z_0, z_1], ..., exp[z_0, ..., z_n]] of exp.
 
-    Divided differences of exp over up to five nodes, which may repeat or
+    Divided differences of exp over up to four nodes, which may repeat or
     cluster.  Clustered nodes are summed as one Taylor series about their
     centroid; a wider set is split by the recurrence on its widest pair,
     whose gap exceeds ``_SERIES_RADIUS``.
@@ -166,39 +164,6 @@ class _Segment:
         phase = cmath.exp(-1j * self.k * self.x)
         return phase * (-self.w2 * self.S0 * y0 + self.C0 * y1) - self.amp * tail
 
-    def rho_conj_static(
-        self, y: tuple[complex, complex], zy: tuple[complex, complex], mean: complex
-    ) -> complex:
-        """int over the segment of rho u conj(zeta), zeta a static dipole.
-
-        ``y`` and ``zy`` are the start states of u and zeta, ``mean`` the
-        segment integral of u.  On the segment
-        conj W_zeta = exp(-ikx_j) (alpha + beta t + gamma exp(-ikt)), so the
-        product needs the kappa = 0 moments of W_u times 1 and t; with
-        p, m = +-iqh they are divided differences over {0, p, m, ikh}.
-        """
-        h, k, q, G = self.h, self.k, self.q, self.G
-        p, m = 1j * q * h, -1j * q * h
-        front = cmath.exp(1j * k * self.x)
-        alpha = front * zy[0].conjugate() - 1j / k
-        beta = front * zy[1].conjugate() / G - 1.0
-        gamma = 1j / k
-        _, e0m, e0pm, e00pm = _dd_exp(m, 0.0, p, 0.0)
-        e00m = _dd_exp(0.0, m, 0.0)[2]
-        *_, e0pmk, e00pmk = _dd_exp(1j * k * h, 0.0, p, m, 0.0)
-        # int_0^h t^n {cos qt, sin(qt)/q} dt for n = 0, 1
-        s0 = h * h * e0pm
-        c0 = h * e0m + 1j * q * s0
-        s1 = h * s0 - h**3 * e00pm
-        c1 = h * c0 - h * h * e00m - 1j * q * h**3 * e00pm
-        # K(t) = int_0^t sin(q(t - u))/q exp(iku) du integrated times 1 and t
-        k1 = h**3 * e0pmk
-        kt = h * k1 - h**4 * e00pmk
-        src = -self.amp / G * front
-        i1 = y[0] * c0 + y[1] * s0 / G + src * k1
-        it = y[0] * c1 + y[1] * s1 / G + src * kt
-        return self.rho * (front.conjugate() * (alpha * i1 + beta * it) + gamma * mean)
-
 
 @dataclass(eq=False)
 class ExactField:
@@ -208,10 +173,7 @@ class ExactField:
     W = exp(ikx) u gauge; cell averages are sums of per-segment closed forms.
     """
 
-    cell: UnitCell1D
     k: float
-    omega: float
-    kind: str
     starts: tuple[tuple[complex, complex], ...]
     segments: tuple[_Segment, ...]
 
@@ -241,22 +203,11 @@ class ExactField:
         """<G D_k u>"""
         return complex(sum(seg.mean_flux(*y) for seg, y in zip(self.segments, self.starts)))
 
-    def mean_rho_conj(self, zeta: "ExactField") -> complex:
-        """<rho u conj(zeta)> for the static dipole response ``zeta`` at this k."""
-        if zeta.kind != "static_dipole" or zeta.cell is not self.cell or zeta.k != self.k:
-            raise ValidationError("mean_rho_conj needs the static dipole of the same cell and k")
-        return complex(
-            sum(
-                seg.rho_conj_static(y, zy, m)
-                for seg, y, zy, m in zip(self.segments, self.starts, zeta.starts, self._segment_means)
-            )
-        )
-
 
 def _load_amplitude(kind: str, G: float, k: float) -> complex:
     if kind == "monopole":
         return 1.0 + 0.0j
-    if kind in ("dipole", "static_dipole"):
+    if kind == "dipole":
         return -1j * k * G
     raise ValidationError(f"unknown load kind {kind!r}")
 
@@ -313,9 +264,7 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
         y0, y1 = seg.step(*y)
         y = (y0 + seg.load[0], y1 + seg.load[1] + jump)
 
-    return ExactField(
-        cell=cell, k=k, omega=omega, kind=kind, starts=tuple(starts), segments=tuple(segments)
-    )
+    return ExactField(k=k, starts=tuple(starts), segments=tuple(segments))
 
 
 def solve_monopole_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
@@ -330,7 +279,7 @@ def solve_dipole_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
 
 def solve_static_dipole_exact(cell: UnitCell1D, k: float) -> ExactField:
     """Static dipole response zeta (the omega = 0 dipole solve, k != 0)."""
-    return _solve(cell, k, 0.0, "static_dipole")
+    return _solve(cell, k, 0.0, "dipole")
 
 
 def dispersion_function(cell: UnitCell1D, omega):

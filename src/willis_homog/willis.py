@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_functions import averages, responses
+from .cell_functions import _require_nonzero_k, averages, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
 from .material import UnitCell1D, cell_digest
 from .spectral import DEFAULT_ORDER, BlochEigensystem
@@ -298,9 +298,12 @@ def dynamic_identity_residuals(
     dipole averages to the conjugated monopole averages; the parameter
     symmetries; agreement of the two parameter routes; reconstruction of
     the impedance from the parameters; and the static-dipole (cell-basis)
-    expressions for both flux averages.
+    expressions for both flux averages, with the 1D static dipole
+    zeta = -i/k (the mean balances of the w and v equations; k = 0 mod 2 pi
+    raises ResonanceError).
     """
-    w, v, zeta = responses(cell, k, omega, ("monopole", "dipole", "static_dipole"), method, order)
+    _require_nonzero_k(cell, k)
+    w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
     avg = averages(w, v, cell)
     mw, mv = avg["mean_w"], avg["mean_v"]
     mrw, mrv = avg["mean_rho_w"], avg["mean_rho_v"]
@@ -336,11 +339,8 @@ def dynamic_identity_residuals(
     for label, p in (("direct", p_direct), ("symmetric", p_sym)):
         res[f"impedance_reconstruction_{label}"] = impedance_reconstruction_residual(p, Z)
 
-    # flux averages through the static dipole response
-    res["cell_basis_monopole"] = abs(
-        mfw - np.conj(zeta.mean) - om2 * w.mean_rho_conj(zeta)
-    ) / max(abs(mfw), 1e-30)
-    res["cell_basis_dipole"] = abs(
-        mfv - np.conj(zeta.mean_flux) - om2 * v.mean_rho_conj(zeta)
-    ) / max(abs(mfv), 1e-30)
+    # flux averages through the static dipole conj(zeta) = i/k
+    i_over_k = 1j / k
+    res["cell_basis_monopole"] = abs(mfw - i_over_k - om2 * i_over_k * mrw) / max(abs(mfw), 1e-30)
+    res["cell_basis_dipole"] = abs(mfv - mG - om2 * i_over_k * mrv) / max(abs(mfv), 1e-30)
     return res

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from willis_homog.cell_functions import (
     averages,
     homogeneous_means,
+    responses,
     solve_v,
     solve_v_exact,
     solve_w,
@@ -14,8 +15,8 @@ from willis_homog.cell_functions import (
     solve_zeta,
     solve_zeta_exact,
 )
-from willis_homog.errors import ResonanceError, ValidationError
-from willis_homog.material import bilaminate, cell_digest, homogeneous
+from willis_homog.errors import ResonanceError
+from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble
 
 
@@ -39,15 +40,26 @@ def test_uniform_cell_static_dipole_mean() -> None:
     assert_allclose(zeta.mean, -1j / 1.3, rtol=1e-12)
 
 
+def _random_cell(rng: np.random.Generator, n: int):
+    lengths = rng.uniform(0.05, 1.0, n)
+    lengths /= lengths.sum()
+    lengths[-1] = 1.0 - lengths[:-1].sum()
+    moduli, densities = 10.0 ** rng.uniform(-1.5, 1.5, (2, n))
+    return UnitCell1D(tuple(Phase(h, G, r) for h, G, r in zip(lengths, moduli, densities)))
+
+
 def test_static_dipole_mean_is_universal() -> None:
-    # <zeta> = -i/k holds for any cell composition in one dimension
-    k = 0.9
-    for cell in (bilaminate(0.1, 0.1), bilaminate(0.3, 0.8)):
-        zeta = solve_zeta_exact(cell, k)
-        assert_allclose(zeta.mean, -1j / k, rtol=1e-10)
-        op = assemble(cell, k, 64)
-        zs = solve_zeta(op)
-        assert_allclose(zs.mean, -1j / k, rtol=1e-10)
+    # in one dimension the static dipole is the constant zeta = -i/k on any
+    # cell, so <zeta> = -i/k and <G D_k zeta> = <G>; the dynamic identity
+    # checks rest on this
+    rng = np.random.default_rng(9)
+    for n in [1, 2, 3, 4, 5, 6] * 3:
+        cell = _random_cell(rng, n)
+        k = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0))
+        where = f"{n} phases, k = {k!r}"
+        for zeta in (solve_zeta_exact(cell, k), solve_zeta(assemble(cell, k, 64))):
+            assert_allclose(zeta.mean, -1j / k, rtol=1e-10, err_msg=where)
+            assert_allclose(zeta.mean_flux, cell.mean("G"), rtol=1e-10, err_msg=where)
 
 
 def test_static_dipole_undefined_at_zero_wavenumber() -> None:
@@ -66,17 +78,11 @@ def test_static_dipole_guard_catches_near_multiples_of_two_pi(k: float) -> None:
         assert cell_digest(cell) in str(info.value) and repr(k) in str(info.value)
 
 
-def test_spectral_mean_rho_conj_needs_static_dipole_of_same_operator() -> None:
-    cell = bilaminate(0.1, 0.1)
-    op = assemble(cell, 0.5, 16)
-    w, zeta = solve_w(op, 0.2), solve_zeta(op)
-    # cell-basis identity <G D_k w> = conj<zeta> + omega^2 <rho w conj(zeta)>
-    flux = w.mean_flux
-    assert abs(flux - np.conj(zeta.mean) - 0.2**2 * w.mean_rho_conj(zeta)) < 1e-10 * abs(flux)
-    with pytest.raises(ValidationError):
-        w.mean_rho_conj(solve_v(op, 0.2))
-    with pytest.raises(ValidationError):
-        w.mean_rho_conj(solve_zeta(assemble(cell, 0.5, 16)))
+@pytest.mark.parametrize("method", ["exact", "spectral"])
+def test_responses_reject_an_unknown_kind(method: str) -> None:
+    # the static dipole is no response kind; solve_zeta is the dipole at omega = 0
+    with pytest.raises(KeyError, match="static_dipole"):
+        responses(bilaminate(0.1, 0.1), 0.5, 0.2, ("static_dipole",), method, 16)
 
 
 def test_homogeneous_means_match_exact_solver() -> None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,6 +12,19 @@ from willis_homog.asymptotics import homogenize
 from willis_homog.cli import build_config, build_verification_report, main
 from willis_homog.errors import ConfigError
 from willis_homog.material import bilaminate
+
+
+def _benchmark_preset_jobs() -> tuple:
+    # the benchmark's byte gate, read as data so the digests live in one place
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "PRESET_JOBS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no PRESET_JOBS")
+
+
+#: (command, preset, {csv name: sha256}) for every preset job with a CSV gate
+PRESET_CSV_JOBS = [job for job in _benchmark_preset_jobs() if job[2]]
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -222,3 +237,18 @@ def test_verify_keeps_the_default_probe_off_the_branch(capsys) -> None:
     report = build_verification_report(bilaminate(0.1, 0.1))
     assert report == build_verification_report(bilaminate(0.1, 0.1), probe=(0.5, 0.2))
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command,preset,digests", PRESET_CSV_JOBS, ids=[job[0] for job in PRESET_CSV_JOBS]
+)
+def test_preset_csvs_match_benchmark_digests(tmp_path: Path, command, preset, digests) -> None:
+    assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_dispersion_of_a_stiff_cell_resolves(tmp_path: Path) -> None:
+    # speed 10: the branch reaches omega = 31 on the default k range
+    cfg = write_config(tmp_path / "cfg.json", {"cell": {"homogeneous": [100, 1]}})
+    assert main(["dispersion", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -209,15 +209,20 @@ def test_dispersion_function_on_array_equals_scalar_calls(cell: UnitCell1D) -> N
 
 
 def test_exact_branch_error_names_k_and_cell() -> None:
-    # c = 10, so k = 3 needs omega = 30, past the default omega_max = 20
+    # c = 10, so k = 3 needs omega = 30, past omega_max = 20
     stiff = homogeneous(100.0, 1.0)
     with pytest.raises(NumericalError) as err:
-        exact_branch(stiff, [1.0, 3.0])
+        exact_branch(stiff, [1.0, 3.0], omega_max=20.0)
     msg = str(err.value)
     assert "exact_branch" in msg
     assert "k = 3.0" in msg
     assert "omega_max = 20" in msg
     assert cell_digest(stiff) in msg
+
+
+def test_exact_branch_default_bound_scales_with_the_cell() -> None:
+    k = np.array([1.0, 3.0])
+    assert_allclose(exact_branch(homogeneous(100.0, 1.0), k).omega, 10.0 * k, rtol=1e-10)
 
 
 def test_willis_exact_root_error_names_k_and_cell() -> None:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from willis_homog import cell_functions
-from willis_homog.errors import ValidationError
-from willis_homog.material import bilaminate, homogeneous
+from willis_homog import cell_functions, exact
+from willis_homog.errors import ResonanceError, ValidationError
+from willis_homog.material import bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble, solve_eigensystem
 from willis_homog.willis import (
     classify_visibility,
@@ -182,8 +182,30 @@ def test_spectral_loads_at_one_point_share_one_resolvent_solve(monkeypatch) -> N
         (lambda: effective_impedance(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
         (lambda: effective_parameters(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
         (lambda: mean_fields(BILAMINATE, 0.5, 0.2, 1.0, 0.0, method="spectral", order=32), 1),
-        (lambda: dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 2),
+        (lambda: dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
     ):
         calls.clear()
         run()
         assert len(calls) == expected, calls
+
+
+def test_exact_identity_residuals_solve_two_responses(monkeypatch) -> None:
+    kinds = []
+
+    def counted(cell, k, omega, kind):
+        kinds.append(kind)
+        return solve(cell, k, omega, kind)
+
+    solve = exact._solve
+    monkeypatch.setattr(exact, "_solve", counted)
+    dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method="exact")
+    assert kinds == ["monopole", "dipole"]
+
+
+@pytest.mark.parametrize("method", ["exact", "spectral"])
+@pytest.mark.parametrize("k", [0.0, -1e-13, 2.0 * np.pi - 1e-14])
+def test_identity_residuals_undefined_at_zero_wavenumber(k: float, method: str) -> None:
+    # the cell-basis checks divide by k through the static dipole -i/k
+    with pytest.raises(ResonanceError, match="undefined at k = 0") as info:
+        dynamic_identity_residuals(BILAMINATE, k, 0.2, method=method, order=16)
+    assert cell_digest(BILAMINATE) in str(info.value) and repr(k) in str(info.value)
