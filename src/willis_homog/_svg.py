@@ -41,6 +41,10 @@ class Frame:
         )
 
 
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def polyline(frame: Frame, xs, ys, color: str, dash: str = "") -> str:
     pts = " ".join(
         f"{frame.px(float(x)):.2f},{frame.py(float(y)):.2f}" for x, y in zip(xs, ys)
@@ -52,20 +56,15 @@ def polyline(frame: Frame, xs, ys, color: str, dash: str = "") -> str:
     )
 
 
-def _diverging(t: float) -> str:
-    """Blue-white-red ramp for t in [-1, 1]."""
-    t = min(max(t, -1.0), 1.0)
-    if t < 0.0:
-        s = 1.0 + t
-        r, g, b = 48 + s * 207, 98 + s * 157, 182 + s * 73
-    else:
-        s = 1.0 - t
-        r, g, b = 196 + s * 59, 42 + s * 213, 42 + s * 213
-    return f"rgb({int(r)},{int(g)},{int(b)})"
+#: diverging ramp ``rgb = base + s * slope``: blue with s = 1 + t for t < 0,
+#: red with s = 1 - t otherwise, so both reach white at t = 0
+_BLUE = (np.array([48, 98, 182]), np.array([207, 157, 73]))
+_RED = (np.array([196, 42, 42]), np.array([59, 213, 213]))
+_GREY = 0x808080  # rgb(128,128,128) packed as 0xRRGGBB: flagged and non-finite cells
 
 
 def heat_cells(frame: Frame, xs, ys, values, flagged=None) -> list[str]:
-    """One rect per (x, y) grid node; grey where flagged or non-finite."""
+    """One rect per (x, y) grid node on a blue-white-red ramp; grey where flagged or non-finite."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -75,24 +74,29 @@ def heat_cells(frame: Frame, xs, ys, values, flagged=None) -> list[str]:
     dx = xs[1] - xs[0] if xs.size > 1 else (frame.x_max - frame.x_min)
     dy = ys[1] - ys[0] if ys.size > 1 else (frame.y_max - frame.y_min)
     bad = ~finite if flagged is None else ~finite | np.asarray(flagged, dtype=bool)
-    scaled = np.where(finite, vals, 0.0) / vmax
+    # |t| <= 1: vmax bounds every finite |value|
+    t = (np.where(finite, vals, 0.0) / vmax)[..., None]
+    rgb = np.where(
+        t < 0.0, _BLUE[0] + (1.0 + t) * _BLUE[1], _RED[0] + (1.0 - t) * _RED[1]
+    ).astype(int)
+    packed = np.where(bad, _GREY, rgb @ [1 << 16, 1 << 8, 1])
+    # each distinct colour is formatted once
+    colors, which = np.unique(packed.ravel(), return_inverse=True)
+    fills = [f"rgb({c >> 16},{c >> 8 & 255},{c & 255})" for c in colors.tolist()]
+    x_attrs = []
+    for x in xs:
+        x0 = frame.px(x)
+        x_attrs.append((f"{x0:.2f}", f"{frame.px(x + dx) - x0:.2f}"))
     # y and height depend only on the row
     y_attrs = []
     for y in ys:
         y1 = frame.py(y + dy)
         y_attrs.append((f"{y1:.2f}", f"{frame.py(y) - y1:.2f}"))
-    out = []
-    for i, x in enumerate(xs):
-        x0 = frame.px(x)
-        w = f"{frame.px(x + dx) - x0:.2f}"
-        x0 = f"{x0:.2f}"
-        for (y1, h), t, is_bad in zip(y_attrs, scaled[i].tolist(), bad[i].tolist()):
-            color = "rgb(128,128,128)" if is_bad else _diverging(t)
-            out.append(
-                f'<rect x="{x0}" y="{y1}" width="{w}" height="{h}"'
-                f' fill="{color}" stroke="none"/>'
-            )
-    return out
+    return [
+        f'<rect x="{x0}" y="{y1}" width="{w}" height="{h}" fill="{fills[c]}" stroke="none"/>'
+        for (x0, w), row in zip(x_attrs, which.reshape(vals.shape).tolist())
+        for (y1, h), c in zip(y_attrs, row)
+    ]
 
 
 def axes(frame: Frame, xlabel: str, ylabel: str) -> list[str]:
@@ -119,11 +123,11 @@ def axes(frame: Frame, xlabel: str, ylabel: str) -> list[str]:
         )
     out.append(
         f'<text x="{frame.width / 2:.0f}" y="{frame.height - 16}" font-size="13"'
-        f' text-anchor="middle">{xlabel}</text>'
+        f' text-anchor="middle">{_escape(xlabel)}</text>'
     )
     out.append(
         f'<text x="18" y="{frame.height / 2:.0f}" font-size="13" text-anchor="middle"'
-        f' transform="rotate(-90 18 {frame.height / 2:.0f})">{ylabel}</text>'
+        f' transform="rotate(-90 18 {frame.height / 2:.0f})">{_escape(ylabel)}</text>'
     )
     return out
 
@@ -139,7 +143,7 @@ def legend(frame: Frame, entries: list[tuple[str, str, str]]) -> list[str]:
             f'<line x1="{x0}" y1="{y - 4}" x2="{x0 + 28}" y2="{y - 4}"'
             f' stroke="{color}" stroke-width="2"{dash_attr}/>'
         )
-        out.append(f'<text x="{x0 + 34}" y="{y}" font-size="12">{label}</text>')
+        out.append(f'<text x="{x0 + 34}" y="{y}" font-size="12">{_escape(label)}</text>')
         y += 18
     return out
 
@@ -148,9 +152,9 @@ def document(frame: Frame, body: list[str], title: str, desc: str = "") -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{frame.width}"'
         f' height="{frame.height}" viewBox="0 0 {frame.width} {frame.height}">',
-        f"<desc>{desc}</desc>" if desc else "",
+        f"<desc>{_escape(desc)}</desc>" if desc else "",
         f'<rect width="{frame.width}" height="{frame.height}" fill="white"/>',
-        f'<text x="{frame.width / 2:.0f}" y="28" font-size="15" text-anchor="middle">{title}</text>',
+        f'<text x="{frame.width / 2:.0f}" y="28" font-size="15" text-anchor="middle">{_escape(title)}</text>',
         *body,
         "</svg>",
     ]

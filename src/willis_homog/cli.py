@@ -156,8 +156,10 @@ def _parse_range(value, where: str, default: tuple[float, float, int]) -> tuple[
         return default
     try:
         lo, hi, n = float(value[0]), float(value[1]), int(value[2])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"config field {where!r}: expected [min, max, steps]") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"config field {where!r}: bounds must be finite, got [{lo}, {hi}]")
     if not (hi > lo):
         raise ConfigError(f"config field {where!r}: range must be ordered, got [{lo}, {hi}]")
     if n < 1:
@@ -196,6 +198,8 @@ def build_config(data: dict) -> RunConfig:
             probe = (float(data["probe"][0]), float(data["probe"][1]))
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError("config field 'probe': expected [k, omega]") from exc
+        if not all(map(math.isfinite, probe)):
+            raise ConfigError(f"config field 'probe': k and omega must be finite, got {list(probe)}")
 
     tol = dict(_DEFAULT_TOLERANCES)
     for key, value in dict(data.get("tolerances", {})).items():
@@ -247,16 +251,6 @@ def load_config(path: str | None, preset: str | None, basis_n: int | None) -> Ru
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
 def _csv_header(config: RunConfig) -> list[str]:
     return [
         f"# willis-homog {__version__}",
@@ -266,12 +260,19 @@ def _csv_header(config: RunConfig) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, header: list[str], columns: list[str], rows) -> None:
-    lines = list(header)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if type(v) is float else _fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+#: CSV format of a column, by numpy dtype kind: text, bool, int, float
+_CSV_FORMATS = {"U": "%s", "b": "%d", "i": "%d", "f": "%.17g"}
+
+
+def _write_csv(path: Path, header: list[str], names: list[str], columns) -> None:
+    """Header, names, then row i from entry i of each column, flattened row-major."""
+    columns = [np.ravel(c) for c in columns]
+    row = ",".join(_CSV_FORMATS[c.dtype.kind] for c in columns) + "\n"
+    cells = [None] * (len(columns) * columns[0].size)
+    for j, c in enumerate(columns):
+        cells[j :: len(columns)] = c.tolist()
+    body = row * columns[0].size % tuple(cells)
+    path.write_text("\n".join([*header, ",".join(names)]) + "\n" + body, encoding="utf-8")
 
 
 def _out_dir(args) -> Path:
@@ -280,10 +281,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _grid_columns(k: np.ndarray, w: np.ndarray, *values: np.ndarray) -> list[list]:
-    """k, omega and each (k, omega) array as flat row-major lists of Python scalars."""
-    kk, ww = np.meshgrid(k, w, indexing="ij")
-    return [a.ravel().tolist() for a in (kk, ww, *values)]
+def _grid_nodes(k: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
+    """The k and omega CSV columns of a row-major (k, omega) grid, as text:
+    each grid value is formatted once, not once per node."""
+    k_text, w_text = (np.array([_CSV_FORMATS["f"] % v for v in a.tolist()]) for a in (k, w))
+    return [np.repeat(k_text, w.size), np.tile(w_text, k.size)]
 
 
 def _grid_frame(k: np.ndarray, w: np.ndarray) -> Frame:
@@ -319,7 +321,7 @@ def cmd_coeffs(config: RunConfig, args) -> int:
         out / "coeffs.csv",
         _csv_header(config),
         ["name", "value"],
-        list(coeffs.to_dict().items()),
+        list(zip(*coeffs.to_dict().items())),
     )
     print(f"cell {record['digest']} route={config.route}")
     for name, value in coeffs.to_dict().items():
@@ -332,7 +334,6 @@ def cmd_dispersion(config: RunConfig, args) -> int:
     out = _out_dir(args)
     k = config.k_grid()
     cells = [(config.cell_label, config.cell), *config.extra_cells]
-    rows = []
     curves = []
     for label, cell in cells:
         _, coeffs = homogenize(cell, method="exact")
@@ -343,13 +344,16 @@ def cmd_dispersion(config: RunConfig, args) -> int:
         ]
         for branch in branches:
             curves.append((label, branch))
-            for ki, wi in zip(branch.k, branch.omega):
-                rows.append((label, branch.label, float(ki), float(wi)))
     _write_csv(
         out / "dispersion.csv",
         _csv_header(config),
         ["cell", "branch", "k", "omega"],
-        rows,
+        [
+            [label for label, b in curves for _ in b.k],
+            [b.label for _, b in curves for _ in b.k],
+            np.concatenate([b.k for _, b in curves]),
+            np.concatenate([b.omega for _, b in curves]),
+        ],
     )
 
     w_max = max(float(np.max(b.omega)) for _, b in curves if b.omega.size)
@@ -383,7 +387,7 @@ def cmd_modulation_map(config: RunConfig, args) -> int:
         out / "modulation.csv",
         _csv_header(config),
         ["k", "omega", "re_m2", "abs_m2"],
-        zip(*_grid_columns(k, w, m2, np.abs(m2))),
+        [*_grid_nodes(k, w), m2, np.abs(m2)],
     )
     frame = _grid_frame(k, w)
     for name, values in (("modulation_re.svg", m2), ("modulation_abs.svg", np.abs(m2))):
@@ -418,7 +422,7 @@ def cmd_impedance_map(config: RunConfig, args) -> int:
         out / "impedance.csv",
         _csv_header(config),
         ["k", "omega", "cal_z2", "m2", "z2", "near_zero", "zero_crossing"],
-        zip(*_grid_columns(k, w, cal, m2, z2, near_zero, crossing)),
+        [*_grid_nodes(k, w), cal, m2, z2, near_zero, crossing],
     )
     frame = _grid_frame(k, w)
     for name, values, flags in (

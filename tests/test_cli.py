@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,20 @@ def _benchmark_preset_jobs() -> tuple:
 
 #: (command, preset, {csv name: sha256}) for every preset job with a CSV gate
 PRESET_CSV_JOBS = [job for job in _benchmark_preset_jobs() if job[2]]
+
+#: sha256 of the other files those jobs write (identical at 1 and 2 BLAS threads)
+PRESET_OTHER_DIGESTS = {
+    "coeffs": {"coeffs.json": "9266e848a397d51daf0db61ba9c83e459652bd1f530f3ebddb578ec773fc7754"},
+    "dispersion": {"dispersion.svg": "a478a5b13fab0dbe5969d1672e86321d69e881f5a6f06b547acce704dd97705d"},
+    "modulation-map": {
+        "modulation_re.svg": "95b61ab166881a4970a5edc481d015e013cc49d2cfdae2b6f5eb18b5c9f36f6c",
+        "modulation_abs.svg": "810f52902acb5adc612917cb3953345c71b5eb474393043cd35e24eb28784b7f",
+    },
+    "impedance-map": {
+        "impedance_z2.svg": "6bb81a50ac0e23d5b80c298d1a5d0e8366e7a4ea93e29fd9b9f89869f4e19f9f",
+        "impedance_cal.svg": "65e660fdab6ea17f2fa5ed04ae6a3aaad06662445811a4df79ba5163b36a92b8",
+    },
+}
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -192,6 +207,24 @@ def test_basis_n_flag_overrides_config(tmp_path: Path) -> None:
     assert header[2] == "# basis_n: 32"
 
 
+@pytest.mark.parametrize("command", ["modulation-map", "dispersion"])
+@pytest.mark.parametrize(
+    "k_range", [[0.0, float("inf"), 4], [float("-inf"), 1.0, 4], [0.0, 1.0, float("inf")]]
+)
+def test_non_finite_range_is_config_error(tmp_path: Path, capsys, command, k_range) -> None:
+    cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "k_range": k_range})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config field 'k_range'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("probe", [[float("inf"), 0.2], [0.5, float("nan")]])
+def test_non_finite_probe_is_config_error(tmp_path: Path, capsys, probe) -> None:
+    cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "probe": probe})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config field 'probe'" in capsys.readouterr().err
+
+
 def test_build_config_rejects_unordered_range() -> None:
     with pytest.raises(ConfigError):
         build_config({"cell": {"bilaminate": [0.1, 0.1]}, "k_range": [2.0, 1.0, 8]})
@@ -246,6 +279,28 @@ def test_preset_csvs_match_benchmark_digests(tmp_path: Path, command, preset, di
     assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "command,preset", [job[:2] for job in PRESET_CSV_JOBS], ids=[job[0] for job in PRESET_CSV_JOBS]
+)
+def test_preset_svgs_and_coeffs_json_are_pinned(tmp_path: Path, command, preset) -> None:
+    assert main([command, "--preset", preset, "--out", str(tmp_path)]) == 0
+    for name, digest in PRESET_OTHER_DIGESTS[command].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    for svg in tmp_path.glob("*.svg"):
+        assert ElementTree.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+
+def test_svg_text_is_escaped(tmp_path: Path) -> None:
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"cell": {"bilaminate": [0.1, 0.1]}, "cell_label": "A&B <x>", "k_range": [0.0, 1.0, 4]},
+    )
+    assert main(["dispersion", "--config", cfg, "--out", str(tmp_path)]) == 0
+    root = ElementTree.parse(tmp_path / "dispersion.svg").getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "A&B <x>: exact" in texts
 
 
 def test_dispersion_of_a_stiff_cell_resolves(tmp_path: Path) -> None:
