@@ -3,10 +3,11 @@
 ``responses`` is the one place that picks a route: closed-form
 ``ExactField``s (``method="exact"``) or ``CellSolution``s of one assembled
 operator (``method="spectral"``), which share one field interface: ``mean``,
-``mean_rho`` and ``mean_flux``.  On the spectral route the loads at one
-omega share one resonance certificate and one factorization.  ``solve_w``,
-``solve_v``, ``solve_zeta`` and their ``_exact`` twins solve one response
-each; the static dipole ``zeta`` is the dipole response at omega = 0.
+``mean_rho``, ``mean_flux`` and ``mean_G``.  On the spectral route the loads
+at one omega share one resonance certificate and one factorization.
+``solve_w``, ``solve_v``, ``solve_zeta`` and their ``_exact`` twins solve
+one response each; the static dipole ``zeta`` is the dipole response at
+omega = 0.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class CellSolution:
     @property
     def mean_flux(self) -> complex:
         return self.operator.mean_flux(self.coeffs)
+
+    @property
+    def mean_G(self) -> float:
+        return self.operator.mean_G
 
 
 def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellSolution]:
@@ -132,11 +137,15 @@ def solve_zeta_exact(cell: UnitCell1D, k: float) -> ExactField:
     return solve_static_dipole_exact(cell, k)
 
 
-def averages(w, v, cell: UnitCell1D) -> dict[str, complex]:
+def averages(w, v) -> dict[str, complex]:
     """The seven cell averages the effective model is built from.
 
-    Accepts any pair of responses exposing mean / mean_rho / mean_flux
-    (spectral CellSolution or closed-form ExactField).
+    Accepts any pair of responses exposing mean / mean_rho / mean_flux /
+    mean_G (spectral CellSolution or closed-form ExactField).  ``mean_G``
+    is <G> as the route forms G times a strain: exact on the exact route,
+    and on the spectral route the constant mode of T(1/G)^{-1} e_0, which
+    pairs with <G D_k v> so that their difference, the mean flux of the
+    dipole response, converges at the rate of Li's rule.
     """
     return {
         "mean_w": complex(w.mean),
@@ -145,7 +154,7 @@ def averages(w, v, cell: UnitCell1D) -> dict[str, complex]:
         "mean_rho_v": complex(v.mean_rho),
         "mean_G_dkw": complex(w.mean_flux),
         "mean_G_dkv": complex(v.mean_flux),
-        "mean_G": complex(cell.mean("G")),
+        "mean_G": complex(v.mean_G),
     }
 
 

@@ -184,11 +184,16 @@ def exact_branch(
 def spectral_acoustic_branch(
     cell: UnitCell1D, k_grid: np.ndarray, order: int = DEFAULT_ORDER
 ) -> DispersionBranch:
-    """Acoustic branch from the lowest Galerkin eigenvalue per wavenumber."""
+    """Acoustic branch from the lowest Galerkin eigenvalue per wavenumber.
+
+    The eigenvalues come from the graded reduced pencil
+    (``BlochOperator.eigenvalues``), whose lowest one is accurate relative
+    to itself.
+    """
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     omegas = np.empty_like(k_grid)
     for i, k in enumerate(k_grid):
-        lam = assemble(cell, float(k), order).lowest_eigenvalue()
+        lam = float(assemble(cell, float(k), order).eigenvalues[0])
         omegas[i] = np.sqrt(max(lam, 0.0))
     return DispersionBranch(label="spectral_acoustic", k=k_grid, omega=omegas)
 

@@ -203,6 +203,11 @@ class ExactField:
         """<G D_k u>"""
         return complex(sum(seg.mean_flux(*y) for seg, y in zip(self.segments, self.starts)))
 
+    @property
+    def mean_G(self) -> float:
+        """<G>, as ``UnitCell1D.mean("G")`` forms it"""
+        return float(np.dot([seg.h for seg in self.segments], [seg.G for seg in self.segments]))
+
 
 def _load_amplitude(kind: str, G: float, k: float) -> complex:
     if kind == "monopole":

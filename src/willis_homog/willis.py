@@ -188,7 +188,7 @@ def effective_parameters(
     order: int = DEFAULT_ORDER,
 ) -> EffectiveParameters:
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
-    return parameters_from_averages(cell, averages(w, v, cell), k, omega, route)
+    return parameters_from_averages(cell, averages(w, v), k, omega, route)
 
 
 def impedance_from_parameters(p: EffectiveParameters) -> complex:
@@ -231,7 +231,7 @@ def mean_fields(
 ) -> MeanFields:
     """Mean kinematic and dynamic fields for constant loads (f, gamma)."""
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
-    avg = averages(w, v, cell)
+    avg = averages(w, v)
     mu = f * avg["mean_w"] + gamma * avg["mean_v"]
     stress = f * avg["mean_G_dkw"] + gamma * avg["mean_G_dkv"] - gamma * avg["mean_G"]
     momentum = -1j * omega * (f * avg["mean_rho_w"] + gamma * avg["mean_rho_v"])
@@ -304,7 +304,7 @@ def dynamic_identity_residuals(
     """
     _require_nonzero_k(cell, k)
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
-    avg = averages(w, v, cell)
+    avg = averages(w, v)
     mw, mv = avg["mean_w"], avg["mean_v"]
     mrw, mrv = avg["mean_rho_w"], avg["mean_rho_v"]
     mfw, mfv = avg["mean_G_dkw"], avg["mean_G_dkv"]

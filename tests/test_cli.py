@@ -4,15 +4,20 @@ import ast
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
 
 from willis_homog.asymptotics import homogenize
+from willis_homog import cli
 from willis_homog.cli import build_config, build_verification_report, main
 from willis_homog.errors import ConfigError
 from willis_homog.material import bilaminate
+from willis_homog.spectral import DEFAULT_ORDER
 
 
 def _benchmark_preset_jobs() -> tuple:
@@ -163,6 +168,16 @@ def test_verify_passes_on_reference_cell(tmp_path: Path, capsys) -> None:
     assert all(c["residual"] <= c["tolerance"] for c in report["checks"])
 
 
+def test_verify_passes_on_a_high_contrast_cell(tmp_path: Path, capsys) -> None:
+    # Laurent's product rule missed this cell's branch by 1.06e-2 at N = 128
+    cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.01, 100]}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verification.json").read_text())
+    assert report["basis_n"] == DEFAULT_ORDER
+    branch = [c for c in report["checks"] if c["name"].startswith("triangle/spectral_branch")]
+    assert len(branch) == 2 and all(c["residual"] <= 1e-9 for c in branch)
+
+
 def test_verify_fails_with_tight_tolerances(tmp_path: Path) -> None:
     cfg = write_config(
         tmp_path / "c.json",
@@ -223,6 +238,41 @@ def test_non_finite_probe_is_config_error(tmp_path: Path, capsys, probe) -> None
     cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "probe": probe})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config field 'probe'" in capsys.readouterr().err
+
+
+def test_nan_tolerance_is_config_error(tmp_path: Path, capsys) -> None:
+    cfg = write_config(
+        tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "tolerances": {"exact": float("nan")}}
+    )
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config field 'tolerances.exact'" in capsys.readouterr().err
+    assert not (tmp_path / "verification.json").exists()
+
+
+def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
+    cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "k_range": [0.0, 1.0, 4.7]})
+    assert main(["modulation-map", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config field 'k_range'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert build_config({"cell": {"bilaminate": [0.1, 0.1]}, "k_range": [0.0, 1.0, 4.0]}).k_range == (0.0, 1.0, 4)
+
+
+#: sha256 of ``verify --preset fig2 --basis-n 16``'s verification.json, the
+#: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
+#: Cholesky factorizations of the spectral branch, which moves the last
+#: digits of its two residuals with the thread count
+VERIFICATION_N16_DIGEST = "d86e71ef655acafcb3a7a496d6781906d91b4001345d59e6c0ff6039580af4df"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verification_json_is_pinned(tmp_path: Path, threads: str) -> None:
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = ["verify", "--preset", "fig2", "--basis-n", "16", "--out", str(tmp_path)]
+    subprocess.run([sys.executable, "-m", "willis_homog", *command], env=env, check=True, capture_output=True)
+    digest = hashlib.sha256((tmp_path / "verification.json").read_bytes()).hexdigest()
+    assert digest == VERIFICATION_N16_DIGEST
 
 
 def test_build_config_rejects_unordered_range() -> None:

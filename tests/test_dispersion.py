@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from willis_homog.asymptotics import homogenize
@@ -18,6 +20,7 @@ from willis_homog.dispersion import (
 from willis_homog.errors import NumericalError, ValidationError
 from willis_homog.exact import dispersion_function
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
+from willis_homog.spectral import BRANCH_RTOL, DEFAULT_ORDER
 
 BILAMINATE = bilaminate(0.1, 0.1)
 
@@ -74,6 +77,59 @@ def test_spectral_branch_converges_to_exact() -> None:
         w_spec = spectral_acoustic_branch(BILAMINATE, k, order=n).omega
         errs.append(np.max(np.abs(w_spec - w_trace)))
     assert errs[1] < 0.5 * errs[0] < 1e-2
+
+
+#: shortest phase of the cells the spectral default is held to, as a fraction of the cell
+_MIN_PHASE = 1.0 / 16.0
+
+
+@st.composite
+def resolved_cells(draw) -> UnitCell1D:
+    """1-6 phases, each at least 1/16 of the cell, with G and rho spread over up to 1e3.
+
+    A phase much thinner than the basis resolves, slow enough to hold a
+    sizeable part of a wavelength, needs a larger N than the default: a
+    0.05-long phase with G = 1 and rho = 1e3 in a G = 1e3, rho = 1 host
+    misses the k = 1.5 branch by 1.3e-3 at N = 32.
+    """
+    n = draw(st.integers(1, 6))
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    total = sum(weights)
+    free = 1.0 - n * _MIN_PHASE
+    lengths = [_MIN_PHASE + free * (w / total if total > 0 else 1.0 / n) for w in weights]
+    lengths[-1] = 1.0 - sum(lengths[:-1])
+    moduli = [10 ** draw(st.floats(0.0, 3.0)) for _ in range(n)]
+    densities = [10 ** draw(st.floats(0.0, 3.0)) for _ in range(n)]
+    return UnitCell1D(tuple(Phase(h, G, r) for h, G, r in zip(lengths, moduli, densities)))
+
+
+_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+
+
+@_SETTINGS
+@given(cell=resolved_cells())
+def test_spectral_branch_at_the_default_order_meets_its_gate(cell: UnitCell1D) -> None:
+    k = np.array([0.5, 1.5])
+    w_exact = exact_branch(cell, k).omega
+    w_spec = spectral_acoustic_branch(cell, k, order=DEFAULT_ORDER).omega
+    assert np.all(np.abs(w_spec - w_exact) <= BRANCH_RTOL * w_exact), cell_digest(cell)
+
+
+@_SETTINGS
+@given(cell=resolved_cells(), shift=st.integers(1, 5), k=st.floats(0.1, 3.0))
+def test_cyclic_rotation_keeps_the_spectral_branch(cell: UnitCell1D, shift: int, k: float) -> None:
+    s = shift % len(cell.phases)
+    rotated = UnitCell1D(cell.phases[s:] + cell.phases[:s])
+    w = spectral_acoustic_branch(cell, [k]).omega[0]
+    assert abs(spectral_acoustic_branch(rotated, [k]).omega[0] - w) <= 1e-8 * w
+
+
+@_SETTINGS
+@given(cell=resolved_cells(), k=st.floats(0.1, 3.0))
+def test_mirror_with_reversed_wavenumber_keeps_the_spectral_branch(cell: UnitCell1D, k: float) -> None:
+    mirrored = UnitCell1D(tuple(reversed(cell.phases)))
+    w = spectral_acoustic_branch(cell, [k]).omega[0]
+    assert abs(spectral_acoustic_branch(mirrored, [-k]).omega[0] - w) <= 1e-8 * w
 
 
 def test_order2_branch_improves_on_quasistatic() -> None:

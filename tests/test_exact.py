@@ -144,7 +144,7 @@ def test_closed_form_matches_frozen_quadrature(name, k, omega, frozen) -> None:
     cell = CELLS[name]
     w = solve_w_exact(cell, k, omega)
     v = solve_v_exact(cell, k, omega)
-    avg = averages(w, v, cell)
+    avg = averages(w, v)
     got = [avg[key] for key in AVERAGE_KEYS]
     got += [1j / k * avg["mean_rho_w"], 1j / k * avg["mean_rho_v"]]
     _assert_rel(got, frozen, 1e-10)
@@ -161,7 +161,7 @@ def test_uniform_cell_limits_match_closed_form(omega: float) -> None:
     # limits and the static dipole apply to it
     G, rho, k = 1.7, 0.9, 0.5
     cell = homogeneous(G, rho)
-    got = averages(solve_w_exact(cell, k, omega), solve_v_exact(cell, k, omega), cell)
+    got = averages(solve_w_exact(cell, k, omega), solve_v_exact(cell, k, omega))
     for name, value in homogeneous_means(G, rho, k, omega).items():
         assert abs(got[name] - value) <= 1e-12 * abs(value), name
 

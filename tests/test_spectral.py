@@ -10,14 +10,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog import spectral
-from willis_homog.errors import NumericalError, ResonanceError
-from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
+from willis_homog.errors import ResonanceError
+from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, fourier_coefficients, homogeneous
 from willis_homog.spectral import (
     RESONANCE_RTOL,
     assemble,
-    projected_solve,
     resolvent_solve,
     solve_eigensystem,
+    toeplitz_inverse,
 )
 
 
@@ -71,20 +71,6 @@ def test_resolvent_refuses_resonant_frequency() -> None:
     omega = float(np.sqrt(op.eigenvalues[0]))
     with pytest.raises(ResonanceError):
         resolvent_solve(op, omega, op.monopole_load())
-
-
-def test_projected_solve_is_orthogonal_to_cluster() -> None:
-    cell = homogeneous()
-    k = 1.0
-    op = assemble(cell, k, 16)
-    eig = solve_eigensystem(op)
-    # the second eigenvalue of the uniform cell carries a mean-free mode,
-    # so the monopole load satisfies the solvability condition there
-    lam = eig.eigenvalues[1]
-    c = projected_solve(eig, float(lam), op.monopole_load())
-    cluster = eig.cluster(1)
-    amps = eig.projection(c)
-    assert max(abs(amps[j]) for j in cluster) < 1e-10
 
 
 def test_mean_flux_on_uniform_cell() -> None:
@@ -159,55 +145,86 @@ def test_long_wave_solve_never_forms_the_spectrum() -> None:
     assert "eigenvalues" not in op.__dict__
 
 
+def _inverted_pencil_lowest(op) -> float:
+    """Lowest eigenvalue of A c = lam B c as 1 / the largest of an inverted pencil.
+
+    With T(1/G) = L L^H and d = L^-1 K c the pencil becomes
+    L^H K^-1 B K^-1 L d = (1/lam) d: the lowest eigenvalue is the reciprocal
+    of the largest one, which any Hermitian eigensolver gets to roundoff
+    relative to itself (k must not be a multiple of 2 pi).
+    """
+    n = op.order
+    t = fourier_coefficients(op.cell, "1/G", 2 * n).coeffs
+    m = np.arange(-n, n + 1)
+    L = np.linalg.cholesky(t[m[:, None] - m[None, :] + 2 * n])
+    H = L.conj().T @ (op.mass / np.outer(op.wavenumbers, op.wavenumbers)) @ L
+    return 1.0 / np.linalg.eigvalsh(0.5 * (H + H.conj().T))[-1]
+
+
 @pytest.mark.parametrize("order", [8, 32, 128])
 def test_lowest_eigenvalue_matches_the_full_spectrum(order: int) -> None:
+    # the graded reduced pencil keeps the lowest eigenvalue accurate relative
+    # to itself down to k = 1e-3, where it is ~1e-6 of the pencil's scale
     rng = np.random.default_rng(order)
     cells = [homogeneous(), bilaminate(0.1, 0.1), _random_cell(rng), _random_cell(rng)]
     for cell in cells:
-        for k in (0.0, 1e-3, 0.3, 1.5, np.pi, 5.0):
+        for k in (1e-3, 0.3, 1.5, np.pi, 5.0):
             op = assemble(cell, k, order)
-            lam = op.lowest_eigenvalue()
-            ref = op.eigenvalues[0]
-            floor = np.finfo(float).eps * np.linalg.norm(op.stiffness, 2) / np.linalg.eigvalsh(op.mass)[0]
-            assert abs(lam - ref) <= 1e-10 * abs(ref) + 64 * floor, (cell_digest(cell), k)
+            ref = _inverted_pencil_lowest(op)
+            assert abs(op.eigenvalues[0] - ref) <= 1e-10 * ref, (cell_digest(cell), k)
+        op = assemble(cell, 0.0, order)
+        floor = np.finfo(float).eps * np.linalg.norm(op.stiffness, 2) / np.linalg.eigvalsh(op.mass)[0]
+        assert abs(op.eigenvalues[0]) <= 64 * floor, cell_digest(cell)
 
 
 def test_lowest_eigenvalue_of_a_degenerate_pair() -> None:
     # the uniform cell's two lowest modes meet at the zone edge
     op = assemble(homogeneous(), np.pi, 32)
     assert op.eigenvalues[1] - op.eigenvalues[0] < 1e-10
-    assert_allclose(op.lowest_eigenvalue(), np.pi**2, rtol=1e-12)
+    assert_allclose(op.eigenvalues[0], np.pi**2, rtol=1e-12)
 
 
-def test_lowest_eigenvalue_errors_name_location(monkeypatch) -> None:
-    cell = bilaminate(0.1, 0.1)
-    where = ("k = 0.5", "N = 16", cell_digest(cell))
-    monkeypatch.setattr(spectral, "LOWEST_MAXITER", 1)
-    with pytest.raises(NumericalError, match="did not converge") as info:
-        assemble(cell, 0.5, 16).lowest_eigenvalue()
-    assert all(w in str(info.value) for w in where)
-    monkeypatch.undo()
-
-    ritz = spectral._rayleigh_ritz
-
-    def ritz_too_high(A, B, X):
-        vals, vectors = ritz(A, B, X)
-        return vals + 1.0, vectors
-
-    monkeypatch.setattr(spectral, "_rayleigh_ritz", ritz_too_high)
-    with pytest.raises(NumericalError, match="lies below") as info:
-        assemble(cell, 0.5, 16).lowest_eigenvalue()
-    assert all(w in str(info.value) for w in where)
+def _dense_G_matrix(cell, order: int) -> np.ndarray:
+    t = fourier_coefficients(cell, "1/G", 2 * order).coeffs
+    m = np.arange(-order, order + 1)
+    return np.linalg.inv(t[m[:, None] - m[None, :] + 2 * order])
 
 
 def test_dipole_load_and_mean_flux_match_per_mode_coefficients() -> None:
+    # both read Li's G matrix, T(1/G)^-1: the load is -i k_m times its
+    # constant-mode column, the mean flux its constant-mode row against i k_m c_m
     op = assemble(bilaminate(0.2, 0.4), 0.7, 128)
-    orders = range(-op.order, op.order + 1)
-    g = np.array([op.G_hat.coefficient(m) for m in orders])
-    g_reflected = np.array([op.G_hat.coefficient(-m) for m in orders])
-    assert np.array_equal(op.dipole_load(), -1j * op.wavenumbers * g)
+    g = _dense_G_matrix(op.cell, op.order)
+    i0 = op.index0
+    scale = np.max(np.abs(g))
+    assert np.max(np.abs(op.dipole_load() - (-1j * op.wavenumbers * g[:, i0]))) <= 1e-12 * scale * np.max(np.abs(op.wavenumbers))
     c = np.random.default_rng(5).standard_normal((op.size, 2)) @ np.array([1.0, 1j])
-    assert op.mean_flux(c) == complex(np.sum(g_reflected * 1j * op.wavenumbers * c))
+    ref = complex(np.sum(g[i0] * 1j * op.wavenumbers * c))
+    assert abs(op.mean_flux(c) - ref) <= 1e-12 * scale * np.sum(np.abs(op.wavenumbers * c))
+    assert abs(op.mean_G - g[i0, i0].real) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_phases", [1, 2, 3, 4, 5, 6])
+def test_toeplitz_inverse_matches_dense_inverse(n_phases: int) -> None:
+    rng = np.random.default_rng(n_phases)
+    for order in (4, 16, 64):
+        lengths = rng.dirichlet(np.ones(n_phases))
+        lengths[-1] = 1.0 - lengths[:-1].sum()
+        moduli = 10.0 ** rng.uniform(-2.0, 2.0, n_phases)
+        cell = UnitCell1D(tuple(Phase(float(h), float(g), 1.0) for h, g in zip(lengths, moduli)))
+        ref = _dense_G_matrix(cell, order)
+        got = toeplitz_inverse(fourier_coefficients(cell, "1/G", 2 * order).coeffs[2 * order :])
+        assert np.array_equal(got, got.conj().T)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, cell_digest(cell))
+
+
+def test_mean_G_is_the_harmonic_mean_at_the_lowest_order() -> None:
+    # a one-mode basis has T(1/G) = <1/G>; Li's <G> rises towards <G> with N
+    cell = bilaminate(0.1, 0.1)
+    g = toeplitz_inverse(fourier_coefficients(cell, "1/G", 0).coeffs)
+    assert_allclose(g[0, 0], 1.0 / cell.mean("1/G"), rtol=1e-15)
+    means = [assemble(cell, 0.5, n).mean_G for n in (4, 16, 64)]
+    assert 1.0 / cell.mean("1/G") < means[0] < means[1] < means[2] < cell.mean("G")
 
 
 _STACKED_SOLVE = """
