@@ -19,7 +19,6 @@ from .material import (
     bilaminate,
     homogeneous,
     fourier_coefficients,
-    sample,
 )
 
 __version__ = "0.1.0"
@@ -31,6 +30,5 @@ __all__ = [
     "bilaminate",
     "homogeneous",
     "fourier_coefficients",
-    "sample",
     "__version__",
 ]

@@ -22,16 +22,12 @@ from .material import UnitCell1D, segment_index
 
 __all__ = ["PiecewisePoly", "piecewise_constant"]
 
-#: samples per segment of the max_abs estimate
-SEGMENT_SAMPLES = 64
-
 
 def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row j of ``coeffs`` at t[j] (t may carry trailing sample axes)."""
-    c = coeffs.reshape(coeffs.shape + (1,) * (t.ndim - 1))
-    value = c[:, -1] + t * 0  # shaped like t even for constant rows
-    for i in range(2, c.shape[1] + 1):
-        value = c[:, -i] + value * t
+    """Row j of ``coeffs`` at t[j]."""
+    value = coeffs[:, -1]
+    for i in range(2, coeffs.shape[1] + 1):
+        value = coeffs[:, -i] + value * t
     return value
 
 
@@ -131,10 +127,10 @@ class PiecewisePoly:
     def zero_mean(self) -> "PiecewisePoly":
         return self - self.mean
 
-    def max_abs(self) -> float:
-        """L-infinity norm estimated on SEGMENT_SAMPLES points per segment."""
-        t = np.linspace(0.0, self.lengths, SEGMENT_SAMPLES, axis=-1)
-        return float(np.max(np.abs(_horner(self.coeffs, t))))
+    def bound(self) -> float:
+        """max_j sum_i |c_ji| h_j^i, a bound on |p(x)| over the cell."""
+        powers = self.lengths[:, None] ** np.arange(self.coeffs.shape[1])
+        return float(np.max(np.sum(np.abs(self.coeffs) * powers, axis=1)))
 
 
 def piecewise_constant(cell: UnitCell1D, values: Sequence[float]) -> PiecewisePoly:

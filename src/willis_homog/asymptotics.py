@@ -106,7 +106,8 @@ class StaticCellFunctions:
     source-side ones at second order in 1D), ``eta0/eta1`` carry the source
     modulation and ``alpha1`` the static dipole response.  ``G`` and
     ``rho`` are the cell's coefficient fields on the same route; on the
-    spectral route ``G`` is Li's product (``InverseRuleG``).
+    spectral route ``G`` is Li's product (``InverseRuleG``).  ``scales``
+    holds the cell's size of an average of each dimension (``_scales``).
     """
 
     method: str
@@ -121,6 +122,7 @@ class StaticCellFunctions:
     chi3_dip: StaticSolve
     G: PiecewisePoly | InverseRuleG
     rho: StaticField
+    scales: dict[str, float]
 
     def solves(self) -> dict[str, StaticSolve]:
         return {name: v for name, v in vars(self).items() if isinstance(v, StaticSolve)}
@@ -131,9 +133,18 @@ def _at(cell: UnitCell1D, method: str) -> str:
     return f"{method} route, cell {cell_digest(cell)}"
 
 
-def _real(value: complex, what: str, cell: UnitCell1D, method: str) -> float:
+def _scales(cell: UnitCell1D) -> dict[str, float]:
+    """Size of a cell average of each dimension: the harmonic mean mu_h =
+    <1/G>^-1 for moduli ("G"), rho0 for densities ("rho"), rho0 / mu_h for
+    s_rho ("rho/G") and 1 for the dimensionless ("1")."""
+    mu_h, rho0 = 1.0 / cell.mean("1/G"), cell.mean("rho")
+    return {"G": mu_h, "rho": rho0, "rho/G": rho0 / mu_h, "1": 1.0}
+
+
+def _real(value: complex, what: str, scale: float, cell: UnitCell1D, method: str) -> float:
+    """The real part of an average whose dimension has size ``scale`` in the cell."""
     value = complex(value)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+    if abs(value.imag) > 1e-10 * max(scale, abs(value.real)):
         raise NumericalError(
             f"{what} must be real, got imaginary part {value.imag:.3e} ({_at(cell, method)})"
         )
@@ -147,7 +158,7 @@ def _exact_route(cell: UnitCell1D):
 
     def solve(F: PiecewisePoly, r: PiecewisePoly) -> StaticSolve:
         mean_r = r.mean
-        if abs(mean_r) > SOLVABILITY_RTOL * max(1.0, r.max_abs()):
+        if abs(mean_r) > SOLVABILITY_RTOL * max(1.0, r.bound()):
             raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'exact')})")
         # flux form: G(u' + F) = R + C with R the zero-mean antiderivative of r
         R = (r - mean_r).antiderivative()
@@ -173,7 +184,7 @@ def _spectral_route(cell: UnitCell1D, order: int):
         b_red = []
         for F, r in pairs:
             mean_r = r.mean
-            if abs(mean_r) > SOLVABILITY_RTOL * max(1.0, float(np.sum(np.abs(r.coeffs)))):
+            if abs(mean_r) > SOLVABILITY_RTOL * max(1.0, r.bound()):
                 raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'spectral')})")
             # the reduced system drops the mean, so r enters without it
             b_red.append(((G * F).derivative() - r).coeffs[keep])
@@ -211,12 +222,13 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'spectral'")
     zero = one * 0.0
     rho0 = cell.mean("rho")
+    scales = _scales(cell)
 
     # one solve call per level of the chain's dependencies
     chi1, eta0 = solve((one, zero), (zero, (rho - rho0) * (1.0 / rho0)))
-    mu0 = _real(chi1.flux.mean, "mu0", cell, method)
+    mu0 = _real(chi1.flux.mean, "mu0", scales["G"], cell, method)
     rho_chi1 = rho * chi1.u
-    rho1 = _real(rho_chi1.mean, "rho1", cell, method)
+    rho1 = _real(rho_chi1.mean, "rho1", scales["rho"], cell, method)
     chi2, eta1, alpha1 = solve(
         (chi1.u, rho * (mu0 / rho0) - chi1.flux),
         (eta0.u, rho_chi1 * (1.0 / rho0) - eta0.flux),
@@ -224,13 +236,13 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
     )
     # the dipole-side second corrector solves the same balance law in 1D
     chi2_dip = chi2
-    mu1_dip = _real(chi2_dip.flux.mean, "mu1_dip", cell, method)
+    mu1_dip = _real(chi2_dip.flux.mean, "mu1_dip", scales["G"], cell, method)
     chi3, chi3_dip = solve(
         (chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux),
         (chi2_dip.u, (rho_chi1 - rho1) * (mu0 / rho0) + mu1_dip - chi2_dip.flux),
     )
     order = None if method == "exact" else int(order)
-    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, chi2_dip, chi3_dip, G, rho)
+    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, chi2_dip, chi3_dip, G, rho, scales)
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +280,24 @@ class HomogCoefficients:
 def coefficients(cell: UnitCell1D, fields: StaticCellFunctions) -> HomogCoefficients:
     """Coefficient table from a solved corrector chain (route-consistent)."""
 
-    def mean(field: StaticField, what: str) -> float:
-        return _real(field.mean, what, cell, fields.method)
+    def mean(field: StaticField, what: str, dim: str) -> float:
+        return _real(field.mean, what, fields.scales[dim], cell, fields.method)
 
     rho = fields.rho
     rho_chi1 = rho * fields.chi1.u
     return HomogCoefficients(
         rho0=cell.mean("rho"),
-        mu0=mean(fields.chi1.flux, "mu0"),
-        rho1=mean(rho_chi1, "rho1"),
-        mu1=mean(fields.chi2.flux, "mu1"),
-        rho2=mean(rho * fields.chi2.u, "rho2"),
-        mu2=mean(fields.chi3.flux, "mu2"),
-        mu1_dip=mean(fields.chi2_dip.flux, "mu1_dip"),
-        mu2_dip=mean(fields.chi3_dip.flux, "mu2_dip"),
-        rho2_dip=mean(rho * fields.chi2_dip.u, "rho2_dip"),
-        s_g=mean(fields.eta1.flux, "s_g"),
-        s_rho=mean(rho * fields.eta0.u, "s_rho"),
-        q=mean(rho_chi1 * fields.chi1.u, "q"),
+        mu0=mean(fields.chi1.flux, "mu0", "G"),
+        rho1=mean(rho_chi1, "rho1", "rho"),
+        mu1=mean(fields.chi2.flux, "mu1", "G"),
+        rho2=mean(rho * fields.chi2.u, "rho2", "rho"),
+        mu2=mean(fields.chi3.flux, "mu2", "G"),
+        mu1_dip=mean(fields.chi2_dip.flux, "mu1_dip", "G"),
+        mu2_dip=mean(fields.chi3_dip.flux, "mu2_dip", "G"),
+        rho2_dip=mean(rho * fields.chi2_dip.u, "rho2_dip", "rho"),
+        s_g=mean(fields.eta1.flux, "s_g", "1"),
+        s_rho=mean(rho * fields.eta0.u, "s_rho", "rho/G"),
+        q=mean(rho_chi1 * fields.chi1.u, "q", "rho"),
     )
 
 
@@ -385,6 +397,7 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     error of the chosen order.
     """
     c = coeffs
+    scales = fields.scales
     out: dict[str, float] = {}
 
     solves = fields.solves()
@@ -392,7 +405,7 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     out["zero_mean"] = max(abs(s.u.mean) for s in solves.values())
 
     # flux of the modulation corrector against the density dipole
-    eta0_flux = _real(fields.eta0.flux.mean, "eta0 flux mean", cell, fields.method)
+    eta0_flux = _real(fields.eta0.flux.mean, "eta0 flux mean", scales["1"], cell, fields.method)
     target = c.rho1 / c.rho0
     out["eta0_flux_matches_density_dipole"] = abs(eta0_flux - target) / max(1.0, abs(target))
 
@@ -415,12 +428,12 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     out["first_order_mean_vanishes"] = abs(w1) / abs(w0)
 
     # <G chi1'> equals mu0 - <G> (constant-flux identity), G as the route forms it
-    g_dchi1 = _real((fields.G * fields.chi1.u.derivative()).mean, "G chi1' mean", cell, fields.method)
-    mean_g = _real(fields.G.mean, "<G>", cell, fields.method)
+    g_dchi1 = _real((fields.G * fields.chi1.u.derivative()).mean, "G chi1' mean", scales["G"], cell, fields.method)
+    mean_g = _real(fields.G.mean, "<G>", scales["G"], cell, fields.method)
     out["first_order_flux_identity"] = abs(g_dchi1 - (c.mu0 - mean_g)) / (abs(c.mu0) + mean_g)
 
     # static dipole flux against the density-weighted corrector square
-    alpha1_flux = _real(fields.alpha1.flux.mean, "alpha1 flux mean", cell, fields.method)
+    alpha1_flux = _real(fields.alpha1.flux.mean, "alpha1 flux mean", scales["rho"], cell, fields.method)
     out["static_dipole_flux_matches_covariance"] = abs(alpha1_flux - c.q) / max(
         abs(c.q), abs(alpha1_flux), 1e-12
     )
@@ -432,6 +445,6 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     out["constant_density_reduction"] = max(
         abs(comp.s_g - comp.q) / comp_scale,
         abs(comp.s_rho) / comp_scale,
-        comp_fields.eta0.u.max_abs(),
+        comp_fields.eta0.u.bound(),
     )
     return out

@@ -35,7 +35,6 @@ __all__ = [
     "solve_v_exact",
     "solve_zeta_exact",
     "averages",
-    "homogeneous_means",
 ]
 
 
@@ -155,26 +154,4 @@ def averages(w, v) -> dict[str, complex]:
         "mean_G_dkw": complex(w.mean_flux),
         "mean_G_dkv": complex(v.mean_flux),
         "mean_G": complex(v.mean_G),
-    }
-
-
-def homogeneous_means(G: float, rho: float, k: float, omega: float) -> dict[str, complex]:
-    """Closed-form averages for a uniform cell.
-
-    w = 1/(G k^2 - rho omega^2), v = i k G/(rho omega^2 - G k^2) and
-    zeta = -i/k are constants, so every average is elementary.
-    """
-    disp = G * k**2 - rho * omega**2
-    if abs(disp) < 1e-14:
-        raise ResonanceError("uniform cell is resonant where G k^2 = rho omega^2")
-    w = 1.0 / disp
-    v = 1j * k * G / (-disp)
-    return {
-        "mean_w": w,
-        "mean_v": v,
-        "mean_rho_w": rho * w,
-        "mean_rho_v": rho * v,
-        "mean_G_dkw": G * 1j * k * w,
-        "mean_G_dkv": G * 1j * k * v,
-        "mean_G": complex(G),
     }

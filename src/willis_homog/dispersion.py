@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import HomogCoefficients, two_scale_root
-from .errors import NumericalError, ResonanceError, ValidationError
+from .errors import NumericalError, ResonanceError
 from .exact import dispersion_function
 from .material import UnitCell1D, cell_digest
 from .spectral import DEFAULT_ORDER, assemble
@@ -23,7 +23,6 @@ from .willis import effective_impedance
 __all__ = [
     "DispersionBranch",
     "effective_speed",
-    "exact_bilaminate_relation",
     "exact_branch",
     "order2_branch",
     "quasistatic_branch",
@@ -53,24 +52,6 @@ class DispersionBranch:
     k: np.ndarray
     omega: np.ndarray
     terminated_at: float | None = None
-
-
-def exact_bilaminate_relation(cell: UnitCell1D, omega) -> np.ndarray | float:
-    """Closed-form dispersion function of a two-phase cell.
-
-    Returns cos(k) as a function of omega:
-    cos(w h1/c1) cos(w h2/c2) - (z1/z2 + z2/z1)/2 * sin(..) sin(..)
-    with c_j the phase speeds and z_j the phase impedances.
-    """
-    if len(cell.phases) != 2:
-        raise ValidationError("closed form needs exactly two phases")
-    p1, p2 = cell.phases
-    c1, c2 = np.sqrt(p1.G / p1.rho), np.sqrt(p2.G / p2.rho)
-    z1, z2 = np.sqrt(p1.G * p1.rho), np.sqrt(p2.G * p2.rho)
-    a1 = np.asarray(omega) * p1.length / c1
-    a2 = np.asarray(omega) * p2.length / c2
-    val = np.cos(a1) * np.cos(a2) - 0.5 * (z1 / z2 + z2 / z1) * np.sin(a1) * np.sin(a2)
-    return val if np.ndim(omega) else float(val)
 
 
 def _bisect(fn, a: float, b: float, tol: float) -> float:
@@ -104,6 +85,16 @@ def _scan_chunks(limit: float):
         yield np.array(chunk)
 
 
+def _rayleigh_bound(cell: UnitCell1D, k) -> float:
+    """1.1 max|k| c + 0.05 with c = sqrt(<G>/<rho>), above the lowest branch.
+
+    The Bloch wave exp(ikx) has Rayleigh quotient k^2 <G>/<rho>, so the
+    lowest branch lies below |k| c.
+    """
+    c = float(np.sqrt(cell.mean("G") / cell.mean("rho")))
+    return 1.1 * float(np.max(np.abs(k), initial=0.0)) * c + 0.05
+
+
 def exact_branch(
     cell: UnitCell1D,
     k_grid: np.ndarray,
@@ -112,14 +103,10 @@ def exact_branch(
 ) -> DispersionBranch:
     """Lowest branch from the transfer-matrix relation D(omega) = cos k.
 
-    ``omega_max`` defaults to the Rayleigh bound 1.1 max|k| c + 0.05 with
-    c = sqrt(<G>/<rho>): the Bloch wave exp(ikx) has Rayleigh quotient
-    k^2 <G>/<rho>, so the lowest branch lies below |k| c.
+    ``omega_max`` defaults to the Rayleigh bound (``_rayleigh_bound``).
 
     ``relation`` maps an array of omega to D(omega); it defaults to the
     general trace-based :func:`~willis_homog.exact.dispersion_function`.
-    Pass ``lambda w: exact_bilaminate_relation(cell, w)`` to use the
-    two-phase closed form.
 
     D does not depend on k, so it is scanned once, in chunks, until every
     k has its first sign change of D - cos k; then all k are bisected
@@ -129,8 +116,7 @@ def exact_branch(
     rel = relation if relation is not None else (lambda w: dispersion_function(cell, w))
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     if omega_max is None:
-        c = float(np.sqrt(cell.mean("G") / cell.mean("rho")))
-        omega_max = 1.1 * float(np.max(np.abs(k_grid), initial=0.0)) * c + 0.05
+        omega_max = _rayleigh_bound(cell, k_grid)
     targets = np.cos(k_grid)
     omegas = np.zeros_like(k_grid)
     todo = np.flatnonzero(~(np.abs(targets - 1.0) < 1e-15))
@@ -234,15 +220,22 @@ def effective_speed(c: HomogCoefficients) -> float:
 def willis_exact_root(
     cell: UnitCell1D,
     k: float,
-    omega_max: float = 20.0,
+    omega_max: float | None = None,
 ) -> float:
     """Lowest positive root in omega of the exact effective impedance.
 
-    Scans for sign changes of the (real) impedance and bisects.  Sign
-    changes across impedance poles are rejected by the magnitude of the
-    limit, so invisible eigenvalues, which leave the impedance finite and
-    rootless, are passed over automatically.
+    Scans for the first sign change of the (real) impedance and bisects it.
+    In the eigenfunction form <w> = sum_m |<phi_m>|^2 / (lam_m - omega^2)
+    (J. R. Willis, Proc. R. Soc. A 467 (2011) 1865) only the visible modes,
+    <phi_m> != 0, contribute, so <w> is positive from omega = 0 up to the
+    lowest visible eigenvalue, where it blows up and changes sign.  Z = 1/<w>
+    is there finite and positive, and first changes sign through zero at
+    that eigenvalue, the acoustic root; its poles, the zeros of <w>, lie
+    above it, and invisible eigenvalues leave it finite.  ``omega_max``
+    defaults to the Rayleigh bound, as in :func:`exact_branch`.
     """
+    if omega_max is None:
+        omega_max = _rayleigh_bound(cell, k)
 
     def z(w: float) -> float:
         for nudge in (0.0, 0.31 * SCAN_STEP, -0.29 * SCAN_STEP):
@@ -260,10 +253,7 @@ def willis_exact_root(
         w_hi = min(w_lo + SCAN_STEP, omega_max)
         fb = z(w_hi)
         if fa * fb <= 0.0:
-            root = _bisect(z, w_lo, w_hi, ROOT_TOL)
-            # a pole also flips the sign but blows up instead of vanishing
-            if abs(z(root)) < 1.0:
-                return float(root)
+            return float(_bisect(z, w_lo, w_hi, ROOT_TOL))
         w_lo, fa = w_hi, fb
     raise NumericalError(
         f"willis_exact_root: no impedance root found below omega_max = {omega_max:.6g} "

@@ -48,8 +48,9 @@ __all__ = [
     "dispersion_function",
 ]
 
-#: relative reciprocal-condition floor below which the Floquet closure is
-#: treated as resonant
+#: the Floquet closure is treated as resonant where its determinant
+#: 2 exp(-ik) (cos k - D(omega)) is below this fraction of the size of its two
+#: products; the ratio does not change under any rescaling of W or GW'
 _RCOND_FLOOR = 1e-10
 
 #: nodes within this distance of their centroid are summed as one Taylor
@@ -173,16 +174,8 @@ class ExactField:
     W = exp(ikx) u gauge; cell averages are sums of per-segment closed forms.
     """
 
-    k: float
     starts: tuple[tuple[complex, complex], ...]
     segments: tuple[_Segment, ...]
-
-    @property
-    def u_nodes(self) -> np.ndarray:
-        """u = exp(-ikx) W at the partition nodes (left segment ends)."""
-        return np.array(
-            [cmath.exp(-1j * self.k * seg.x) * y[0] for seg, y in zip(self.segments, self.starts)]
-        )
 
     @cached_property
     def _segment_means(self) -> list[complex]:
@@ -217,14 +210,6 @@ def _load_amplitude(kind: str, G: float, k: float) -> complex:
     raise ValidationError(f"unknown load kind {kind!r}")
 
 
-def _singular_values(a: complex, b: complex, c: complex, d: complex) -> tuple[float, float]:
-    """Largest and smallest singular value of [[a, b], [c, d]]."""
-    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    det = abs(a * d - b * c)
-    smax = math.sqrt(0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * det * det, 0.0))))
-    return smax, (det / smax if smax else 0.0)
-
-
 def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
     k, omega = float(k), float(omega)
     phases = cell.phases
@@ -254,13 +239,12 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
     phase = cmath.exp(-1j * k)
     a00, a01, a10, a11 = 1.0 - phase * m00, -phase * m01, -phase * m10, 1.0 - phase * m11
     r0, r1 = phase * s0, phase * s1 + d1
-    smax, smin = _singular_values(a00, a01, a10, a11)
-    if smin <= _RCOND_FLOOR * max(smax, 1.0):
+    det = a00 * a11 - a01 * a10
+    if abs(det) <= _RCOND_FLOOR * (abs(a00 * a11) + abs(a01 * a10)):
         raise ResonanceError(
             f"(k, omega) = ({k!r}, {omega!r}) lies on a Bloch branch of cell "
             f"{cell_digest(cell)}; the {kind} cell response is resonant"
         )
-    det = a00 * a11 - a01 * a10
     y = ((a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det)
 
     starts = []
@@ -269,7 +253,7 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
         y0, y1 = seg.step(*y)
         y = (y0 + seg.load[0], y1 + seg.load[1] + jump)
 
-    return ExactField(k=k, starts=tuple(starts), segments=tuple(segments))
+    return ExactField(starts=tuple(starts), segments=tuple(segments))
 
 
 def solve_monopole_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:

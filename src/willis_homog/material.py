@@ -28,7 +28,6 @@ __all__ = [
     "bilaminate",
     "homogeneous",
     "fourier_coefficients",
-    "sample",
     "cell_digest",
     "cell_from_dict",
     "cell_to_dict",
@@ -38,9 +37,6 @@ __all__ = [
 FIELD_NAMES = ("G", "rho", "1/G")
 
 _LENGTH_TOL = 1e-12
-
-#: sample points of the FourierField max_abs estimate
-FIELD_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -171,16 +167,9 @@ class FourierField:
         m = np.arange(-self.order, self.order + 1)
         return FourierField(2j * np.pi * m * self.coeffs)
 
-    def max_abs(self) -> float:
-        """L-infinity norm estimated on FIELD_SAMPLES equispaced points."""
-        return float(np.max(np.abs(self(np.linspace(0.0, 1.0, FIELD_SAMPLES, endpoint=False)))))
-
-    def coefficient(self, m: int) -> complex:
-        """c_m for |m| <= N."""
-        n = self.order
-        if abs(m) > n:
-            raise ValidationError(f"harmonic {m} outside truncation |m| <= {n}")
-        return complex(self.coeffs[m + n])
+    def bound(self) -> float:
+        """sum_m |c_m|, a bound on |f(x)| over the cell."""
+        return float(np.sum(np.abs(self.coeffs)))
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
         """Evaluate sum_m c_m exp(2*pi*i*m*x) pointwise."""
@@ -189,10 +178,6 @@ class FourierField:
         m = np.arange(-n, n + 1)
         vals = np.exp(2j * np.pi * np.multiply.outer(x, m)) @ self.coeffs
         return vals if vals.shape else complex(vals)
-
-    def conjugate_symmetry_defect(self) -> float:
-        """max_m |c_{-m} - conj(c_m)|; zero for real-valued functions."""
-        return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
 
 
 def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -230,13 +215,6 @@ def segment_index(breaks: np.ndarray, x: np.ndarray | float) -> tuple[np.ndarray
     xw = np.mod(np.asarray(x, dtype=float), 1.0)
     idx = np.clip(np.searchsorted(breaks, xw, side="right") - 1, 0, len(breaks) - 2)
     return xw, idx
-
-
-def sample(cell: UnitCell1D, x: np.ndarray | float, field: str = "G") -> np.ndarray | float:
-    """Pointwise field value, right-continuous at interfaces, periodic in x."""
-    _, idx = segment_index(cell.breakpoints, x)
-    out = cell.values(field)[idx]
-    return out if out.shape else float(out)
 
 
 def cell_to_dict(cell: UnitCell1D) -> dict:

@@ -181,10 +181,6 @@ class BlochOperator:
         """<G D_k u>, the constant mode of T(1/G)^{-1} times the covariant gradient."""
         return complex(self.G_matrix[self.index0] @ (1j * self.wavenumbers * coeffs))
 
-    def rho_norm(self, coeffs: np.ndarray) -> float:
-        """Norm induced by the mass matrix."""
-        return float(np.sqrt(np.real(np.vdot(coeffs, self.mass @ coeffs))))
-
 
 def _levinson(t: np.ndarray) -> np.ndarray:
     """First column x of T^{-1}, T the positive definite Hermitian Toeplitz

@@ -29,13 +29,11 @@ from .spectral import DEFAULT_ORDER, BlochEigensystem
 
 __all__ = [
     "EffectiveParameters",
-    "MeanFields",
     "VisibilityReport",
     "effective_impedance",
     "effective_parameters",
     "impedance_from_parameters",
     "impedance_reconstruction_residual",
-    "mean_fields",
     "classify_visibility",
     "parameters_from_averages",
     "dynamic_identity_residuals",
@@ -72,26 +70,6 @@ class EffectiveParameters:
             "couplings_conjugate": abs(self.coupling_strain + np.conj(self.coupling_velocity))
             / cscale,
         }
-
-
-@dataclass(frozen=True)
-class MeanFields:
-    """Mean strain, velocity, stress and momentum for loads (f, gamma)."""
-
-    k: float
-    omega: float
-    f: complex
-    gamma: complex
-    mean_u: complex
-    strain: complex
-    velocity: complex
-    stress: complex
-    momentum: complex
-
-    def balance_residual(self) -> float:
-        """|(-i omega) momentum - ik stress - f| over the load scale."""
-        lhs = -1j * self.omega * self.momentum - 1j * self.k * self.stress
-        return abs(lhs - self.f) / max(abs(self.f), abs(self.gamma), 1e-30)
 
 
 @dataclass(frozen=True)
@@ -218,34 +196,6 @@ def impedance_reconstruction_residual(p: EffectiveParameters, z: complex) -> flo
         + omega**2 * abs(p.density)
     )
     return float(abs(impedance_from_parameters(p) - z) / max(terms, 1e-30))
-
-
-def mean_fields(
-    cell: UnitCell1D,
-    k: float,
-    omega: float,
-    f: complex,
-    gamma: complex,
-    method: str = "exact",
-    order: int = DEFAULT_ORDER,
-) -> MeanFields:
-    """Mean kinematic and dynamic fields for constant loads (f, gamma)."""
-    w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
-    avg = averages(w, v)
-    mu = f * avg["mean_w"] + gamma * avg["mean_v"]
-    stress = f * avg["mean_G_dkw"] + gamma * avg["mean_G_dkv"] - gamma * avg["mean_G"]
-    momentum = -1j * omega * (f * avg["mean_rho_w"] + gamma * avg["mean_rho_v"])
-    return MeanFields(
-        k=float(k),
-        omega=float(omega),
-        f=complex(f),
-        gamma=complex(gamma),
-        mean_u=mu,
-        strain=1j * k * mu,
-        velocity=-1j * omega * mu,
-        stress=stress,
-        momentum=momentum,
-    )
 
 
 def classify_visibility(eigensystem: BlochEigensystem, branch: int) -> VisibilityReport:

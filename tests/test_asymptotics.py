@@ -190,6 +190,23 @@ def test_mean_route_is_zero_on_the_acoustic_cone() -> None:
     assert_allclose(row[[0, 2]], 2.0 * k**2 - np.array([0.1, 0.5]) ** 2, rtol=1e-12)
 
 
+#: a high-contrast cell whose spectral rho1, zero in the continuum, carries an
+#: imaginary part near 1e-9 of roundoff from terms of size rho0 ~ 1.4e4
+HIGH_CONTRAST = UnitCell1D(
+    (
+        Phase(0.5915613529685979, 2.0829203755954, 23498.45619076656),
+        Phase(0.4084386470314021, 24440.941463391966, 79.60091009589874),
+    )
+)
+
+
+@pytest.mark.parametrize("order", [8, 16, 32, 64, 128])
+def test_realness_is_judged_on_the_cell_scale(order: int) -> None:
+    # an absolute floor of 1 on the imaginary part rejected rho1 at every order
+    _, c = homogenize(HIGH_CONTRAST, method="spectral", order=order)
+    assert abs(c.rho1) < 1e-9 * c.rho0
+
+
 @pytest.mark.parametrize("method", ["exact", "spectral"])
 def test_complex_coefficient_names_route_and_cell(method: str) -> None:
     fields = solve_static_chain(BILAMINATE, method=method, order=32)

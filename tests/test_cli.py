@@ -261,7 +261,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "d86e71ef655acafcb3a7a496d6781906d91b4001345d59e6c0ff6039580af4df"
+VERIFICATION_N16_DIGEST = "13a6c648df2ba764c9edfcca2d7e21b80d4d9abc1b6b057227843781229fb324"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -293,6 +293,32 @@ def test_verify_does_not_crash_on_simple_cells(tmp_path: Path, capsys, cell) -> 
     cfg = write_config(tmp_path / "c.json", {"cell": cell})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
     assert "numerical error" not in capsys.readouterr().err
+
+
+def _scaled_fig2(a: float) -> dict:
+    return {"phases": [{"length": 0.5, "G": a, "rho": a}, {"length": 0.5, "G": 0.1 * a, "rho": 0.1 * a}]}
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [*(_scaled_fig2(a) for a in (1e-6, 1e-3, 1e3, 1e6)), {"homogeneous": [100, 1]}],
+    ids=["fig2*1e-6", "fig2*1e-3", "fig2*1e3", "fig2*1e6", "homogeneous(100,1)"],
+)
+def test_verify_passes_under_a_change_of_units(tmp_path: Path, cell: dict) -> None:
+    # (G, rho) -> (aG, a rho) keeps every speed, so every branch and root
+    cfg = write_config(tmp_path / "c.json", {"cell": cell})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def test_spectral_coeffs_of_a_high_contrast_cell(tmp_path: Path) -> None:
+    cell = {
+        "phases": [
+            {"length": 0.5915613529685979, "G": 2.0829203755954, "rho": 23498.45619076656},
+            {"length": 0.4084386470314021, "G": 24440.941463391966, "rho": 79.60091009589874},
+        ]
+    }
+    cfg = write_config(tmp_path / "c.json", {"cell": cell, "route": "spectral"})
+    assert main(["coeffs", "--config", cfg, "--basis-n", "32", "--out", str(tmp_path)]) == 0
 
 
 def test_numerical_error_in_a_check_group_is_a_failing_check(capsys) -> None:

@@ -10,14 +10,13 @@ from willis_homog.asymptotics import homogenize
 from willis_homog.dispersion import (
     SCAN_STEP,
     effective_speed,
-    exact_bilaminate_relation,
     exact_branch,
     order2_branch,
     quasistatic_branch,
     spectral_acoustic_branch,
     willis_exact_root,
 )
-from willis_homog.errors import NumericalError, ValidationError
+from willis_homog.errors import NumericalError
 from willis_homog.exact import dispersion_function
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import BRANCH_RTOL, DEFAULT_ORDER
@@ -27,6 +26,20 @@ BILAMINATE = bilaminate(0.1, 0.1)
 # first root of the half-trace hitting -1 (the k = pi band edge), found by
 # bisection on the closed-form relation
 BAND_EDGE = 1.2251094766784818
+
+
+def exact_bilaminate_relation(cell: UnitCell1D, omega):
+    """Closed-form half-trace D(omega) of a two-phase cell, an oracle for the trace route.
+
+    cos(w h1/c1) cos(w h2/c2) - (z1/z2 + z2/z1)/2 sin(w h1/c1) sin(w h2/c2)
+    with c_j the phase speeds and z_j the phase impedances.
+    """
+    p1, p2 = cell.phases
+    c1, c2 = np.sqrt(p1.G / p1.rho), np.sqrt(p2.G / p2.rho)
+    z1, z2 = np.sqrt(p1.G * p1.rho), np.sqrt(p2.G * p2.rho)
+    a1 = np.asarray(omega) * p1.length / c1
+    a2 = np.asarray(omega) * p2.length / c2
+    return np.cos(a1) * np.cos(a2) - 0.5 * (z1 / z2 + z2 / z1) * np.sin(a1) * np.sin(a2)
 
 
 def test_uniform_cell_branch_is_linear() -> None:
@@ -41,14 +54,6 @@ def test_closed_form_relation_matches_trace() -> None:
         lhs = exact_bilaminate_relation(BILAMINATE, omega)
         rhs = dispersion_function(BILAMINATE, omega)
         assert abs(lhs - rhs) < 1e-12
-
-
-def test_closed_form_relation_needs_two_phases() -> None:
-    cell = UnitCell1D(
-        phases=(Phase(0.3, 1.0, 1.0), Phase(0.5, 0.2, 3.0), Phase(0.2, 2.5, 0.4))
-    )
-    with pytest.raises(ValidationError):
-        exact_bilaminate_relation(cell, 1.0)
 
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 1.5, 2.0, 3.0])
@@ -130,6 +135,19 @@ def test_mirror_with_reversed_wavenumber_keeps_the_spectral_branch(cell: UnitCel
     mirrored = UnitCell1D(tuple(reversed(cell.phases)))
     w = spectral_acoustic_branch(cell, [k]).omega[0]
     assert abs(spectral_acoustic_branch(mirrored, [-k]).omega[0] - w) <= 1e-8 * w
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(cell=resolved_cells(), log_a=st.floats(-6.0, 6.0))
+def test_impedance_root_is_unit_free(cell: UnitCell1D, log_a: float) -> None:
+    # (G, rho) -> (aG, a rho) keeps every speed, so every root; Z -> a Z
+    a = 10.0**log_a
+    scaled = UnitCell1D(tuple(Phase(p.length, a * p.G, a * p.rho) for p in cell.phases))
+    for k in (0.5, 1.5):
+        w_branch = exact_branch(scaled, [k]).omega[0]
+        w_root = willis_exact_root(scaled, k)
+        assert abs(w_root - w_branch) <= 1e-9 * w_branch, cell_digest(scaled)
+        assert abs(w_root - willis_exact_root(cell, k)) <= 1e-9 * w_root, cell_digest(scaled)
 
 
 def test_order2_branch_improves_on_quasistatic() -> None:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from willis_homog.cell_functions import (
     averages,
-    homogeneous_means,
     solve_v_exact,
     solve_w_exact,
     solve_zeta_exact,
@@ -20,6 +19,27 @@ from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, ho
 from willis_homog.willis import effective_impedance
 
 BILAMINATE = bilaminate(0.1, 0.1)
+
+
+def homogeneous_means(G: float, rho: float, k: float, omega: float) -> dict[str, complex]:
+    """Closed-form averages of a uniform cell, an oracle for the exact solver.
+
+    w = 1/(G k^2 - rho omega^2), v = i k G/(rho omega^2 - G k^2) and
+    zeta = -i/k are constants, so every average is elementary.
+    """
+    w = 1.0 / (G * k**2 - rho * omega**2)
+    v = -1j * k * G * w
+    return {
+        "mean_w": w,
+        "mean_v": v,
+        "mean_rho_w": rho * w,
+        "mean_rho_v": rho * v,
+        "mean_G_dkw": G * 1j * k * w,
+        "mean_G_dkv": G * 1j * k * v,
+        "mean_G": complex(G),
+    }
+
+
 CELLS = {
     "bilaminate": BILAMINATE,
     "three": UnitCell1D((Phase(0.3, 2.0, 0.5), Phase(0.45, 0.3, 3.0), Phase(0.25, 5.0, 1.2))),

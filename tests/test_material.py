@@ -15,7 +15,6 @@ from willis_homog.material import (
     cell_to_dict,
     fourier_coefficients,
     homogeneous,
-    sample,
 )
 
 
@@ -54,11 +53,12 @@ def test_fourier_coefficients_match_half_cell_formula() -> None:
     cell = bilaminate(0.2, 0.3)
     field = fourier_coefficients(cell, "G", 8)
     v1, v2 = 1.0, 0.3
-    assert abs(field.coefficient(0) - (v1 + v2) / 2) < 1e-15
+    c = dict(zip(range(-8, 9), field.coeffs))
+    assert abs(c[0] - (v1 + v2) / 2) < 1e-15
     for m in (-3, 1, 5):
-        assert abs(field.coefficient(m) - (-1j * (v1 - v2) / (np.pi * m))) < 1e-15
+        assert abs(c[m] - (-1j * (v1 - v2) / (np.pi * m))) < 1e-15
     for m in (-4, 2, 6):
-        assert abs(field.coefficient(m)) < 1e-15
+        assert abs(c[m]) < 1e-15
 
 
 def test_fourier_mean_is_cell_mean() -> None:
@@ -74,14 +74,14 @@ def test_fourier_field_evaluation_converges_off_interfaces() -> None:
     errs = []
     for n in (16, 64, 256):
         field = fourier_coefficients(cell, "rho", n)
-        errs.append(np.max(np.abs(field(x) - sample(cell, x, "rho"))))
+        errs.append(np.max(np.abs(field(x) - [1.0, 0.1])))
     assert errs[2] < errs[0]
 
 
 def test_conjugate_symmetry_of_real_fields() -> None:
     cell = bilaminate(0.3, 0.7)
     field = fourier_coefficients(cell, "G", 12)
-    assert field.conjugate_symmetry_defect() < 1e-15
+    assert np.max(np.abs(field.coeffs[::-1] - np.conj(field.coeffs))) < 1e-15
 
 
 def _direct_truncated(a: np.ndarray, b: np.ndarray, n: int, op) -> np.ndarray:
@@ -120,7 +120,7 @@ def test_fourier_field_scalar_algebra_and_calculus() -> None:
     # d/dx exp(2 pi i x) = 2 pi i exp(2 pi i x)
     e1 = FourierField(np.array([0.0, 0.0, 1.0]))
     assert_allclose(e1.derivative()(x), 2j * np.pi * e1(x), atol=1e-13)
-    assert e1.max_abs() == pytest.approx(1.0)
+    assert e1.bound() == 1.0
 
 
 def test_dict_roundtrip_preserves_cell() -> None:

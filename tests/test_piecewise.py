@@ -13,6 +13,14 @@ def quadratic_example() -> PiecewisePoly:
     return PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=[[0.0, 0.0, 1.0], [0.5, -1.0, 0.0]])
 
 
+def test_bound_is_the_coefficient_sum_on_the_worst_segment() -> None:
+    f = quadratic_example()
+    # segment sums: 1 * 0.5^2 = 0.25 and 0.5 + |-1| * 0.5 = 1
+    assert f.bound() == 1.0
+    x = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs((f * f - 3.0)(x))) <= (f * f - 3.0).bound()
+
+
 def test_call_matches_local_polynomials() -> None:
     f = quadratic_example()
     x = np.array([0.1, 0.3, 0.6, 0.9])

@@ -21,6 +21,11 @@ from willis_homog.spectral import (
 )
 
 
+def rho_norm(op, c: np.ndarray) -> float:
+    """Norm induced by the mass matrix."""
+    return float(np.sqrt(np.vdot(c, op.mass @ c).real))
+
+
 def test_matrices_are_hermitian() -> None:
     op = assemble(bilaminate(0.2, 0.4), 0.7, 24)
     a_scale = np.max(np.abs(op.stiffness))
@@ -63,7 +68,7 @@ def test_resolvent_matches_modal_solution() -> None:
         load = op.dipole_load()
         direct = resolvent_solve(op, omega, load)
         modal = eig.modal_solution(load, omega**2)
-        assert op.rho_norm(direct - modal) < 1e-8 * max(op.rho_norm(direct), 1e-30)
+        assert rho_norm(op, direct - modal) < 1e-8 * max(rho_norm(op, direct), 1e-30)
 
 
 def test_resolvent_refuses_resonant_frequency() -> None:

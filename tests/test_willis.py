@@ -14,7 +14,6 @@ from willis_homog.willis import (
     effective_impedance,
     effective_parameters,
     impedance_from_parameters,
-    mean_fields,
 )
 
 BILAMINATE = bilaminate(0.1, 0.1)
@@ -72,11 +71,6 @@ def test_uniform_cell_parameters_have_no_coupling() -> None:
     assert_allclose(p.stiffness, 2.0, rtol=1e-10)
     assert abs(p.coupling_strain) < 1e-10
     assert abs(p.coupling_velocity) < 1e-10
-
-
-def test_mean_field_balance() -> None:
-    fields = mean_fields(BILAMINATE, 0.7, 0.3, f=1.0, gamma=0.25j, method="exact")
-    assert fields.balance_residual() < 1e-12
 
 
 def test_impedance_vanishes_on_acoustic_branch() -> None:
@@ -161,7 +155,6 @@ def test_every_entry_point_rejects_an_unknown_method() -> None:
     calls = [
         lambda m: effective_impedance(BILAMINATE, 0.5, 0.2, method=m),
         lambda m: effective_parameters(BILAMINATE, 0.5, 0.2, method=m),
-        lambda m: mean_fields(BILAMINATE, 0.5, 0.2, f=1.0, gamma=0.0, method=m),
         lambda m: dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method=m),
     ]
     for call in calls:
@@ -181,7 +174,6 @@ def test_spectral_loads_at_one_point_share_one_resolvent_solve(monkeypatch) -> N
     for run, expected in (
         (lambda: effective_impedance(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
         (lambda: effective_parameters(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
-        (lambda: mean_fields(BILAMINATE, 0.5, 0.2, 1.0, 0.0, method="spectral", order=32), 1),
         (lambda: dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method="spectral", order=32), 1),
     ):
         calls.clear()
