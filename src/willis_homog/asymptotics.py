@@ -47,7 +47,8 @@ __all__ = [
     "willis_impedance_order2",
 ]
 
-#: relative tolerance on the source mean of an exact-route cell problem
+#: relative tolerance on the source mean of a cell problem, against the
+#: larger of the source's bound and the cell's size for its dimension
 SOLVABILITY_RTOL = 1e-9
 
 #: denominators smaller than this abort a polynomial ratio
@@ -88,13 +89,16 @@ class InverseRuleG:
 class StaticSolve:
     """One corrector: zero-mean periodic field ``u`` and total flux G(u'+F).
 
-    ``residual`` is the periodicity defect (exact route) or the relative
+    ``scale`` is the cell's size for the flux's dimension (``UnitCell1D.scales``);
+    that of ``u`` is ``scale`` times <1/G>.  ``residual`` is the periodicity
+    defect relative to those sizes (exact route) or the relative
     linear-system residual (spectral route).
     """
 
     u: StaticField
     flux: StaticField
     residual: float
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -102,12 +106,11 @@ class StaticCellFunctions:
     """The corrector chain of one cell on one route.
 
     ``chi1/chi2/chi3`` drive the source-side expansion, ``chi2_dip`` and
-    ``chi3_dip`` the dipole-side one (their balance laws coincide with the
-    source-side ones at second order in 1D), ``eta0/eta1`` carry the source
-    modulation and ``alpha1`` the static dipole response.  ``G`` and
-    ``rho`` are the cell's coefficient fields on the same route; on the
-    spectral route ``G`` is Li's product (``InverseRuleG``).  ``scales``
-    holds the cell's size of an average of each dimension (``_scales``).
+    ``chi3_dip`` the dipole-side one (the same fields in 1D, see
+    ``solve_static_chain``), ``eta0/eta1`` carry the source modulation and
+    ``alpha1`` the static dipole response.  ``G`` and ``rho`` are the cell's
+    coefficient fields on the same route; on the spectral route ``G`` is
+    Li's product (``InverseRuleG``).
     """
 
     method: str
@@ -122,7 +125,6 @@ class StaticCellFunctions:
     chi3_dip: StaticSolve
     G: PiecewisePoly | InverseRuleG
     rho: StaticField
-    scales: dict[str, float]
 
     def solves(self) -> dict[str, StaticSolve]:
         return {name: v for name, v in vars(self).items() if isinstance(v, StaticSolve)}
@@ -131,14 +133,6 @@ class StaticCellFunctions:
 def _at(cell: UnitCell1D, method: str) -> str:
     """Route and cell of a static computation, for error messages."""
     return f"{method} route, cell {cell_digest(cell)}"
-
-
-def _scales(cell: UnitCell1D) -> dict[str, float]:
-    """Size of a cell average of each dimension: the harmonic mean mu_h =
-    <1/G>^-1 for moduli ("G"), rho0 for densities ("rho"), rho0 / mu_h for
-    s_rho ("rho/G") and 1 for the dimensionless ("1")."""
-    mu_h, rho0 = 1.0 / cell.mean("1/G"), cell.mean("rho")
-    return {"G": mu_h, "rho": rho0, "rho/G": rho0 / mu_h, "1": 1.0}
 
 
 def _real(value: complex, what: str, scale: float, cell: UnitCell1D, method: str) -> float:
@@ -156,9 +150,9 @@ def _exact_route(cell: UnitCell1D):
     one = piecewise_constant(cell, np.ones(len(cell.phases)))
     G, rho, inv_g = (piecewise_constant(cell, cell.values(name)) for name in ("G", "rho", "1/G"))
 
-    def solve(F: PiecewisePoly, r: PiecewisePoly) -> StaticSolve:
+    def solve(F: PiecewisePoly, r: PiecewisePoly, scale: float) -> StaticSolve:
         mean_r = r.mean
-        if abs(mean_r) > SOLVABILITY_RTOL * max(1.0, r.bound()):
+        if abs(mean_r) > SOLVABILITY_RTOL * max(scale, r.bound()):
             raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'exact')})")
         # flux form: G(u' + F) = R + C with R the zero-mean antiderivative of r
         R = (r - mean_r).antiderivative()
@@ -166,10 +160,10 @@ def _exact_route(cell: UnitCell1D):
         du = (R + C) * inv_g - F
         u = du.antiderivative().zero_mean()
         flux = R + C
-        residual = max(u.periodicity_defect(), flux.periodicity_defect())
-        return StaticSolve(u=u, flux=flux, residual=residual)
+        residual = max(u.periodicity_defect() * cell.scales["G"], flux.periodicity_defect()) / scale
+        return StaticSolve(u=u, flux=flux, residual=residual, scale=scale)
 
-    return one, G, rho, lambda *pairs: [solve(F, r) for F, r in pairs]
+    return one, G, rho, lambda *triples: [solve(*t) for t in triples]
 
 
 def _spectral_route(cell: UnitCell1D, order: int):
@@ -179,25 +173,25 @@ def _spectral_route(cell: UnitCell1D, order: int):
     keep = np.arange(op.size) != op.index0
     stiff_red = op.stiffness[np.ix_(keep, keep)]
 
-    def solve(*pairs: tuple[FourierField, FourierField]) -> list[StaticSolve]:
-        """Solves for (F, r) pairs that do not depend on each other, in one factorization."""
+    def solve(*triples: tuple[FourierField, FourierField, float]) -> list[StaticSolve]:
+        """Solves for (F, r, scale) triples that do not depend on each other, in one factorization."""
         b_red = []
-        for F, r in pairs:
+        for F, r, scale in triples:
             mean_r = r.mean
-            if abs(mean_r) > SOLVABILITY_RTOL * max(1.0, r.bound()):
+            if abs(mean_r) > SOLVABILITY_RTOL * max(scale, r.bound()):
                 raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'spectral')})")
             # the reduced system drops the mean, so r enters without it
             b_red.append(((G * F).derivative() - r).coeffs[keep])
         c_red = np.linalg.solve(stiff_red, np.stack(b_red, axis=1))
-        c = np.zeros((len(pairs), op.size), dtype=complex)
+        c = np.zeros((len(triples), op.size), dtype=complex)
         c[:, keep] = c_red.T
         out = []
-        for j, (F, _) in enumerate(pairs):
+        for j, (F, _, scale) in enumerate(triples):
             u = FourierField(c[j])
             residual = float(
-                np.linalg.norm(stiff_red @ c_red[:, j] - b_red[j]) / max(1.0, np.linalg.norm(b_red[j]))
+                np.linalg.norm(stiff_red @ c_red[:, j] - b_red[j]) / max(scale, np.linalg.norm(b_red[j]))
             )
-            out.append(StaticSolve(u=u, flux=G * (u.derivative() + F), residual=residual))
+            out.append(StaticSolve(u=u, flux=G * (u.derivative() + F), residual=residual, scale=scale))
         return out
 
     return FourierField(np.zeros(op.size)) + 1.0, G, op.rho_hat, solve
@@ -221,28 +215,25 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
     else:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'spectral'")
     zero = one * 0.0
-    rho0 = cell.mean("rho")
-    scales = _scales(cell)
+    mu_h, rho0 = cell.scales["G"], cell.scales["rho"]
 
-    # one solve call per level of the chain's dependencies
-    chi1, eta0 = solve((one, zero), (zero, (rho - rho0) * (1.0 / rho0)))
-    mu0 = _real(chi1.flux.mean, "mu0", scales["G"], cell, method)
+    # one solve call per level of the chain's dependencies, each source with
+    # the cell's size for its flux's dimension
+    chi1, eta0 = solve((one, zero, mu_h), (zero, (rho - rho0) * (1.0 / rho0), 1.0))
+    mu0 = _real(chi1.flux.mean, "mu0", mu_h, cell, method)
     rho_chi1 = rho * chi1.u
-    rho1 = _real(rho_chi1.mean, "rho1", scales["rho"], cell, method)
+    rho1 = _real(rho_chi1.mean, "rho1", rho0, cell, method)
     chi2, eta1, alpha1 = solve(
-        (chi1.u, rho * (mu0 / rho0) - chi1.flux),
-        (eta0.u, rho_chi1 * (1.0 / rho0) - eta0.flux),
-        (zero, rho_chi1 - rho1),
+        (chi1.u, rho * (mu0 / rho0) - chi1.flux, mu_h),
+        (eta0.u, rho_chi1 * (1.0 / rho0) - eta0.flux, 1.0),
+        (zero, rho_chi1 - rho1, rho0),
     )
-    # the dipole-side second corrector solves the same balance law in 1D
-    chi2_dip = chi2
-    mu1_dip = _real(chi2_dip.flux.mean, "mu1_dip", scales["G"], cell, method)
-    chi3, chi3_dip = solve(
-        (chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux),
-        (chi2_dip.u, (rho_chi1 - rho1) * (mu0 / rho0) + mu1_dip - chi2_dip.flux),
-    )
+    (chi3,) = solve((chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux, mu_h))
+    # the dipole-side sources differ from these by constants, which the exact
+    # solve subtracts with the source mean and the spectral one has no mode for
+    chi2_dip, chi3_dip = chi2, chi3
     order = None if method == "exact" else int(order)
-    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, chi2_dip, chi3_dip, G, rho, scales)
+    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, chi2_dip, chi3_dip, G, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +272,7 @@ def coefficients(cell: UnitCell1D, fields: StaticCellFunctions) -> HomogCoeffici
     """Coefficient table from a solved corrector chain (route-consistent)."""
 
     def mean(field: StaticField, what: str, dim: str) -> float:
-        return _real(field.mean, what, fields.scales[dim], cell, fields.method)
+        return _real(field.mean, what, cell.scales[dim], cell, fields.method)
 
     rho = fields.rho
     rho_chi1 = rho * fields.chi1.u
@@ -397,12 +388,13 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     error of the chosen order.
     """
     c = coeffs
-    scales = fields.scales
+    scales = cell.scales
     out: dict[str, float] = {}
 
     solves = fields.solves()
     out["solver_residual"] = max(s.residual for s in solves.values())
-    out["zero_mean"] = max(abs(s.u.mean) for s in solves.values())
+    # the size of u is its flux's size times <1/G> = 1 / mu_h
+    out["zero_mean"] = max(abs(s.u.mean) * scales["G"] / s.scale for s in solves.values())
 
     # flux of the modulation corrector against the density dipole
     eta0_flux = _real(fields.eta0.flux.mean, "eta0 flux mean", scales["1"], cell, fields.method)
@@ -418,7 +410,7 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     k, w = IDENTITY_PROBE
     ik = 1j * k
     z0 = -c.mu0 * k**2 + c.rho0 * w**2
-    if abs(z0) <= MODULATION_FLOOR:
+    if abs(z0) <= MODULATION_FLOOR * (c.mu0 * k**2 + c.rho0 * w**2):
         raise NumericalError(
             f"probe (k, omega) = ({k!r}, {w!r}) sits on the leading-order acoustic cone "
             f"({_at(cell, fields.method)})"

@@ -30,10 +30,10 @@ __all__ = [
     "willis_exact_root",
 ]
 
-#: omega scan step when bracketing roots
+#: omega scan step when bracketing roots, in units of the Rayleigh speed c
 SCAN_STEP = 0.01
 
-#: bisection tolerance on omega
+#: bisection tolerance on omega, in units of c
 ROOT_TOL = 1e-12
 
 #: omega points per D(omega) evaluation while scanning for brackets
@@ -68,15 +68,15 @@ def _bisect(fn, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_chunks(limit: float):
-    """Scan points 0, SCAN_STEP, 2 SCAN_STEP, ... up to ``limit``, in chunks.
+def _scan_chunks(step: float, limit: float):
+    """Scan points 0, step, 2 step, ... up to ``limit``, in chunks.
 
-    The points come from the repeated ``min(a + SCAN_STEP, limit)``
-    accumulation of a point-by-point scan, so they carry the same bits.
+    The points come from the repeated ``min(a + step, limit)`` accumulation
+    of a point-by-point scan, so they carry the same bits.
     """
     a, chunk = 0.0, [0.0]
     while a < limit:
-        a = min(a + SCAN_STEP, limit)
+        a = min(a + step, limit)
         chunk.append(a)
         if len(chunk) == SCAN_CHUNK:
             yield np.array(chunk)
@@ -86,13 +86,8 @@ def _scan_chunks(limit: float):
 
 
 def _rayleigh_bound(cell: UnitCell1D, k) -> float:
-    """1.1 max|k| c + 0.05 with c = sqrt(<G>/<rho>), above the lowest branch.
-
-    The Bloch wave exp(ikx) has Rayleigh quotient k^2 <G>/<rho>, so the
-    lowest branch lies below |k| c.
-    """
-    c = float(np.sqrt(cell.mean("G") / cell.mean("rho")))
-    return 1.1 * float(np.max(np.abs(k), initial=0.0)) * c + 0.05
+    """(1.1 max|k| + 0.05) c, above the lowest branch (``UnitCell1D.c``)."""
+    return (1.1 * float(np.max(np.abs(k), initial=0.0)) + 0.05) * cell.c
 
 
 def exact_branch(
@@ -103,7 +98,9 @@ def exact_branch(
 ) -> DispersionBranch:
     """Lowest branch from the transfer-matrix relation D(omega) = cos k.
 
-    ``omega_max`` defaults to the Rayleigh bound (``_rayleigh_bound``).
+    ``omega_max`` defaults to the Rayleigh bound (``_rayleigh_bound``); the
+    scan step and the bisection tolerance are ``SCAN_STEP`` and ``ROOT_TOL``
+    times the cell's Rayleigh speed c.
 
     ``relation`` maps an array of omega to D(omega); it defaults to the
     general trace-based :func:`~willis_homog.exact.dispersion_function`.
@@ -126,7 +123,7 @@ def exact_branch(
     a, b, fa = np.empty_like(t), np.empty_like(t), np.empty_like(t)
     unbracketed = np.ones(t.size, dtype=bool)
     w_last = d_last = None
-    for w in _scan_chunks(omega_max):
+    for w in _scan_chunks(SCAN_STEP * cell.c, omega_max):
         if not unbracketed.any():
             break
         d = rel(w)
@@ -150,11 +147,11 @@ def exact_branch(
             f"in cell {cell_digest(cell)}"
         )
 
-    # lockstep bisection; a root is final once its bracket is within ROOT_TOL
-    live = np.arange(t.size)
+    # lockstep bisection; a root is final once its bracket is within ROOT_TOL c
+    live, tol = np.arange(t.size), ROOT_TOL * cell.c
     for _ in range(200):
         mid = 0.5 * (a + b)
-        done = b - a <= ROOT_TOL
+        done = b - a <= tol
         omegas[todo[live[done]]] = mid[done]
         keep = ~done
         live, a, b, fa, t, mid = live[keep], a[keep], b[keep], fa[keep], t[keep], mid[keep]
@@ -231,29 +228,27 @@ def willis_exact_root(
     lowest visible eigenvalue, where it blows up and changes sign.  Z = 1/<w>
     is there finite and positive, and first changes sign through zero at
     that eigenvalue, the acoustic root; its poles, the zeros of <w>, lie
-    above it, and invisible eigenvalues leave it finite.  ``omega_max``
-    defaults to the Rayleigh bound, as in :func:`exact_branch`.
+    above it, and invisible eigenvalues leave it finite.  So a point the
+    exact route finds resonant before the first sign change lies on that
+    branch, where Z = 0.  ``omega_max`` defaults to the Rayleigh bound, and
+    the scan is in units of c, as in :func:`exact_branch`.
     """
     if omega_max is None:
         omega_max = _rayleigh_bound(cell, k)
 
     def z(w: float) -> float:
-        for nudge in (0.0, 0.31 * SCAN_STEP, -0.29 * SCAN_STEP):
-            try:
-                return effective_impedance(cell, k, w + nudge, method="exact").real
-            except ResonanceError:
-                continue
-        raise NumericalError(
-            f"willis_exact_root: impedance not evaluable near omega = {w:.6g} at k = {float(k)!r} "
-            f"(omega_max = {omega_max:.6g}) in cell {cell_digest(cell)}"
-        )
+        try:
+            return effective_impedance(cell, k, w, method="exact").real
+        except ResonanceError:
+            return 0.0
 
-    w_lo, fa = 1e-9, z(1e-9)
+    c = cell.c
+    w_lo, fa = 1e-9 * c, z(1e-9 * c)
     while w_lo < omega_max:
-        w_hi = min(w_lo + SCAN_STEP, omega_max)
+        w_hi = min(w_lo + SCAN_STEP * c, omega_max)
         fb = z(w_hi)
         if fa * fb <= 0.0:
-            return float(_bisect(z, w_lo, w_hi, ROOT_TOL))
+            return float(_bisect(z, w_lo, w_hi, ROOT_TOL * c))
         w_lo, fa = w_hi, fb
     raise NumericalError(
         f"willis_exact_root: no impedance root found below omega_max = {omega_max:.6g} "

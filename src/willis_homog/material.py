@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,24 @@ class UnitCell1D:
         """Cell average of a coefficient field."""
         lengths = np.array([p.length for p in self.phases])
         return float(np.dot(lengths, self.values(field)))
+
+    @cached_property
+    def scales(self) -> dict[str, float]:
+        """The cell's size of an average of each dimension, which every tolerance
+        floor reads: mu_h = <1/G>^-1 for moduli ("G"), rho0 = <rho> for
+        densities ("rho"), rho0 / mu_h for "rho/G" and 1 for the dimensionless."""
+        mu_h, rho0 = 1.0 / self.mean("1/G"), self.mean("rho")
+        return {"G": mu_h, "rho": rho0, "rho/G": rho0 / mu_h, "1": 1.0}
+
+    @cached_property
+    def c(self) -> float:
+        """Rayleigh speed sqrt(<G>/<rho>); the lowest branch lies below |k| c."""
+        return float(np.sqrt(self.mean("G") / self.mean("rho")))
+
+    @cached_property
+    def c0(self) -> float:
+        """Quasistatic speed sqrt(mu_h / rho0), the branch's slope at k = 0."""
+        return float(np.sqrt(self.scales["G"] / self.scales["rho"]))
 
 
 def bilaminate(gamma_rho: float, gamma_G: float) -> UnitCell1D:

@@ -59,7 +59,8 @@ DEFAULT_ORDER = 32
 #: verify accepts, at any N
 BRANCH_RTOL = 1e-3
 
-#: relative half-width of the resonance window around discrete eigenvalues
+#: relative half-width of the resonance window around discrete eigenvalues,
+#: |lam - omega^2| < RESONANCE_RTOL (|lam| + c^2) with c the Rayleigh speed
 RESONANCE_RTOL = 1e-8
 
 #: relative residual bound enforced on every resolvent solve
@@ -133,19 +134,20 @@ class BlochOperator:
     def resonance_distance(self, omega_sq: float) -> tuple[float, float]:
         """(relative distance, nearest eigenvalue) for a squared frequency."""
         lam = self.eigenvalues
-        rel = np.abs(lam - omega_sq) / (1.0 + np.abs(lam))
+        rel = np.abs(lam - omega_sq) / (np.abs(lam) + self.cell.c**2)
         j = int(np.argmin(rel))
         return float(rel[j]), float(lam[j])
 
     def check_resonance(self, omega_sq: float) -> None:
         """Raise ResonanceError inside the resonance window of an eigenvalue.
 
-        The window |lam - omega^2| < RESONANCE_RTOL (1 + |lam|) lies below
-        sigma = (omega^2 + RESONANCE_RTOL) / (1 - RESONANCE_RTOL), so one
-        Cholesky factorization of A - sigma B clears it; the eigenvalue
-        list is read only when that factorization fails.
+        The window |lam - omega^2| < RESONANCE_RTOL (|lam| + c^2), with c
+        the cell's Rayleigh speed, lies below sigma = (omega^2 +
+        RESONANCE_RTOL c^2) / (1 - RESONANCE_RTOL), so one Cholesky
+        factorization of A - sigma B clears it; the eigenvalue list is read
+        only when that factorization fails.
         """
-        sigma = (omega_sq + RESONANCE_RTOL) / (1.0 - RESONANCE_RTOL)
+        sigma = (omega_sq + RESONANCE_RTOL * self.cell.c**2) / (1.0 - RESONANCE_RTOL)
         if self._all_above(sigma):
             return
         rel, lam_near = self.resonance_distance(omega_sq)

@@ -39,7 +39,7 @@ __all__ = [
     "dynamic_identity_residuals",
 ]
 
-#: |<w>| below this is treated as a zero-mean cell response
+#: <w> is treated as zero where |<w>| (<G> k^2 + <rho> omega^2) is below this
 ZERO_MEAN_TOL = 1e-12
 
 #: visibility threshold on |<phi_j>|
@@ -91,8 +91,13 @@ class VisibilityReport:
 
 
 def impedance_from_mean(mean_w: complex, cell: UnitCell1D, k: float, omega: float) -> complex:
-    """Z = 1/<w>; ZeroMeanImpedanceError where <w> is numerically zero."""
-    if abs(mean_w) <= ZERO_MEAN_TOL:
+    """Z = 1/<w>; ZeroMeanImpedanceError where <w> is numerically zero.
+
+    <w> is judged against the inverse of the cell's size for an impedance,
+    <G> k^2 + <rho> omega^2 = <rho> ((c k)^2 + omega^2).
+    """
+    z_scale = cell.scales["rho"] * ((cell.c * k) ** 2 + omega**2)
+    if abs(mean_w) * z_scale <= ZERO_MEAN_TOL:
         raise ZeroMeanImpedanceError(
             f"<w> = {mean_w:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
             f"on cell {cell_digest(cell)}; the effective impedance is undefined there"
@@ -268,7 +273,7 @@ def dynamic_identity_residuals(
     )
     res["mean_identity_flux"] = abs(
         ik * mfv - ik * mG - om2 * np.conj(mrv)
-    ) / max(abs(ik * mfv), 1.0)
+    ) / max(abs(ik * mfv), abs(ik * mG))
     res["mean_identity_monopole_flux"] = abs(mfw - np.conj(mv)) / max(abs(mv), 1e-30)
 
     p_direct = parameters_from_averages(cell, avg, k, omega, "direct")

@@ -11,12 +11,16 @@ import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_dispersion import resolved_cells
 from willis_homog.asymptotics import homogenize
 from willis_homog import cli
 from willis_homog.cli import build_config, build_verification_report, main
+from willis_homog.dispersion import exact_branch
 from willis_homog.errors import ConfigError
-from willis_homog.material import bilaminate
+from willis_homog.material import Phase, UnitCell1D, bilaminate
 from willis_homog.spectral import DEFAULT_ORDER
 
 
@@ -261,7 +265,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "13a6c648df2ba764c9edfcca2d7e21b80d4d9abc1b6b057227843781229fb324"
+VERIFICATION_N16_DIGEST = "409422df552e79b90008f0816538a9e80f5f940179c0c156ca4d1ef5f63505ed"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -295,19 +299,37 @@ def test_verify_does_not_crash_on_simple_cells(tmp_path: Path, capsys, cell) -> 
     assert "numerical error" not in capsys.readouterr().err
 
 
-def _scaled_fig2(a: float) -> dict:
-    return {"phases": [{"length": 0.5, "G": a, "rho": a}, {"length": 0.5, "G": 0.1 * a, "rho": 0.1 * a}]}
+def _scaled_fig2(a: float, b: float) -> dict:
+    return {"phases": [{"length": 0.5, "G": a, "rho": b}, {"length": 0.5, "G": 0.1 * a, "rho": 0.1 * b}]}
+
+
+_SCALE_IDS = {1e-6: "1e-6", 1e-3: "1e-3", 1.0: "1", 1e3: "1e3", 1e6: "1e6"}
+
+#: (a, b) of fig2's cell scaled by (G, rho) -> (aG, b rho), every speed by sqrt(a/b)
+_UNIT_CHANGES = [
+    *((a, a) for a in (1e-6, 1e-3, 1e3, 1e6)),
+    *((a, b) for a in (1e-6, 1.0, 1e6) for b in (1e-6, 1.0, 1e6) if a != b),
+]
 
 
 @pytest.mark.parametrize(
     "cell",
-    [*(_scaled_fig2(a) for a in (1e-6, 1e-3, 1e3, 1e6)), {"homogeneous": [100, 1]}],
-    ids=["fig2*1e-6", "fig2*1e-3", "fig2*1e3", "fig2*1e6", "homogeneous(100,1)"],
+    [*(_scaled_fig2(a, b) for a, b in _UNIT_CHANGES), {"homogeneous": [100, 1]}],
+    ids=[*(f"fig2*{_SCALE_IDS[a]}" if a == b else f"fig2*({_SCALE_IDS[a]},{_SCALE_IDS[b]})" for a, b in _UNIT_CHANGES), "homogeneous(100,1)"],
 )
 def test_verify_passes_under_a_change_of_units(tmp_path: Path, cell: dict) -> None:
-    # (G, rho) -> (aG, a rho) keeps every speed, so every branch and root
+    # every threshold is in the cell's own scales, so no verdict depends on the units
     cfg = write_config(tmp_path / "c.json", {"cell": cell})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(cell=resolved_cells(), log_a=st.floats(-6.0, 6.0), log_b=st.floats(-6.0, 6.0))
+def test_verify_passes_on_resolved_cells_in_any_units(cell: UnitCell1D, log_a: float, log_b: float) -> None:
+    a, b = 10.0**log_a, 10.0**log_b
+    scaled = UnitCell1D(tuple(Phase(p.length, a * p.G, b * p.rho) for p in cell.phases))
+    report = build_verification_report(scaled)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
 def test_spectral_coeffs_of_a_high_contrast_cell(tmp_path: Path) -> None:
@@ -333,18 +355,18 @@ def test_numerical_error_in_a_check_group_is_a_failing_check(capsys) -> None:
     assert "two-scale branch terminates" in capsys.readouterr().err
 
 
-def test_verify_moves_a_resonant_default_probe(tmp_path: Path, capsys) -> None:
+def test_verify_default_probe_clears_a_slow_cell(tmp_path: Path, capsys) -> None:
     # the cell's speed is 0.4, so its branch passes through (0.5, 0.2)
     cfg = write_config(tmp_path / "c.json", {"cell": {"homogeneous": [0.16, 1]}})
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
-    err = capsys.readouterr().err
-    assert "numerical error" not in err
-    assert "default probe is resonant" in err and "(0.5, 0.08" in err
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_keeps_the_default_probe_off_the_branch(capsys) -> None:
-    report = build_verification_report(bilaminate(0.1, 0.1))
-    assert report == build_verification_report(bilaminate(0.1, 0.1), probe=(0.5, 0.2))
+    cell = bilaminate(0.1, 0.1)
+    w_branch = exact_branch(cell, [0.5]).omega[0]
+    report = build_verification_report(cell)
+    assert report == build_verification_report(cell, probe=(0.5, 0.7 * w_branch))
     assert capsys.readouterr().err == ""
 
 
