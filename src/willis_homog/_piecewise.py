@@ -119,11 +119,6 @@ class PiecewisePoly:
         out = _horner(self.coeffs[idx.ravel()], (xw - self.breaks[idx]).ravel()).reshape(xw.shape)
         return out if out.shape else complex(out)
 
-    def periodicity_defect(self) -> float:
-        """|p(1-) - p(0+)|; zero for a continuous periodic function."""
-        end = _horner(self.coeffs[-1:], self.lengths[-1:])[0]
-        return abs(complex(end) - complex(self.coeffs[0, 0]))
-
     def zero_mean(self) -> "PiecewisePoly":
         return self - self.mean
 

@@ -186,6 +186,16 @@ class FourierField:
         m = np.arange(-self.order, self.order + 1)
         return FourierField(2j * np.pi * m * self.coeffs)
 
+    def antiderivative(self) -> "FourierField":
+        """The zero-mean antiderivative c_m / (2 pi i m); the mean c_0 has none and is dropped."""
+        m = np.arange(-self.order, self.order + 1)
+        c = np.zeros_like(self.coeffs)
+        np.divide(self.coeffs, 2j * np.pi * m, out=c, where=m != 0)
+        return FourierField(c)
+
+    def zero_mean(self) -> "FourierField":
+        return self - self.mean
+
     def bound(self) -> float:
         """sum_m |c_m|, a bound on |f(x)| over the cell."""
         return float(np.sum(np.abs(self.coeffs)))

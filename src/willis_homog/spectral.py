@@ -9,14 +9,15 @@ matrices are
 with K = diag(k_m) and T(f) the Toeplitz matrix T[m, n] = f_hat[m - n].
 The flux G D_k u is continuous across the interfaces while G and D_k u
 jump, so G multiplies a strain by Li's inverse rule, T(1/G)^{-1} (L. Li,
-JOSA A 13 (1996) 1870), not by Laurent's T(G), whose product converges
-only like 1/N on a discontinuous cell.  The stiffness, the dipole load and
-the mean flux all read that one matrix.  Both A and B are Hermitian and B
-is positive definite, so the generalized eigenproblem A c = lambda B c has
-a real spectrum with rho-orthonormal eigenvectors.  Cell responses come
-either from the resolvent (direct solve of (A - omega^2 B) c = r) or from
-the modal expansion, which must agree to roundoff when all 2N+1 modes are
-kept.
+JOSA A 13 (1996) 1870), not by Laurent's T(G), whose product converges only
+like 1/N on a discontinuous cell.  The stiffness, the dipole load and the
+mean flux all read that one matrix; the static chain (``asymptotics``)
+divides by G through its inverse T(1/G), so it solves this system at k = 0
+without a factorization.  Both A and B are Hermitian and B is positive
+definite, so A c = lambda B c has a real spectrum with rho-orthonormal
+eigenvectors.  Cell responses come either from the resolvent (direct solve
+of (A - omega^2 B) c = r) or from the modal expansion, which must agree to
+roundoff when all 2N+1 modes are kept.
 
 The resolvent never forms the spectrum.  By Sylvester's law of inertia a
 Cholesky factorization of A - sigma B succeeds exactly when every
@@ -36,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, ResonanceError, ValidationError
-from .material import FourierField, UnitCell1D, cell_digest, fourier_coefficients
+from .material import UnitCell1D, cell_digest, fourier_coefficients
 
 __all__ = [
     "BlochOperator",
@@ -66,7 +67,8 @@ RESONANCE_RTOL = 1e-8
 #: relative residual bound enforced on every resolvent solve
 RESIDUAL_RTOL = 1e-10
 
-#: relative gap under which neighbouring eigenvalues form one cluster
+#: relative gap under which neighbouring eigenvalues form one cluster,
+#: |lam_j - lam_{j+1}| < CLUSTER_RTOL (|lam| + c^2) as in the resonance window
 CLUSTER_RTOL = 1e-8
 
 
@@ -91,7 +93,6 @@ class BlochOperator:
     stiffness: np.ndarray
     mass: np.ndarray
     G_matrix: np.ndarray
-    rho_hat: FourierField
 
     @property
     def size(self) -> int:
@@ -264,7 +265,6 @@ def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
         stiffness=G_matrix * np.outer(km, km),
         mass=B,
         G_matrix=G_matrix,
-        rho_hat=rho_hat,
     )
 
 
@@ -293,12 +293,13 @@ class BlochEigensystem:
     def cluster(self, index: int) -> np.ndarray:
         """Indices of the near-degenerate group containing one mode."""
         lam = self.eigenvalues
+        c_sq = self.operator.cell.c**2
         lo = index
-        while lo > 0 and abs(lam[lo] - lam[lo - 1]) < CLUSTER_RTOL * (1.0 + abs(lam[lo])):
+        while lo > 0 and abs(lam[lo] - lam[lo - 1]) < CLUSTER_RTOL * (abs(lam[lo]) + c_sq):
             lo -= 1
         hi = index
         while hi + 1 < lam.size and abs(lam[hi + 1] - lam[hi]) < CLUSTER_RTOL * (
-            1.0 + abs(lam[hi])
+            abs(lam[hi]) + c_sq
         ):
             hi += 1
         return np.arange(lo, hi + 1)

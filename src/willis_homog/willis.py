@@ -42,7 +42,8 @@ __all__ = [
 #: <w> is treated as zero where |<w>| (<G> k^2 + <rho> omega^2) is below this
 ZERO_MEAN_TOL = 1e-12
 
-#: visibility threshold on |<phi_j>|
+#: visibility threshold on |<phi_j>| sqrt(rho0): a rho-orthonormal mode has the
+#: unit rho^-1/2, and sqrt(rho0) puts its mean (and its dipole load) in the cell's
 VISIBILITY_TOL = 1e-6
 
 ROUTES = ("direct", "symmetric")
@@ -219,9 +220,10 @@ def classify_visibility(eigensystem: BlochEigensystem, branch: int) -> Visibilit
     means = tuple(complex(m) for m in eigensystem.means[cluster])
     dip = eigensystem.projection(eigensystem.operator.dipole_load())
     dips = tuple(complex(d) for d in dip[cluster])
-    visible = max(abs(m) for m in means) > VISIBILITY_TOL
+    unit = np.sqrt(eigensystem.operator.cell.scales["rho"])
+    visible = max(abs(m) for m in means) * unit > VISIBILITY_TOL
     load_scale = max(np.linalg.norm(eigensystem.operator.dipole_load()), 1e-30)
-    solvable = max(abs(d) for d in dips) <= VISIBILITY_TOL * load_scale
+    solvable = max(abs(d) for d in dips) * unit <= VISIBILITY_TOL * load_scale
     if not visible and solvable:
         behavior = "continuous"
     elif visible and len(cluster) == 1:

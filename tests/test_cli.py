@@ -265,7 +265,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "409422df552e79b90008f0816538a9e80f5f940179c0c156ca4d1ef5f63505ed"
+VERIFICATION_N16_DIGEST = "8b86592e31dddeb40bc7fa890051a3a25265a5b8bf51471365e80bedb6cfc91d"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -358,6 +358,13 @@ def test_numerical_error_in_a_check_group_is_a_failing_check(capsys) -> None:
 def test_verify_default_probe_clears_a_slow_cell(tmp_path: Path, capsys) -> None:
     # the cell's speed is 0.4, so its branch passes through (0.5, 0.2)
     cfg = write_config(tmp_path / "c.json", {"cell": {"homogeneous": [0.16, 1]}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_identity_probe_clears_every_cone(tmp_path: Path, capsys) -> None:
+    # c0 = 0.3 put the absolute identity probe (1, 0.3) on this cell's cone
+    cfg = write_config(tmp_path / "c.json", {"cell": {"homogeneous": [0.09, 1]}})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""
 

@@ -154,6 +154,17 @@ def test_impedance_root_is_unit_free(cell: UnitCell1D, log_a: float, log_b: floa
         assert abs(w_root - speed * willis_exact_root(cell, k)) <= 1e-9 * w_root, cell_digest(scaled)
 
 
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(cell=resolved_cells(), log_a=st.floats(-6.0, 6.0), log_b=st.floats(-6.0, 6.0))
+def test_spectral_branch_is_unit_free(cell: UnitCell1D, log_a: float, log_b: float) -> None:
+    # (G, rho) -> (aG, b rho) scales the Galerkin eigenvalues by a/b
+    a, b = 10.0**log_a, 10.0**log_b
+    scaled = UnitCell1D(tuple(Phase(p.length, a * p.G, b * p.rho) for p in cell.phases))
+    w = spectral_acoustic_branch(cell, [0.5, 1.5], order=16).omega
+    w_scaled = spectral_acoustic_branch(scaled, [0.5, 1.5], order=16).omega
+    assert_allclose(w_scaled, np.sqrt(a / b) * w, rtol=1e-9, err_msg=cell_digest(scaled))
+
+
 def test_order2_branch_improves_on_quasistatic() -> None:
     _, coeffs = homogenize(BILAMINATE, method="exact")
     k = np.linspace(0.5, 2.0, 7)

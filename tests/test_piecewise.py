@@ -75,14 +75,6 @@ def test_zero_mean_shifts_the_mean_only() -> None:
     assert_allclose(f(x) - g(x), f.mean, atol=1e-14)
 
 
-def test_periodicity_defect_detects_jump() -> None:
-    f = quadratic_example()
-    # f(0) = 0 but f(1-) = 0, so the example is periodic; x^2 alone is not
-    assert f.periodicity_defect() < 1e-15
-    g = PiecewisePoly(breaks=(0.0, 1.0), coeffs=[[0.0, 1.0]])
-    assert g.periodicity_defect() == pytest.approx(1.0)
-
-
 def test_piecewise_constant_from_cell() -> None:
     cell = bilaminate(0.1, 0.1)
     g = piecewise_constant(cell, cell.values("G"))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from willis_homog import cell_functions, exact
 from willis_homog.errors import ResonanceError, ValidationError
-from willis_homog.material import bilaminate, cell_digest, homogeneous
+from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble, solve_eigensystem
 from willis_homog.willis import (
     classify_visibility,
@@ -96,6 +96,21 @@ def test_visibility_of_bilaminate_acoustic_branch() -> None:
     eig = solve_eigensystem(assemble(BILAMINATE, 0.5, 64))
     rep = classify_visibility(eig, 0)
     assert rep.classification == "Visible"
+
+
+def test_visibility_is_judged_in_the_cell_units() -> None:
+    # a rho-orthonormal mode scales as rho^-1/2, so |<phi_0>| is near 1e-7 here
+    rep = classify_visibility(solve_eigensystem(assemble(homogeneous(1e14, 1e14), 0.5, 16)), 0)
+    assert rep.visible
+    assert rep.parameter_behavior == "cancellation"
+
+
+def test_clusters_are_judged_in_the_cell_units() -> None:
+    # fig2's cell scaled by (1e-6 G, 1e6 rho): every eigenvalue lies below 1e-8
+    scaled = UnitCell1D(tuple(Phase(p.length, 1e-6 * p.G, 1e6 * p.rho) for p in BILAMINATE.phases))
+    rep = classify_visibility(solve_eigensystem(assemble(scaled, 0.5, 16)), 0)
+    assert rep.cluster == (0,)
+    assert rep.parameter_behavior == "cancellation"
 
 
 def test_impedance_featureless_through_invisible_eigenvalue() -> None:
