@@ -12,7 +12,7 @@ from Horner's rule started at the top coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,10 +31,11 @@ def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return value
 
 
-def _lead(row: np.ndarray) -> np.ndarray:
-    """A coefficient row without its trailing zeros (at least one entry)."""
-    nonzero = np.flatnonzero(row)
-    return row[: nonzero[-1] + 1] if nonzero.size else row[:1]
+def _lead_sizes(coeffs: np.ndarray) -> list[int]:
+    """Per row, the number of coefficients up to the last nonzero one (at least one)."""
+    nonzero = coeffs != 0
+    last = coeffs.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), last, 1).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +44,7 @@ class PiecewisePoly:
 
     breaks: np.ndarray
     coeffs: np.ndarray
+    lengths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         breaks = np.asarray(self.breaks, dtype=float)
@@ -51,15 +53,19 @@ class PiecewisePoly:
             raise ValidationError("need one coefficient row per segment")
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "lengths", np.diff(breaks))
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return np.diff(self.breaks)
+    def _new(self, coeffs: np.ndarray) -> "PiecewisePoly":
+        """The field on this partition of a complex (segments, width) array that
+        an operation just built, without the public constructor's checks."""
+        out = object.__new__(PiecewisePoly)
+        out.__dict__.update(breaks=self.breaks, coeffs=coeffs, lengths=self.lengths)
+        return out
 
     def _operand(self, other) -> np.ndarray:
         """Coefficient array of a field on the same partition, or of a constant."""
         if isinstance(other, PiecewisePoly):
-            if not np.array_equal(self.breaks, other.breaks):
+            if other.breaks is not self.breaks and not np.array_equal(self.breaks, other.breaks):
                 raise ValidationError("piecewise operands live on different partitions")
             return other.coeffs
         return np.full((self.coeffs.shape[0], 1), other, dtype=complex)
@@ -70,12 +76,12 @@ class PiecewisePoly:
             a, b = b, a
         out = a.copy()
         out[:, : b.shape[1]] += b
-        return PiecewisePoly(self.breaks, out)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiecewisePoly":
-        return PiecewisePoly(self.breaks, -self.coeffs)
+        return self._new(-self.coeffs)
 
     def __sub__(self, other) -> "PiecewisePoly":
         return self + (-other)
@@ -85,34 +91,42 @@ class PiecewisePoly:
 
     def __mul__(self, other) -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):
-            return PiecewisePoly(self.breaks, self.coeffs * other)
-        rows = [np.convolve(_lead(a), _lead(b)) for a, b in zip(self.coeffs, self._operand(other))]
-        width = max(r.size for r in rows)
-        return PiecewisePoly(self.breaks, np.stack([np.pad(r, (0, width - r.size)) for r in rows]))
+            return self._new(self.coeffs * other)
+        a, b = self.coeffs, self._operand(other)
+        la, lb = _lead_sizes(a), _lead_sizes(b)
+        out = np.zeros((a.shape[0], max(map(sum, zip(la, lb))) - 1), dtype=complex)
+        for row, x, y, i, j in zip(out, a, b, la, lb):
+            row[: i + j - 1] = np.convolve(x[:i], y[:j])
+        return self._new(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "PiecewisePoly":
         shifted = np.pad(self.coeffs[:, 1:], ((0, 0), (0, 1)))
-        return PiecewisePoly(self.breaks, shifted * np.arange(1, shifted.shape[1] + 1))
+        return self._new(shifted * np.arange(1, shifted.shape[1] + 1))
 
     def _primitive(self) -> tuple[np.ndarray, np.ndarray]:
-        """(per-segment primitives vanishing at x_j, their increments over each segment)."""
+        """(per-segment primitives vanishing at x_j, their running integrals from 0
+        to each x_{j+1}); notes the mean, the last of those."""
         c = self.coeffs
         prim = np.zeros((c.shape[0], c.shape[1] + 1), dtype=complex)
         prim[:, 1:] = c / np.arange(1, c.shape[1] + 1)
-        return prim, _horner(prim, self.lengths)
+        ends = np.cumsum(_horner(prim, self.lengths))
+        self.__dict__["_mean"] = complex(ends[-1])
+        return prim, ends
 
     def antiderivative(self) -> "PiecewisePoly":
         """Continuous antiderivative, zero at x = 0."""
-        prim, increments = self._primitive()
-        prim[1:, 0] = np.cumsum(increments[:-1])
-        return PiecewisePoly(self.breaks, prim)
+        prim, ends = self._primitive()
+        prim[1:, 0] = ends[:-1]
+        return self._new(prim)
 
     @property
     def mean(self) -> complex:
-        """Exact integral over the unit cell."""
-        return complex(np.cumsum(self._primitive()[1])[-1])
+        """Exact integral over the unit cell (computed once)."""
+        if "_mean" not in self.__dict__:
+            self._primitive()
+        return self.__dict__["_mean"]
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
         xw, idx = segment_index(self.breaks, x)

@@ -17,7 +17,9 @@ multiplies Fourier series truncated at order N (``material.FourierField``)
 and divides by G through T_N(1/G), the inverse of Li's-rule G in the
 stiffness of ``spectral.assemble``.  So its correctors are that Galerkin
 system's solution at k = 0, reached without a factorization, and mu0 is the
-harmonic mean <1/G>^-1 at any N.  Two oracles share no code with the recipe:
+harmonic mean <1/G>^-1 at any N.  Li's G itself, T(1/G)^{-1}, is formed on
+demand (``InverseRuleG``): only ``identity_suite`` reads it, so ``homogenize``
+forms none.  Two oracles share no code with the recipe:
 the frozen rational coefficients of ``bilaminate(0.1, 0.1)`` in the tests,
 and ``verify``'s ``polynomial/*_matches_oracle`` checks against the exact
 dynamic impedance of the transfer-matrix route.
@@ -26,14 +28,14 @@ dynamic impedance of the transfer-matrix route.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from ._piecewise import PiecewisePoly, piecewise_constant
 from .errors import NumericalError, SolvabilityError, ValidationError
 from .material import FourierField, Phase, UnitCell1D, cell_digest, fourier_coefficients
-from .spectral import DEFAULT_ORDER, toeplitz_inverse
+from .spectral import DEFAULT_ORDER, check_order, toeplitz_inverse
 
 __all__ = [
     "HomogCoefficients",
@@ -71,9 +73,18 @@ StaticField = PiecewisePoly | FourierField
 
 @dataclass(frozen=True, eq=False)
 class InverseRuleG:
-    """G as the spectral route multiplies a strain: T(1/G)^{-1} on order-N fields."""
+    """G as the spectral route multiplies a strain: T(1/G)^{-1} on order-N fields.
 
-    matrix: np.ndarray
+    ``column`` is the first column of T(1/G), the coefficients m = 0..2N of
+    1/G; the O(N^2) inverse is formed when G is first multiplied or averaged,
+    which only ``identity_suite`` does.
+    """
+
+    column: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return toeplitz_inverse(self.column)
 
     def __mul__(self, field: FourierField) -> FourierField:
         return FourierField(self.matrix @ field.coeffs)
@@ -188,9 +199,9 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
     elif method == "spectral":
         # the unit field and G (Li's rule) at order N, rho and 1/G at order 2N, so a
         # product with rho or 1/G is its Toeplitz matrix T_N, as the Galerkin rows read it
-        order = int(order)
-        inv_g, rho = (fourier_coefficients(cell, name, 2 * order) for name in ("1/G", "rho"))
-        G = InverseRuleG(toeplitz_inverse(inv_g.coeffs[2 * order :]))
+        order = check_order(order)
+        inv_g, rho = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
+        G = InverseRuleG(inv_g.coeffs[2 * order :])
         one = FourierField(np.zeros(2 * order + 1)) + 1.0
     else:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'spectral'")

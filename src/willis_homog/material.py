@@ -72,10 +72,13 @@ class UnitCell1D:
                 f"phase lengths must sum to 1 within {_LENGTH_TOL}, got {total!r}"
             )
 
-    @property
+    @cached_property
     def breakpoints(self) -> np.ndarray:
-        """Segment boundaries 0 = x_0 < x_1 < ... < x_P = 1."""
-        return np.concatenate(([0.0], np.cumsum([p.length for p in self.phases])))
+        """Segment boundaries 0 = x_0 < x_1 < ... < x_P = 1 (read-only, one array
+        per cell, so fields built on it share their partition)."""
+        breaks = np.concatenate(([0.0], np.cumsum([p.length for p in self.phases])))
+        breaks.flags.writeable = False
+        return breaks
 
     def values(self, field: str) -> np.ndarray:
         """Per-segment values of one of the fields 'G', 'rho' or '1/G'."""
@@ -154,14 +157,14 @@ class FourierField:
         if not isinstance(other, FourierField):
             c = self.coeffs.copy()
             c[self.order] += other
-            return FourierField(c)
+            return _field(c)
         n = min(self.order, other.order)
-        return FourierField(_centre(self.coeffs, n) + _centre(other.coeffs, n))
+        return _field(_centre(self.coeffs, n) + _centre(other.coeffs, n))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FourierField":
-        return FourierField(-self.coeffs)
+        return _field(-self.coeffs)
 
     def __sub__(self, other) -> "FourierField":
         return self + (-other)
@@ -172,26 +175,28 @@ class FourierField:
     def __mul__(self, other) -> "FourierField":
         """Product; of two fields, truncated to the lower of their orders."""
         if not isinstance(other, FourierField):
-            return FourierField(self.coeffs * other)
+            return _field(self.coeffs * other)
         a, b = (self, other) if self.order >= other.order else (other, self)
         n = b.order
         if a.order >= 2 * n:
             # the harmonics |m| <= n draw on those of a up to 2n only
-            return FourierField(np.convolve(_centre(a.coeffs, 2 * n), b.coeffs, mode="valid"))
-        return FourierField(_centre(np.convolve(a.coeffs, b.coeffs), n))
+            return _field(np.convolve(_centre(a.coeffs, 2 * n), b.coeffs, mode="valid"))
+        return _field(_centre(np.convolve(a.coeffs, b.coeffs), n))
 
     __rmul__ = __mul__
 
     def derivative(self) -> "FourierField":
         m = np.arange(-self.order, self.order + 1)
-        return FourierField(2j * np.pi * m * self.coeffs)
+        return _field(2j * np.pi * m * self.coeffs)
 
     def antiderivative(self) -> "FourierField":
         """The zero-mean antiderivative c_m / (2 pi i m); the mean c_0 has none and is dropped."""
-        m = np.arange(-self.order, self.order + 1)
-        c = np.zeros_like(self.coeffs)
-        np.divide(self.coeffs, 2j * np.pi * m, out=c, where=m != 0)
-        return FourierField(c)
+        n = self.order
+        m = np.arange(-n, n + 1)
+        m[n] = 1
+        c = self.coeffs / (2j * np.pi * m)
+        c[n] = 0.0
+        return _field(c)
 
     def zero_mean(self) -> "FourierField":
         return self - self.mean
@@ -209,34 +214,47 @@ class FourierField:
         return vals if vals.shape else complex(vals)
 
 
+def _field(coeffs: np.ndarray) -> FourierField:
+    """The field of a 1-D complex array of odd length that an operation just
+    built, without the public constructor's checks."""
+    field = object.__new__(FourierField)
+    field.__dict__["coeffs"] = coeffs
+    return field
+
+
 def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
     """The harmonics |m| <= order of a centred coefficient array."""
     mid = coeffs.size // 2
     return coeffs[mid - order : mid + order + 1]
 
 
-def fourier_coefficients(cell: UnitCell1D, field: str, N: int) -> FourierField:
-    """Closed-form Fourier coefficients of G, rho or 1/G up to order N.
+def fourier_coefficients(
+    cell: UnitCell1D, field: str | tuple[str, ...], N: int
+) -> FourierField | tuple[FourierField, ...]:
+    """Closed-form Fourier coefficients of G, rho or 1/G up to order N, or a tuple
+    of fields for a tuple of names, all from one table of exponentials.
 
     Each segment [a, b] with value v contributes v*(b - a) to c_0 and
-    v*(exp(-2*pi*i*m*b) - exp(-2*pi*i*m*a)) / (-2*pi*i*m) to c_m.
+    v*(exp(-2*pi*i*m*b) - exp(-2*pi*i*m*a)) / (-2*pi*i*m) to c_m; each
+    exponential is taken once, at its breakpoint.
     """
     if N < 0:
         raise ValidationError(f"truncation order must be >= 0, got {N}")
-    vals = cell.values(field)
     breaks = cell.breakpoints
-    a, b = breaks[:-1], breaks[1:]
-
     m = np.arange(-N, N + 1)
-    coeffs = np.zeros(2 * N + 1, dtype=complex)
     nonzero = m != 0
     mm = m[nonzero]
-    phase = np.exp(-2j * np.pi * np.multiply.outer(mm, b)) - np.exp(
-        -2j * np.pi * np.multiply.outer(mm, a)
-    )
-    coeffs[nonzero] = (phase @ vals) / (-2j * np.pi * mm)
-    coeffs[N] = np.dot(b - a, vals)
-    return FourierField(coeffs)
+    exps = np.exp(-2j * np.pi * np.multiply.outer(mm, breaks))
+    phase = exps[:, 1:] - exps[:, :-1]
+    lengths, divisor = breaks[1:] - breaks[:-1], -2j * np.pi * mm
+    fields = []
+    for name in (field,) if isinstance(field, str) else field:
+        vals = cell.values(name)
+        coeffs = np.empty(2 * N + 1, dtype=complex)
+        coeffs[nonzero] = (phase @ vals) / divisor
+        coeffs[N] = np.dot(lengths, vals)
+        fields.append(_field(coeffs))
+    return fields[0] if isinstance(field, str) else tuple(fields)
 
 
 def segment_index(breaks: np.ndarray, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:

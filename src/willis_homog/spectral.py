@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError, ResonanceError, ValidationError
 from .material import UnitCell1D, cell_digest, fourier_coefficients
@@ -43,6 +43,7 @@ __all__ = [
     "BlochOperator",
     "BlochEigensystem",
     "assemble",
+    "check_order",
     "solve_eigensystem",
     "resolvent_solve",
     "toeplitz_inverse",
@@ -226,16 +227,25 @@ def toeplitz_inverse(t: np.ndarray) -> np.ndarray:
     # lower triangle is overwritten from the upper one
     shear = np.empty((n, n + 1), dtype=complex)
     sums = shear[:, :n]
-    padded = np.zeros(2 * n - 1, dtype=complex)  # window [s, d] = conj(v[s + d]), zero past the end
-    padded[:n] = x.conj()
-    np.multiply((x * scale)[:, None], sliding_window_view(padded, n)[:n], out=sums)
-    padded[:n] = y.conj()
-    sums -= (y * scale)[:, None] * sliding_window_view(padded, n)[:n]
+    padded = np.zeros((2, 2 * n - 1), dtype=complex)  # windows [v, s, d] = conj(v[s + d]), zero past the end
+    padded[0, :n], padded[1, :n] = x.conj(), y.conj()
+    step, item = padded.strides
+    windows = as_strided(padded, (2, n, n), (step, item, item), writeable=False)
+    np.multiply((x * scale)[:, None], windows[0], out=sums)
+    sums -= (y * scale)[:, None] * windows[1]
     np.cumsum(sums, axis=0, out=sums)
     inverse = shear.ravel()[: n * n].reshape(n, n)
     np.copyto(inverse, inverse.T.conj(), where=np.tri(n, k=-1, dtype=bool))
     inverse.flat[:: n + 1] = inverse.diagonal().real
     return inverse
+
+
+def check_order(order) -> int:
+    """A truncation half-order as an int: an integer (numpy's too, not a bool)
+    of at least MIN_ORDER, else ValidationError."""
+    if isinstance(order, (int, np.integer)) and not isinstance(order, bool) and order >= MIN_ORDER:
+        return int(order)
+    raise ValidationError(f"order must be an integer >= {MIN_ORDER}, got {order!r}")
 
 
 def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
@@ -249,10 +259,8 @@ def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
     order : int
         Truncation half-order N; the basis holds 2N+1 modes.
     """
-    if order < MIN_ORDER:
-        raise ValidationError(f"order must be >= {MIN_ORDER}, got {order}")
-    inv_G_hat = fourier_coefficients(cell, "1/G", 2 * order)
-    rho_hat = fourier_coefficients(cell, "rho", 2 * order)
+    order = check_order(order)
+    inv_G_hat, rho_hat = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
     G_matrix = toeplitz_inverse(inv_G_hat.coeffs[2 * order :])
     m = np.arange(-order, order + 1)
     km = 2.0 * np.pi * m + float(k)

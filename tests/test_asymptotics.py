@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from willis_homog import asymptotics
 from willis_homog.asymptotics import (
     HomogCoefficients,
     InverseRuleG,
@@ -31,7 +33,7 @@ from willis_homog.material import (
     fourier_coefficients,
     homogeneous,
 )
-from willis_homog.spectral import assemble
+from willis_homog.spectral import assemble, toeplitz_inverse
 from willis_homog.willis import effective_impedance
 
 BILAMINATE = bilaminate(0.1, 0.1)
@@ -258,14 +260,16 @@ def _galerkin_chain(cell: UnitCell1D, order: int) -> StaticCellFunctions:
     op = assemble(cell, 0.0, order)
     keep = np.arange(op.size) != op.index0
     stiffness = op.stiffness[np.ix_(keep, keep)]
-    G = InverseRuleG(op.G_matrix)
-    rho = fourier_coefficients(cell, "rho", 2 * order)
+    inv_g, rho = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
+
+    def G(f: FourierField) -> FourierField:
+        return FourierField(op.G_matrix @ f.coeffs)
 
     def solve(F: FourierField, r: FourierField, scale: float) -> StaticSolve:
         c = np.zeros(op.size, dtype=complex)
-        c[keep] = np.linalg.solve(stiffness, ((G * F).derivative() - r).coeffs[keep])
+        c[keep] = np.linalg.solve(stiffness, (G(F).derivative() - r).coeffs[keep])
         u = FourierField(c)
-        return StaticSolve(u=u, flux=G * (u.derivative() + F), residual=0.0, scale=scale)
+        return StaticSolve(u=u, flux=G(u.derivative() + F), residual=0.0, scale=scale)
 
     one = FourierField(np.zeros(op.size)) + 1.0
     zero = one * 0.0
@@ -278,7 +282,8 @@ def _galerkin_chain(cell: UnitCell1D, order: int) -> StaticCellFunctions:
     eta1 = solve(eta0.u, rho_chi1 * (1.0 / rho0) - eta0.flux, 1.0)
     alpha1 = solve(zero, rho_chi1 - rho_chi1.mean.real, rho0)
     chi3 = solve(chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux, mu_h)
-    return StaticCellFunctions("spectral", order, chi1, chi2, chi3, eta0, eta1, alpha1, G, rho)
+    G_rule = InverseRuleG(inv_g.coeffs[2 * order :])
+    return StaticCellFunctions("spectral", order, chi1, chi2, chi3, eta0, eta1, alpha1, G_rule, rho)
 
 
 def _random_cells(count: int, seed: int) -> list[UnitCell1D]:
@@ -316,6 +321,39 @@ def test_spectral_chain_is_the_galerkin_solution(order: int) -> None:
         for name, value in got.to_dict().items():
             size = max(abs(oracle[name]), cell.scales[DIMENSIONS[name]])
             assert abs(value - oracle[name]) <= 1e-12 * size, (cell_digest(cell), name)
+
+
+#: sha256 over ORACLE_CELLS of repr(homogenize(cell, method, order)[1].to_dict()):
+#: the coefficient tables' bits, which a reordered sum or product on a
+#: multi-phase cell would move (the exact route ignores the order)
+COEFFICIENT_DIGESTS = {
+    ("exact", 32): "6bb3712c58daf81eeae53ee704f616bb9aeeb78149de0f486f42c08f63510025",
+    ("spectral", 8): "90a4580749fbeca6ad6b2e038ef9e369f1bc5a1b8af8e2464bb4c6d2d05ab9ed",
+    ("spectral", 32): "d20a49082095cd67cae4a0efdcb94de3e00744b4c95d6e03cdba3ab841be41fb",
+}
+
+
+@pytest.mark.parametrize(("method", "order"), list(COEFFICIENT_DIGESTS))
+def test_coefficient_tables_are_pinned_across_cells(method: str, order: int) -> None:
+    digest = hashlib.sha256()
+    for cell in ORACLE_CELLS:
+        digest.update(repr(homogenize(cell, method, order)[1].to_dict()).encode())
+    assert digest.hexdigest() == COEFFICIENT_DIGESTS[method, order]
+
+
+def test_li_g_is_formed_only_when_identity_suite_reads_it(monkeypatch) -> None:
+    sizes = []
+
+    def counted(column):
+        sizes.append(column.size)
+        return toeplitz_inverse(column)
+
+    monkeypatch.setattr(asymptotics, "toeplitz_inverse", counted)
+    fields, coeffs = homogenize(BILAMINATE, method="spectral", order=16)
+    assert sizes == []
+    # once for the chain's G; the constant-density companion never reads its own
+    identity_suite(BILAMINATE, fields, coeffs)
+    assert sizes == [33]
 
 
 def test_spectral_chain_factors_nothing(monkeypatch) -> None:

@@ -137,3 +137,24 @@ def test_digest_distinguishes_cells() -> None:
     b = cell_digest(bilaminate(0.1, 0.2))
     assert a != b
     assert len(a) == 12
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros(4), np.zeros((3, 3)), np.zeros(0)])
+def test_fourier_field_rejects_a_malformed_array(coeffs) -> None:
+    # operations build their results unchecked; the public constructor checks
+    with pytest.raises(ValidationError, match="odd length"):
+        FourierField(coeffs)
+
+
+def test_fourier_coefficients_of_several_fields_share_one_table() -> None:
+    cell = UnitCell1D((Phase(0.2, 1.0, 3.0), Phase(0.3, 7.0, 0.5), Phase(0.5, 2.0, 1.0)))
+    inv_g, rho = fourier_coefficients(cell, ("1/G", "rho"), 12)
+    assert np.array_equal(inv_g.coeffs, fourier_coefficients(cell, "1/G", 12).coeffs)
+    assert np.array_equal(rho.coeffs, fourier_coefficients(cell, "rho", 12).coeffs)
+
+
+def test_breakpoints_are_one_read_only_array_per_cell() -> None:
+    cell = bilaminate(0.1, 0.1)
+    assert cell.breakpoints is cell.breakpoints
+    with pytest.raises(ValueError):
+        cell.breakpoints[1] = 0.25

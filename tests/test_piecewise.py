@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog._piecewise import PiecewisePoly, piecewise_constant
+from willis_homog.errors import ValidationError
 from willis_homog.material import bilaminate
 
 
@@ -80,3 +81,21 @@ def test_piecewise_constant_from_cell() -> None:
     g = piecewise_constant(cell, cell.values("G"))
     assert_allclose([g(0.2), g(0.8)], [1.0, 0.1], atol=1e-15)
     assert_allclose(g.mean, 0.55, rtol=1e-15)
+
+
+def test_constructor_rejects_rows_that_miss_the_partition() -> None:
+    # operations build their results unchecked; the public constructor checks
+    with pytest.raises(ValidationError, match="one coefficient row per segment"):
+        PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=[[1.0, 2.0]])
+    with pytest.raises(ValidationError, match="one coefficient row per segment"):
+        PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=np.zeros((2, 0)))
+
+
+def test_operands_on_different_partitions_are_refused() -> None:
+    f = quadratic_example()
+    g = PiecewisePoly(breaks=(0.0, 0.25, 1.0), coeffs=[[1.0], [2.0]])
+    with pytest.raises(ValidationError, match="different partitions"):
+        f * g
+    # an equal partition held in another array is the same partition
+    same = PiecewisePoly(breaks=np.array([0.0, 0.5, 1.0]), coeffs=[[1.0], [2.0]])
+    assert (f * same).mean == pytest.approx(1 / 24 + 2 / 8)

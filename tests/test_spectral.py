@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog import spectral
-from willis_homog.errors import ResonanceError
+from willis_homog.asymptotics import homogenize
+from willis_homog.dispersion import spectral_acoustic_branch
+from willis_homog.errors import ResonanceError, ValidationError
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, fourier_coefficients, homogeneous
 from willis_homog.spectral import (
     RESONANCE_RTOL,
@@ -19,6 +22,7 @@ from willis_homog.spectral import (
     solve_eigensystem,
     toeplitz_inverse,
 )
+from willis_homog.willis import effective_impedance
 
 
 def rho_norm(op, c: np.ndarray) -> float:
@@ -258,3 +262,27 @@ def test_stacked_resolvent_solve_equals_separate_solves() -> None:
     stacked = resolvent_solve(op, 0.2, np.stack([op.monopole_load(), op.dipole_load()], axis=1))
     separate = resolvent_solve(op, 0.2, op.dipole_load())
     assert np.linalg.norm(stacked[:, 1] - separate) <= 1e-12 * np.linalg.norm(separate)
+
+
+#: every spectral entry point, called at one truncation order
+ORDER_ENTRY_POINTS = {
+    "assemble": lambda order: assemble(bilaminate(0.1, 0.1), 0.5, order),
+    "homogenize": lambda order: homogenize(bilaminate(0.1, 0.1), method="spectral", order=order),
+    "effective_impedance": lambda order: effective_impedance(
+        bilaminate(0.1, 0.1), 0.5, 0.2, method="spectral", order=order
+    ),
+    "spectral_acoustic_branch": lambda order: spectral_acoustic_branch(bilaminate(0.1, 0.1), [0.5], order=order),
+}
+
+
+@pytest.mark.parametrize("order", [2, True, "8", 8.5, 8.0, None])
+@pytest.mark.parametrize("entry", list(ORDER_ENTRY_POINTS))
+def test_spectral_order_is_checked_in_one_place(entry: str, order) -> None:
+    with pytest.raises(ValidationError, match=rf"order must be an integer >= 4, got {re.escape(repr(order))}"):
+        ORDER_ENTRY_POINTS[entry](order)
+
+
+@pytest.mark.parametrize("order", [np.int64(8), np.int32(8), 8])
+def test_spectral_order_accepts_numpy_integers(order) -> None:
+    assert spectral.check_order(order) == 8 and type(spectral.check_order(order)) is int
+    assert assemble(bilaminate(0.1, 0.1), 0.5, order).order == 8
