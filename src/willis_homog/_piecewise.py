@@ -56,8 +56,7 @@ class PiecewisePoly:
         object.__setattr__(self, "lengths", np.diff(breaks))
 
     def _new(self, coeffs: np.ndarray) -> "PiecewisePoly":
-        """The field on this partition of a complex (segments, width) array that
-        an operation just built, without the public constructor's checks."""
+        """The field on this partition of a coefficient array an operation just built, unchecked."""
         out = object.__new__(PiecewisePoly)
         out.__dict__.update(breaks=self.breaks, coeffs=coeffs, lengths=self.lengths)
         return out
@@ -91,7 +90,7 @@ class PiecewisePoly:
 
     def __mul__(self, other) -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):
-            return self._new(self.coeffs * other)
+            return PiecewisePoly(self.breaks, self.coeffs * other)  # checked: ``other`` may be an array
         a, b = self.coeffs, self._operand(other)
         la, lb = _lead_sizes(a), _lead_sizes(b)
         out = np.zeros((a.shape[0], max(map(sum, zip(la, lb))) - 1), dtype=complex)

@@ -74,8 +74,7 @@ class UnitCell1D:
 
     @cached_property
     def breakpoints(self) -> np.ndarray:
-        """Segment boundaries 0 = x_0 < x_1 < ... < x_P = 1 (read-only, one array
-        per cell, so fields built on it share their partition)."""
+        """Segment boundaries 0 = x_0 < x_1 < ... < x_P = 1, one read-only array per cell."""
         breaks = np.concatenate(([0.0], np.cumsum([p.length for p in self.phases])))
         breaks.flags.writeable = False
         return breaks
@@ -175,7 +174,7 @@ class FourierField:
     def __mul__(self, other) -> "FourierField":
         """Product; of two fields, truncated to the lower of their orders."""
         if not isinstance(other, FourierField):
-            return _field(self.coeffs * other)
+            return FourierField(self.coeffs * other)  # checked: ``other`` may be an array
         a, b = (self, other) if self.order >= other.order else (other, self)
         n = b.order
         if a.order >= 2 * n:
@@ -215,8 +214,7 @@ class FourierField:
 
 
 def _field(coeffs: np.ndarray) -> FourierField:
-    """The field of a 1-D complex array of odd length that an operation just
-    built, without the public constructor's checks."""
+    """The field of an odd-length complex array an operation just built, unchecked."""
     field = object.__new__(FourierField)
     field.__dict__["coeffs"] = coeffs
     return field
@@ -228,9 +226,7 @@ def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
     return coeffs[mid - order : mid + order + 1]
 
 
-def fourier_coefficients(
-    cell: UnitCell1D, field: str | tuple[str, ...], N: int
-) -> FourierField | tuple[FourierField, ...]:
+def fourier_coefficients(cell: UnitCell1D, field: str | tuple[str, ...], N: int) -> FourierField | tuple[FourierField, ...]:
     """Closed-form Fourier coefficients of G, rho or 1/G up to order N, or a tuple
     of fields for a tuple of names, all from one table of exponentials.
 

@@ -241,8 +241,7 @@ def toeplitz_inverse(t: np.ndarray) -> np.ndarray:
 
 
 def check_order(order) -> int:
-    """A truncation half-order as an int: an integer (numpy's too, not a bool)
-    of at least MIN_ORDER, else ValidationError."""
+    """``order`` as an int if it is an integer (not a bool) >= MIN_ORDER, else ValidationError."""
     if isinstance(order, (int, np.integer)) and not isinstance(order, bool) and order >= MIN_ORDER:
         return int(order)
     raise ValidationError(f"order must be an integer >= {MIN_ORDER}, got {order!r}")

@@ -144,6 +144,9 @@ def test_fourier_field_rejects_a_malformed_array(coeffs) -> None:
     # operations build their results unchecked; the public constructor checks
     with pytest.raises(ValidationError, match="odd length"):
         FourierField(coeffs)
+    # a product with an array is checked as well
+    with pytest.raises(ValidationError, match="odd length"):
+        FourierField(np.ones(3)) * np.ones((2, 3))
 
 
 def test_fourier_coefficients_of_several_fields_share_one_table() -> None:

@@ -89,6 +89,9 @@ def test_constructor_rejects_rows_that_miss_the_partition() -> None:
         PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=[[1.0, 2.0]])
     with pytest.raises(ValidationError, match="one coefficient row per segment"):
         PiecewisePoly(breaks=(0.0, 0.5, 1.0), coeffs=np.zeros((2, 0)))
+    # a product with an array is checked as well
+    with pytest.raises(ValidationError, match="one coefficient row per segment"):
+        quadratic_example() * np.ones((3, 2, 1))
 
 
 def test_operands_on_different_partitions_are_refused() -> None:
