@@ -139,14 +139,19 @@ def test_digest_distinguishes_cells() -> None:
     assert len(a) == 12
 
 
-@pytest.mark.parametrize("coeffs", [np.zeros(4), np.zeros((3, 3)), np.zeros(0)])
-def test_fourier_field_rejects_a_malformed_array(coeffs) -> None:
-    # operations build their results unchecked; the public constructor checks
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FourierField(np.zeros(4)),
+        lambda: FourierField(np.zeros((3, 3))),
+        lambda: FourierField(np.zeros(0)),
+        # operations between fields build their results unchecked, a product with an array does not
+        lambda: FourierField(np.ones(3)) * np.ones((2, 3)),
+    ],
+)
+def test_fourier_field_rejects_a_malformed_array(build) -> None:
     with pytest.raises(ValidationError, match="odd length"):
-        FourierField(coeffs)
-    # a product with an array is checked as well
-    with pytest.raises(ValidationError, match="odd length"):
-        FourierField(np.ones(3)) * np.ones((2, 3))
+        build()
 
 
 def test_fourier_coefficients_of_several_fields_share_one_table() -> None:
