@@ -105,8 +105,7 @@ class PiecewisePoly:
         return self._new(shifted * np.arange(1, shifted.shape[1] + 1))
 
     def _primitive(self) -> tuple[np.ndarray, np.ndarray]:
-        """(per-segment primitives vanishing at x_j, their running integrals from 0
-        to each x_{j+1}); notes the mean, the last of those."""
+        """(primitives vanishing at each x_j, integrals from 0 to each x_{j+1}); notes the mean."""
         c = self.coeffs
         prim = np.zeros((c.shape[0], c.shape[1] + 1), dtype=complex)
         prim[:, 1:] = c / np.arange(1, c.shape[1] + 1)

@@ -226,9 +226,9 @@ def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
     return coeffs[mid - order : mid + order + 1]
 
 
-def fourier_coefficients(cell: UnitCell1D, field: str | tuple[str, ...], N: int) -> FourierField | tuple[FourierField, ...]:
-    """Closed-form Fourier coefficients of G, rho or 1/G up to order N, or a tuple
-    of fields for a tuple of names, all from one table of exponentials.
+def fourier_coefficients(cell: UnitCell1D, names: tuple[str, ...], N: int) -> tuple[FourierField, ...]:
+    """Closed-form Fourier coefficients up to order N of each named field
+    ('G', 'rho' or '1/G'), all from one table of exponentials.
 
     Each segment [a, b] with value v contributes v*(b - a) to c_0 and
     v*(exp(-2*pi*i*m*b) - exp(-2*pi*i*m*a)) / (-2*pi*i*m) to c_m; each
@@ -244,13 +244,13 @@ def fourier_coefficients(cell: UnitCell1D, field: str | tuple[str, ...], N: int)
     phase = exps[:, 1:] - exps[:, :-1]
     lengths, divisor = breaks[1:] - breaks[:-1], -2j * np.pi * mm
     fields = []
-    for name in (field,) if isinstance(field, str) else field:
+    for name in names:
         vals = cell.values(name)
         coeffs = np.empty(2 * N + 1, dtype=complex)
         coeffs[nonzero] = (phase @ vals) / divisor
         coeffs[N] = np.dot(lengths, vals)
         fields.append(_field(coeffs))
-    return fields[0] if isinstance(field, str) else tuple(fields)
+    return tuple(fields)
 
 
 def segment_index(breaks: np.ndarray, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:

@@ -51,7 +51,7 @@ def test_fourier_coefficients_match_half_cell_formula() -> None:
     # for equal halves with values v1, v2 the odd harmonics are
     # -i (v1 - v2) / (pi m) and the even ones vanish
     cell = bilaminate(0.2, 0.3)
-    field = fourier_coefficients(cell, "G", 8)
+    (field,) = fourier_coefficients(cell, ("G",), 8)
     v1, v2 = 1.0, 0.3
     c = dict(zip(range(-8, 9), field.coeffs))
     assert abs(c[0] - (v1 + v2) / 2) < 1e-15
@@ -64,7 +64,7 @@ def test_fourier_coefficients_match_half_cell_formula() -> None:
 def test_fourier_mean_is_cell_mean() -> None:
     cell = bilaminate(0.1, 0.1)
     for name in ("G", "rho", "1/G"):
-        field = fourier_coefficients(cell, name, 16)
+        (field,) = fourier_coefficients(cell, (name,), 16)
         assert_allclose(field.mean, cell.mean(name), rtol=1e-14)
 
 
@@ -73,14 +73,14 @@ def test_fourier_field_evaluation_converges_off_interfaces() -> None:
     x = np.array([0.2, 0.7])
     errs = []
     for n in (16, 64, 256):
-        field = fourier_coefficients(cell, "rho", n)
+        (field,) = fourier_coefficients(cell, ("rho",), n)
         errs.append(np.max(np.abs(field(x) - [1.0, 0.1])))
     assert errs[2] < errs[0]
 
 
 def test_conjugate_symmetry_of_real_fields() -> None:
     cell = bilaminate(0.3, 0.7)
-    field = fourier_coefficients(cell, "G", 12)
+    (field,) = fourier_coefficients(cell, ("G",), 12)
     assert np.max(np.abs(field.coeffs[::-1] - np.conj(field.coeffs))) < 1e-15
 
 
@@ -113,7 +113,7 @@ def test_fourier_field_sums_and_products_truncate_to_the_lower_order(orders) -> 
 
 
 def test_fourier_field_scalar_algebra_and_calculus() -> None:
-    f = fourier_coefficients(bilaminate(0.1, 0.1), "rho", 16)
+    (f,) = fourier_coefficients(bilaminate(0.1, 0.1), ("rho",), 16)
     x = np.array([0.1, 0.3, 0.7])
     assert_allclose((2.0 * f - 1.0)(x), 2.0 * f(x) - 1.0, atol=1e-13)
     assert_allclose((1.0 - f).mean, 1.0 - f.mean, atol=1e-15)
@@ -157,8 +157,8 @@ def test_fourier_field_rejects_a_malformed_array(build) -> None:
 def test_fourier_coefficients_of_several_fields_share_one_table() -> None:
     cell = UnitCell1D((Phase(0.2, 1.0, 3.0), Phase(0.3, 7.0, 0.5), Phase(0.5, 2.0, 1.0)))
     inv_g, rho = fourier_coefficients(cell, ("1/G", "rho"), 12)
-    assert np.array_equal(inv_g.coeffs, fourier_coefficients(cell, "1/G", 12).coeffs)
-    assert np.array_equal(rho.coeffs, fourier_coefficients(cell, "rho", 12).coeffs)
+    assert np.array_equal(inv_g.coeffs, fourier_coefficients(cell, ("1/G",), 12)[0].coeffs)
+    assert np.array_equal(rho.coeffs, fourier_coefficients(cell, ("rho",), 12)[0].coeffs)
 
 
 def test_breakpoints_are_one_read_only_array_per_cell() -> None:

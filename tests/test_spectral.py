@@ -165,7 +165,7 @@ def _inverted_pencil_lowest(op) -> float:
     relative to itself (k must not be a multiple of 2 pi).
     """
     n = op.order
-    t = fourier_coefficients(op.cell, "1/G", 2 * n).coeffs
+    t = fourier_coefficients(op.cell, ("1/G",), 2 * n)[0].coeffs
     m = np.arange(-n, n + 1)
     L = np.linalg.cholesky(t[m[:, None] - m[None, :] + 2 * n])
     H = L.conj().T @ (op.mass / np.outer(op.wavenumbers, op.wavenumbers)) @ L
@@ -196,7 +196,7 @@ def test_lowest_eigenvalue_of_a_degenerate_pair() -> None:
 
 
 def _dense_G_matrix(cell, order: int) -> np.ndarray:
-    t = fourier_coefficients(cell, "1/G", 2 * order).coeffs
+    t = fourier_coefficients(cell, ("1/G",), 2 * order)[0].coeffs
     m = np.arange(-order, order + 1)
     return np.linalg.inv(t[m[:, None] - m[None, :] + 2 * order])
 
@@ -224,7 +224,7 @@ def test_toeplitz_inverse_matches_dense_inverse(n_phases: int) -> None:
         moduli = 10.0 ** rng.uniform(-2.0, 2.0, n_phases)
         cell = UnitCell1D(tuple(Phase(float(h), float(g), 1.0) for h, g in zip(lengths, moduli)))
         ref = _dense_G_matrix(cell, order)
-        got = toeplitz_inverse(fourier_coefficients(cell, "1/G", 2 * order).coeffs[2 * order :])
+        got = toeplitz_inverse(fourier_coefficients(cell, ("1/G",), 2 * order)[0].coeffs[2 * order :])
         assert np.array_equal(got, got.conj().T)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, cell_digest(cell))
 
@@ -232,7 +232,7 @@ def test_toeplitz_inverse_matches_dense_inverse(n_phases: int) -> None:
 def test_mean_G_is_the_harmonic_mean_at_the_lowest_order() -> None:
     # a one-mode basis has T(1/G) = <1/G>; Li's <G> rises towards <G> with N
     cell = bilaminate(0.1, 0.1)
-    g = toeplitz_inverse(fourier_coefficients(cell, "1/G", 0).coeffs)
+    g = toeplitz_inverse(fourier_coefficients(cell, ("1/G",), 0)[0].coeffs)
     assert_allclose(g[0, 0], 1.0 / cell.mean("1/G"), rtol=1e-15)
     means = [assemble(cell, 0.5, n).mean_G for n in (4, 16, 64)]
     assert 1.0 / cell.mean("1/G") < means[0] < means[1] < means[2] < cell.mean("G")

@@ -1,13 +1,14 @@
 """Alternated parent/change pairs of one benchmark workload, summarized in BENCH_<workload>.json.
 
-    python3 tools/bench_pairs.py --workload spectral-refine --pairs 10 \
-        [--seconds 50] [--seeds 1 2 ...] [--base HEAD~1] [--change HEAD]
+    python3 tools/bench_pairs.py --workload spectral-refine \
+        [--seeds 1 2 ...] [--base HEAD~1] [--change HEAD]
 
 Each side is a tree exported with ``git archive`` into a temporary
 directory, so both run only committed files, as a fresh checkout would.
-Pair i runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
-on both sides with the same seed, the base side first when i is even and
-the change side first when it is odd.  The summary holds, for every
+There is one pair per seed (by default seeds 1 to 10).  Pair i runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` on both
+sides with the same seed, T being BENCHMARK.json's ``run_seconds``, the
+base side first when i is even and the change side first when it is odd.  The summary holds, for every
 end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 per-pair ratios change/base and the number of pairs the change won (ties
 count for neither), and whether that is a gain by the rule of the
@@ -43,7 +44,7 @@ def export(rev: str, dest: Path) -> Path:
     with archive.open("wb") as out:
         subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=out, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest)
     archive.unlink()
     return dest
 
@@ -116,18 +117,13 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seeds", type=int, nargs="*", help="one per pair (default 1..pairs)")
-    ap.add_argument("--seconds", type=float, help="run length (default BENCHMARK.json's)")
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)), help="one pair per seed")
     ap.add_argument("--base", default="HEAD~1", help="the parent side's revision")
     ap.add_argument("--change", default="HEAD", help="the change side's revision")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or float(bench["run_seconds"])
-    seeds = args.seeds or list(range(1, args.pairs + 1))
-    if len(seeds) != args.pairs:
-        ap.error(f"--seeds gives {len(seeds)} seeds for {args.pairs} pairs")
+    seconds, seeds = float(bench["run_seconds"]), args.seeds
     revs = {side: _git("rev-parse", rev).strip() for side, rev in (("base", args.base), ("change", args.change))}
 
     pairs = []
