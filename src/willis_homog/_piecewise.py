@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .material import UnitCell1D, segment_index
+from .material import UnitCell1D
 
 __all__ = ["PiecewisePoly", "piecewise_constant"]
 
@@ -67,6 +67,8 @@ class PiecewisePoly:
             if other.breaks is not self.breaks and not np.array_equal(self.breaks, other.breaks):
                 raise ValidationError("piecewise operands live on different partitions")
             return other.coeffs
+        if np.ndim(other):
+            return PiecewisePoly(self.breaks, other).coeffs  # checked: an array is a coefficient array
         return np.full((self.coeffs.shape[0], 1), other, dtype=complex)
 
     def __add__(self, other) -> "PiecewisePoly":
@@ -125,11 +127,6 @@ class PiecewisePoly:
         if "_mean" not in self.__dict__:
             self._primitive()
         return self.__dict__["_mean"]
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
-        xw, idx = segment_index(self.breaks, x)
-        out = _horner(self.coeffs[idx.ravel()], (xw - self.breaks[idx]).ravel()).reshape(xw.shape)
-        return out if out.shape else complex(out)
 
     def zero_mean(self) -> "PiecewisePoly":
         return self - self.mean

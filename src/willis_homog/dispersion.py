@@ -36,9 +36,6 @@ SCAN_STEP = 0.01
 #: bisection tolerance on omega, in units of c
 ROOT_TOL = 1e-12
 
-#: omega points per D(omega) evaluation while scanning for brackets
-SCAN_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class DispersionBranch:
@@ -68,21 +65,13 @@ def _bisect(fn, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_chunks(step: float, limit: float):
-    """Scan points 0, step, 2 step, ... up to ``limit``, in chunks.
-
-    The points come from the repeated ``min(a + step, limit)`` accumulation
-    of a point-by-point scan, so they carry the same bits.
-    """
-    a, chunk = 0.0, [0.0]
+def _scan_points(start: float, step: float, limit: float):
+    """Scan points start, then min(a + step, limit) accumulated up to ``limit``."""
+    a = start
+    yield a
     while a < limit:
         a = min(a + step, limit)
-        chunk.append(a)
-        if len(chunk) == SCAN_CHUNK:
-            yield np.array(chunk)
-            chunk = []
-    if chunk:
-        yield np.array(chunk)
+        yield a
 
 
 def _rayleigh_bound(cell: UnitCell1D, k) -> float:
@@ -102,13 +91,15 @@ def exact_branch(
     scan step and the bisection tolerance are ``SCAN_STEP`` and ``ROOT_TOL``
     times the cell's Rayleigh speed c.
 
-    ``relation`` maps an array of omega to D(omega); it defaults to the
-    general trace-based :func:`~willis_homog.exact.dispersion_function`.
+    ``relation`` maps an array of omega to D(omega), with D(0) = 1 as for
+    every half-trace; it defaults to the general trace-based
+    :func:`~willis_homog.exact.dispersion_function`.
 
-    D does not depend on k, so it is scanned once, in chunks, until every
-    k has its first sign change of D - cos k; then all k are bisected
-    together.  Each root equals that of a scan plus bisection run for one
-    k at a time, bit for bit.
+    D does not depend on k, so it is evaluated once on the whole scan grid
+    [0, omega_max].  As D(0) = 1, the first sign change of D - cos k is at
+    the first grid point where the running minimum of D reaches cos k; all
+    k are then bisected together.  Each root equals that of a scan plus
+    bisection run for one k at a time, bit for bit.
     """
     rel = relation if relation is not None else (lambda w: dispersion_function(cell, w))
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
@@ -118,27 +109,12 @@ def exact_branch(
     omegas = np.zeros_like(k_grid)
     todo = np.flatnonzero(~(np.abs(targets - 1.0) < 1e-15))
 
-    # scan: brackets [a, b] with fa = D(a) - cos k, first sign change per k
-    t = targets[todo]
-    a, b, fa = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-    unbracketed = np.ones(t.size, dtype=bool)
-    w_last = d_last = None
-    for w in _scan_chunks(SCAN_STEP * cell.c, omega_max):
-        if not unbracketed.any():
-            break
-        d = rel(w)
-        if w_last is not None:
-            w, d = np.concatenate(([w_last], w)), np.concatenate(([d_last], d))
-        w_last, d_last = w[-1], d[-1]
-        if w.size < 2:
-            continue
-        rows = np.flatnonzero(unbracketed)
-        f = d[None, :] - t[rows, None]
-        cross = f[:, :-1] * f[:, 1:] <= 0.0
-        hit = cross.any(axis=1)
-        rows, first = rows[hit], cross[hit].argmax(axis=1)
-        a[rows], b[rows], fa[rows] = w[first], w[first + 1], f[hit, first]
-        unbracketed[rows] = False
+    # scan: brackets [a, b] with fa = D(a) - cos k, first sign change per k;
+    # the running minimum of D never rises, so its first point <= cos k is a sorted search
+    w = np.fromiter(_scan_points(0.0, SCAN_STEP * cell.c, omega_max), dtype=float)
+    d, t = rel(w), targets[todo]
+    hit = np.searchsorted(-np.minimum.accumulate(d), -t)
+    unbracketed = hit == w.size
     if unbracketed.any():
         k_bad = k_grid[todo[np.argmax(unbracketed)]]
         raise NumericalError(
@@ -146,6 +122,7 @@ def exact_branch(
             f"for k = {float(k_bad)!r} ({int(unbracketed.sum())} of {k_grid.size} k unresolved) "
             f"in cell {cell_digest(cell)}"
         )
+    a, b, fa = w[hit - 1], w[hit], d[hit - 1] - t
 
     # lockstep bisection; a root is final once its bracket is within ROOT_TOL c
     live, tol = np.arange(t.size), ROOT_TOL * cell.c
@@ -221,7 +198,8 @@ def willis_exact_root(
 ) -> float:
     """Lowest positive root in omega of the exact effective impedance.
 
-    Scans for the first sign change of the (real) impedance and bisects it.
+    Scans the (real) impedance a point at a time from 1e-9 c, on the
+    accumulated grid of :func:`exact_branch`, and bisects its first sign change.
     In the eigenfunction form <w> = sum_m |<phi_m>|^2 / (lam_m - omega^2)
     (J. R. Willis, Proc. R. Soc. A 467 (2011) 1865) only the visible modes,
     <phi_m> != 0, contribute, so <w> is positive from omega = 0 up to the
@@ -231,7 +209,7 @@ def willis_exact_root(
     above it, and invisible eigenvalues leave it finite.  So a point the
     exact route finds resonant before the first sign change lies on that
     branch, where Z = 0.  ``omega_max`` defaults to the Rayleigh bound, and
-    the scan is in units of c, as in :func:`exact_branch`.
+    the step and the tolerance are in units of c, as in :func:`exact_branch`.
     """
     if omega_max is None:
         omega_max = _rayleigh_bound(cell, k)
@@ -243,9 +221,10 @@ def willis_exact_root(
             return 0.0
 
     c = cell.c
-    w_lo, fa = 1e-9 * c, z(1e-9 * c)
-    while w_lo < omega_max:
-        w_hi = min(w_lo + SCAN_STEP * c, omega_max)
+    points = _scan_points(1e-9 * c, SCAN_STEP * c, omega_max)
+    w_lo = next(points)
+    fa = z(w_lo)
+    for w_hi in points:
         fb = z(w_hi)
         if fa * fb <= 0.0:
             return float(_bisect(z, w_lo, w_hi, ROOT_TOL * c))

@@ -154,6 +154,8 @@ class FourierField:
     def __add__(self, other) -> "FourierField":
         """Sum; of two fields, truncated to the lower of their orders."""
         if not isinstance(other, FourierField):
+            if np.ndim(other):
+                return self + FourierField(other)  # checked: an array is a coefficient array
             c = self.coeffs.copy()
             c[self.order] += other
             return _field(c)
@@ -204,14 +206,6 @@ class FourierField:
         """sum_m |c_m|, a bound on |f(x)| over the cell."""
         return float(np.sum(np.abs(self.coeffs)))
 
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
-        """Evaluate sum_m c_m exp(2*pi*i*m*x) pointwise."""
-        x = np.asarray(x, dtype=float)
-        n = self.order
-        m = np.arange(-n, n + 1)
-        vals = np.exp(2j * np.pi * np.multiply.outer(x, m)) @ self.coeffs
-        return vals if vals.shape else complex(vals)
-
 
 def _field(coeffs: np.ndarray) -> FourierField:
     """The field of an odd-length complex array an operation just built, unchecked."""
@@ -251,13 +245,6 @@ def fourier_coefficients(cell: UnitCell1D, names: tuple[str, ...], N: int) -> tu
         coeffs[N] = np.dot(lengths, vals)
         fields.append(_field(coeffs))
     return tuple(fields)
-
-
-def segment_index(breaks: np.ndarray, x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """(x mod 1, index of the segment holding it), right-continuous at interfaces."""
-    xw = np.mod(np.asarray(x, dtype=float), 1.0)
-    idx = np.clip(np.searchsorted(breaks, xw, side="right") - 1, 0, len(breaks) - 2)
-    return xw, idx
 
 
 def cell_to_dict(cell: UnitCell1D) -> dict:

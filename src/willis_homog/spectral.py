@@ -68,10 +68,6 @@ RESONANCE_RTOL = 1e-8
 #: relative residual bound enforced on every resolvent solve
 RESIDUAL_RTOL = 1e-10
 
-#: relative gap under which neighbouring eigenvalues form one cluster,
-#: |lam_j - lam_{j+1}| < CLUSTER_RTOL (|lam| + c^2) as in the resonance window
-CLUSTER_RTOL = 1e-8
-
 
 def _where(operator: "BlochOperator", omega_sq: float) -> str:
     """Location of a solve, for error messages."""
@@ -298,14 +294,15 @@ class BlochEigensystem:
         return self.vectors.conj().T @ np.asarray(load, dtype=complex)
 
     def cluster(self, index: int) -> np.ndarray:
-        """Indices of the near-degenerate group containing one mode."""
+        """Indices of the near-degenerate group containing one mode: neighbours
+        within the resonance window, |lam_j - lam_{j+1}| < RESONANCE_RTOL (|lam| + c^2)."""
         lam = self.eigenvalues
         c_sq = self.operator.cell.c**2
         lo = index
-        while lo > 0 and abs(lam[lo] - lam[lo - 1]) < CLUSTER_RTOL * (abs(lam[lo]) + c_sq):
+        while lo > 0 and abs(lam[lo] - lam[lo - 1]) < RESONANCE_RTOL * (abs(lam[lo]) + c_sq):
             lo -= 1
         hi = index
-        while hi + 1 < lam.size and abs(lam[hi + 1] - lam[hi]) < CLUSTER_RTOL * (
+        while hi + 1 < lam.size and abs(lam[hi + 1] - lam[hi]) < RESONANCE_RTOL * (
             abs(lam[hi]) + c_sq
         ):
             hi += 1

@@ -65,7 +65,8 @@ def test_exact_coefficients_match_frozen_table() -> None:
 
 def test_first_corrector_boundary_value() -> None:
     fields = solve_static_chain(BILAMINATE, method="exact")
-    assert_allclose(fields.chi1.u(0.0), 9.0 / 44.0, rtol=1e-13)
+    # u(0) is the first segment's constant coefficient (local coordinate x - x_0)
+    assert_allclose(fields.chi1.u.coeffs[0, 0], 9.0 / 44.0, rtol=1e-13)
     assert abs(fields.chi1.u.mean) < 1e-15
 
 

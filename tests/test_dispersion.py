@@ -17,10 +17,11 @@ from willis_homog.dispersion import (
     spectral_acoustic_branch,
     willis_exact_root,
 )
-from willis_homog.errors import NumericalError
+from willis_homog.errors import NumericalError, ResonanceError
 from willis_homog.exact import dispersion_function
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import BRANCH_RTOL, DEFAULT_ORDER
+from willis_homog.willis import effective_impedance
 
 BILAMINATE = bilaminate(0.1, 0.1)
 
@@ -229,45 +230,69 @@ def _reference_half_trace(cell: UnitCell1D, omega: float) -> float:
     return float(0.5 * np.trace(M))
 
 
-def _reference_branch(rel, k_grid, c: float, omega_max: float = 20.0) -> np.ndarray:
+def _rayleigh_bound(k, c: float) -> float:
+    """(1.1 max|k| + 0.05) c, the default omega_max of both exact roots."""
+    return (1.1 * float(np.max(np.abs(k))) + 0.05) * c
+
+
+def _reference_scan_points(start: float, step: float, limit: float) -> list[float]:
+    """start, then min(a + step, limit) accumulated a point at a time up to limit."""
+    points = [start]
+    while points[-1] < limit:
+        points.append(min(points[-1] + step, limit))
+    return points
+
+
+def _reference_root(fn, start: float, c: float, omega_max: float) -> float | None:
+    """First sign change of the scalar fn by scan in steps of SCAN_STEP c from
+    start, bisected to within ROOT_TOL c; None without one below omega_max."""
+    points = _reference_scan_points(start, SCAN_STEP * c, omega_max)
+    fa = fn(points[0])
+    for a, b in zip(points, points[1:]):
+        fb = fn(b)
+        if fa * fb <= 0.0:
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if b - a <= ROOT_TOL * c:
+                    return mid
+                fm = fn(mid)
+                if fa * fm <= 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            return 0.5 * (a + b)
+        fa = fb
+    return None
+
+
+def _reference_branch(rel, k_grid, c: float) -> np.ndarray:
     """Lowest root of rel(omega) = cos k by scan plus bisection, one k at a
-    time, in steps of SCAN_STEP c to within ROOT_TOL c."""
-    step = SCAN_STEP * c
-
-    def bisect(fn, a, b):
-        fa = fn(a)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if b - a <= ROOT_TOL * c:
-                return mid
-            fm = fn(mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        return 0.5 * (a + b)
-
+    time, up to the Rayleigh bound."""
     out = np.empty_like(k_grid)
     for i, k in enumerate(k_grid):
         target = np.cos(k)
         if abs(target - 1.0) < 1e-15:
             out[i] = 0.0
             continue
-
-        def fn(w):
-            return rel(w) - target
-
-        a, fa = 0.0, fn(0.0)
-        while a < omega_max:
-            b = min(a + step, omega_max)
-            fb = fn(b)
-            if fa * fb <= 0.0:
-                out[i] = bisect(fn, a, b)
-                break
-            a, fa = b, fb
-        else:
-            raise AssertionError(f"reference scan found no crossing for k = {k}")
+        root = _reference_root(lambda w: rel(w) - target, 0.0, c, _rayleigh_bound(k_grid, c))
+        assert root is not None, f"reference scan found no crossing for k = {k}"
+        out[i] = root
     return out
+
+
+def _reference_impedance_root(cell: UnitCell1D, k: float) -> float:
+    """First sign change of Re Z from 1e-9 c, a resonant point counting as
+    Z = 0, by the same scalar scan and bisection."""
+
+    def z(w: float) -> float:
+        try:
+            return effective_impedance(cell, k, w, method="exact").real
+        except ResonanceError:
+            return 0.0
+
+    root = _reference_root(z, 1e-9 * cell.c, cell.c, _rayleigh_bound(k, cell.c))
+    assert root is not None, f"reference scan found no impedance root for k = {k}"
+    return root
 
 
 @pytest.mark.parametrize(
@@ -287,6 +312,43 @@ def test_exact_branch_closed_form_matches_pointwise_scan_bitwise() -> None:
 
     batched = exact_branch(BILAMINATE, K64, relation=rel).omega
     assert np.array_equal(batched, _reference_branch(rel, K64, 1.0))  # <G> = <rho>, so c = 1
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(cell=resolved_cells())
+def test_exact_branch_matches_pointwise_scan_bitwise_on_drawn_cells(cell: UnitCell1D) -> None:
+    values: dict[float, float] = {}  # D does not depend on k: each k's scan reads the same points
+
+    def rel(w: float) -> float:
+        if w not in values:
+            values[w] = _reference_half_trace(cell, w)
+        return values[w]
+
+    k = np.linspace(0.0, np.pi, 16, endpoint=False)
+    ref = _reference_branch(rel, k, cell.c)
+    assert np.array_equal(exact_branch(cell, k).omega, ref), cell_digest(cell)
+
+
+def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisection_step() -> None:
+    sizes = []
+
+    def rel(w):
+        sizes.append(np.size(w))
+        return exact_bilaminate_relation(BILAMINATE, w)
+
+    exact_branch(BILAMINATE, K64, relation=rel)  # <G> = <rho>, so c = 1
+    grid = _reference_scan_points(0.0, SCAN_STEP, _rayleigh_bound(K64, 1.0))
+    # every bracket is one scan step wide, so the 63 k with cos k < 1 halve in lockstep
+    steps = int(np.ceil(np.log2(SCAN_STEP / ROOT_TOL)))
+    assert sizes == [len(grid)] + [63] * steps
+
+
+@pytest.mark.parametrize("k", [0.5, 1.5])
+@pytest.mark.parametrize(
+    "cell", [BILAMINATE, THREE_PHASE, SIX_PHASE], ids=["fig2", "3-phase", "6-phase"]
+)
+def test_willis_exact_root_matches_pointwise_scan_bitwise(cell: UnitCell1D, k: float) -> None:
+    assert willis_exact_root(cell, k) == _reference_impedance_root(cell, k)
 
 
 @pytest.mark.parametrize("cell", [BILAMINATE, THREE_PHASE, SIX_PHASE])

@@ -68,13 +68,19 @@ def test_fourier_mean_is_cell_mean() -> None:
         assert_allclose(field.mean, cell.mean(name), rtol=1e-14)
 
 
+def evaluate(f: FourierField, x) -> np.ndarray:
+    """sum_m c_m exp(2 pi i m x) at each x."""
+    m = np.arange(-f.order, f.order + 1)
+    return np.exp(2j * np.pi * np.multiply.outer(np.asarray(x, dtype=float), m)) @ f.coeffs
+
+
 def test_fourier_field_evaluation_converges_off_interfaces() -> None:
     cell = bilaminate(0.1, 0.1)
     x = np.array([0.2, 0.7])
     errs = []
     for n in (16, 64, 256):
         (field,) = fourier_coefficients(cell, ("rho",), n)
-        errs.append(np.max(np.abs(field(x) - [1.0, 0.1])))
+        errs.append(np.max(np.abs(evaluate(field, x) - [1.0, 0.1])))
     assert errs[2] < errs[0]
 
 
@@ -115,11 +121,11 @@ def test_fourier_field_sums_and_products_truncate_to_the_lower_order(orders) -> 
 def test_fourier_field_scalar_algebra_and_calculus() -> None:
     (f,) = fourier_coefficients(bilaminate(0.1, 0.1), ("rho",), 16)
     x = np.array([0.1, 0.3, 0.7])
-    assert_allclose((2.0 * f - 1.0)(x), 2.0 * f(x) - 1.0, atol=1e-13)
+    assert_allclose(evaluate(2.0 * f - 1.0, x), 2.0 * evaluate(f, x) - 1.0, atol=1e-13)
     assert_allclose((1.0 - f).mean, 1.0 - f.mean, atol=1e-15)
     # d/dx exp(2 pi i x) = 2 pi i exp(2 pi i x)
     e1 = FourierField(np.array([0.0, 0.0, 1.0]))
-    assert_allclose(e1.derivative()(x), 2j * np.pi * e1(x), atol=1e-13)
+    assert_allclose(evaluate(e1.derivative(), x), 2j * np.pi * evaluate(e1, x), atol=1e-13)
     assert e1.bound() == 1.0
 
 
@@ -145,8 +151,9 @@ def test_digest_distinguishes_cells() -> None:
         lambda: FourierField(np.zeros(4)),
         lambda: FourierField(np.zeros((3, 3))),
         lambda: FourierField(np.zeros(0)),
-        # operations between fields build their results unchecked, a product with an array does not
+        # operations between fields build their results unchecked, a product or sum with an array does not
         lambda: FourierField(np.ones(3)) * np.ones((2, 3)),
+        lambda: FourierField(np.ones(3)) + np.ones(2),
     ],
 )
 def test_fourier_field_rejects_a_malformed_array(build) -> None:
