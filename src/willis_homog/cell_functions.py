@@ -89,9 +89,12 @@ def responses(
 ) -> list:
     """The responses ``kinds`` ("monopole" and/or "dipole") at (k, omega).
 
-    ``method`` is "exact" or "spectral" (truncation ``order``); any other
-    value raises ValidationError.
+    ``kinds`` is a non-empty tuple of those names and ``method`` is "exact"
+    or "spectral" (truncation ``order``); anything else raises
+    ValidationError.
     """
+    if not (isinstance(kinds, tuple) and kinds and all(kind in ("monopole", "dipole") for kind in kinds)):
+        raise ValidationError(f"kinds must be a non-empty tuple of 'monopole' and 'dipole', got {kinds!r}")
     if method == "exact":
         solve = {"monopole": solve_w_exact, "dipole": solve_v_exact}
         return [solve[kind](cell, k, omega) for kind in kinds]

@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from ._svg import Frame, axes, document, heat_cells, legend, polyline
 from .asymptotics import (
-    HomogCoefficients,
     dipole_mean_n2,
     homogenize,
     identity_suite,
@@ -518,18 +517,15 @@ def build_verification_report(
     basis_n: int = DEFAULT_ORDER,
     tolerances: dict[str, float] | None = None,
     probe: tuple[float, float] | None = None,
-    coefficients: HomogCoefficients | None = None,
 ) -> VerificationReport:
     """Run the dynamic, static, dispersion and polynomial check suites.
 
-    ``coefficients`` overrides the exact-route table (harness hook for
-    mutation testing); by default it is computed from the cell.  A static,
-    triangle or polynomial check group that raises NumericalError becomes
-    one failing check with residual inf, and the report goes on.  The exact
-    branch omega_1 at k = 0.5 and 1.5 comes first; the dynamic checks run
-    at the caller's ``probe``, by default at (0.5, 0.7 omega_1(0.5)), below
-    the lowest branch.  They raise there, so a probe on a Bloch branch is a
-    numerical error (exit 3).
+    A static, triangle or polynomial check group that raises NumericalError
+    becomes one failing check with residual inf, and the report goes on.
+    The exact branch omega_1 at k = 0.5 and 1.5 comes first; the dynamic
+    checks run at the caller's ``probe``, by default at
+    (0.5, 0.7 omega_1(0.5)), below the lowest branch.  They raise there, so
+    a probe on a Bloch branch is a numerical error (exit 3).
     """
     tol = dict(_DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
@@ -537,7 +533,7 @@ def build_verification_report(
     k_triangle = (0.5, 1.5)
     w_exact = exact_branch(cell, np.array(k_triangle)).omega
     k_probe, w_probe = probe or (k_triangle[0], 0.7 * float(w_exact[0]))
-    coeffs = coefficients
+    coeffs = None
 
     for route in ("exact", "spectral"):
         route_tol = tol[route]
@@ -547,8 +543,6 @@ def build_verification_report(
         with _check_group(checks, "static", route, route_tol):
             fields, coeffs_route = homogenize(cell, method=route, order=basis_n)
             if route == "exact":
-                if coefficients is not None:
-                    coeffs_route = coefficients
                 coeffs = coeffs_route
             static = identity_suite(cell, fields, coeffs_route)
             for name, value in static.items():

@@ -51,8 +51,8 @@ class DispersionBranch:
     terminated_at: float | None = None
 
 
-def _bisect(fn, a: float, b: float, tol: float) -> float:
-    fa = fn(a)
+def _bisect(fn, a: float, b: float, fa: float, tol: float) -> float:
+    """Bisect fn's sign change on [a, b], given fa = fn(a)."""
     for _ in range(200):
         mid = 0.5 * (a + b)
         if b - a <= tol:
@@ -227,7 +227,7 @@ def willis_exact_root(
     for w_hi in points:
         fb = z(w_hi)
         if fa * fb <= 0.0:
-            return float(_bisect(z, w_lo, w_hi, ROOT_TOL * c))
+            return float(_bisect(z, w_lo, w_hi, fa, ROOT_TOL * c))
         w_lo, fa = w_hi, fb
     raise NumericalError(
         f"willis_exact_root: no impedance root found below omega_max = {omega_max:.6g} "

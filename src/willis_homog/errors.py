@@ -28,8 +28,8 @@ class ResonanceError(NumericalError):
 
 
 class SolvabilityError(NumericalError):
-    """A projected solve was requested with a right-hand side that is not
-    orthogonal to the excluded eigenspace."""
+    """A static cell problem was posed with a source of nonzero mean, so it
+    has no periodic solution."""
 
 
 class ZeroMeanImpedanceError(NumericalError):

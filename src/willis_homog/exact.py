@@ -1,20 +1,23 @@
 """Exact closed-form cell responses for piecewise-constant 1D cells.
 
-On each homogeneous segment the substitution W(x) = exp(ikx) u(x) turns the
-Bloch cell equation
+In W = exp(ikx) u and the flux P = exp(ikx) G (D_k u - gamma) the Bloch
+cell equation
 
     -omega^2 rho u - D_k (G (D_k u - gamma)) = f,   D_k = d/dx + ik,
 
-into a constant-coefficient ODE  -(G W')' - omega^2 rho W = g(x)  with
-g = f exp(ikx) for the monopole load (f = 1) and g = -ik G exp(ikx) for the
-unit dipole load (gamma = 1).  Segment solutions are propagated with the
-trigonometric fundamental matrix, and interface and Floquet conditions
-close a 2x2 linear system.  This module is the reference oracle the
-spectral route is validated against.
+is the first-order system
+
+    W' = P/G + gamma exp(ikx),   P' = -omega^2 rho W - f exp(ikx),
+
+whose state (W, P) is continuous at every interface.  The monopole load
+(f = 1) is a source in P', the unit dipole load (gamma = 1) a strain source
+in W'.  Segment solutions are propagated with the trigonometric fundamental
+matrix, and the Floquet condition closes a 2x2 linear system.  This module
+is the reference oracle the spectral route is validated against.
 
 No quadrature is involved.  On segment j (left end x_j, length h, wave
-number q = omega sqrt(rho/G)) the load's contribution to the end state and
-every cell average reduce to moments
+number q = omega sqrt(rho/G)) either load's contribution to the end state
+and every cell average reduce to moments
 
     int_0^h t^m exp(-ikt) {cos qt, sin(qt)/q} dt,   m in {0, 1}.
 
@@ -22,8 +25,8 @@ Written as iterated integrals of exponentials over a simplex, each moment
 is h^n times a divided difference of exp over the nodes
 {0, (+-iq - ik) h} (Hermite-Genocchi); for example
 int_0^h (h - t) exp(-ikt) sin(qt)/q dt = h^3 exp[0, 0, a, b] with
-a, b = (+-iq - ik) h.  One helper, :func:`_dd_exp`, evaluates those
-divided differences stably, so the removable limits q = 0 (the static
+a, b = (+-iq - ik) h.  One Newton row of :func:`_dd_exp` per segment gives
+them all, evaluated stably, so the removable limits q = 0 (the static
 dipole), q -> 0 and q = +-k need no special case anywhere else.
 """
 
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ResonanceError, ValidationError
+from .errors import ResonanceError
 from .material import Phase, UnitCell1D, cell_digest
 
 __all__ = [
@@ -50,7 +53,7 @@ __all__ = [
 
 #: the Floquet closure is treated as resonant where its determinant
 #: 2 exp(-ik) (cos k - D(omega)) is below this fraction of the size of its two
-#: products; the ratio does not change under any rescaling of W or GW'
+#: products; the ratio does not change under any rescaling of W or P
 _RCOND_FLOOR = 1e-10
 
 #: nodes within this distance of their centroid are summed as one Taylor
@@ -123,55 +126,58 @@ def _dd_exp(*z: complex) -> list[complex]:
 
 
 class _Segment:
-    """One phase at (k, omega): propagator, load moments and load term.
+    """One phase at (k, omega): propagator, load moments and the load's terms.
 
     With a, b = (+-iq - ik) h, the kappa = k moments over [0, h] are
     S0 = int exp(-ikt) sin(qt)/q = h^2 exp[0, a, b],
-    C0 = int exp(-ikt) cos qt = h exp[0, b] + iq S0 and
-    T = int (h - t) exp(-ikt) sin(qt)/q = h^3 exp[0, 0, a, b].
+    C0 = int exp(-ikt) cos qt = h exp[0, b] + iq S0,
+    T = int (h - t) exp(-ikt) sin(qt)/q = h^3 exp[0, 0, a, b] and, by parts,
+    tail = int (h - t) exp(-ikt) cos qt = S0 + ik T.  ``kind`` is "monopole"
+    or "dipole"; ``load`` is its end state from a zero start.
     """
 
-    def __init__(self, phase: Phase, x: float, k: float, omega: float, amp: complex):
+    def __init__(self, phase: Phase, x: float, k: float, omega: float, kind: str):
         h, G, rho = phase.length, phase.G, phase.rho
         q = omega * math.sqrt(rho / G)
-        self.x, self.h, self.G, self.rho = x, h, G, rho
-        self.k, self.q, self.amp = k, q, amp
-        self.w2 = rho * omega * omega
+        self.h, self.G, self.rho = h, G, rho
+        self.w2 = w2 = rho * omega * omega
         self.cos = math.cos(q * h)
         self.sin_q = math.sin(q * h) / q if q else h
-        a, self.b = 1j * (q - k) * h, -1j * (q + k) * h
-        _, e0b, e0ab, e00ab = _dd_exp(self.b, 0.0, a, 0.0)
-        self.S0 = h * h * e0ab
-        self.C0 = h * e0b + 1j * q * self.S0
-        self.T = h**3 * e00ab
-        end = -amp * cmath.exp(1j * k * (x + h))
-        self.load = (end * self.S0 / G, end * self.C0)
+        self.gauge = cmath.exp(-1j * k * x)  # back from W to u at x_j
+        _, e0b, e0ab, e00ab = _dd_exp(-1j * (q + k) * h, 0.0, 1j * (q - k) * h, 0.0)
+        self.S0 = S0 = h * h * e0ab
+        self.C0 = C0 = h * e0b + 1j * q * S0
+        T = h**3 * e00ab
+        tail = S0 + 1j * k * T
+        end = cmath.exp(1j * k * (x + h))
+        if kind == "monopole":
+            # f = 1: the source -exp(ikx) in P'
+            self.load, self.mean_load, self.flux_load = (-end * S0 / G, -end * C0), -T / G, -tail
+        else:
+            # gamma = 1: the source exp(ikx) in W', and G D_k u gains G
+            self.load, self.mean_load, self.flux_load = (end * C0, -w2 * end * S0), tail, G * h - w2 * T
 
     def step(self, y0: complex, y1: complex) -> tuple[complex, complex]:
-        """Homogeneous propagation of (W, GW') across the segment."""
+        """Homogeneous propagation of (W, P) across the segment."""
         c, s = self.cos, self.sin_q
         return c * y0 + (s / self.G) * y1, -self.w2 * s * y0 + c * y1
 
     def mean(self, y0: complex, y1: complex) -> complex:
         """int over the segment of u = exp(-ikx) W, from the start state."""
-        phase = cmath.exp(-1j * self.k * self.x)
-        return phase * (y0 * self.C0 + y1 * self.S0 / self.G) - self.amp * self.T / self.G
+        return self.gauge * (y0 * self.C0 + y1 * self.S0 / self.G) + self.mean_load
 
     def mean_flux(self, y0: complex, y1: complex) -> complex:
-        """int over the segment of G D_k u = exp(-ikx) GW', from the start state."""
-        h = self.h
-        # int_0^h (h - t) exp(-ikt) cos qt dt = h^2 (exp[0, 0, b] + (a - b)/2 exp[0, 0, a, b])
-        tail = h * h * _dd_exp(0.0, self.b, 0.0)[2] + 1j * self.q * self.T
-        phase = cmath.exp(-1j * self.k * self.x)
-        return phase * (-self.w2 * self.S0 * y0 + self.C0 * y1) - self.amp * tail
+        """int over the segment of G D_k u = exp(-ikx) P + gamma G, from the start state."""
+        return self.gauge * (-self.w2 * self.S0 * y0 + self.C0 * y1) + self.flux_load
 
 
 @dataclass(eq=False)
 class ExactField:
     """Closed-form cell response.
 
-    ``starts[j]`` is (W, GW') at the left end of segment j, in the
-    W = exp(ikx) u gauge; cell averages are sums of per-segment closed forms.
+    ``starts[j]`` is (W, P) at the left end of segment j, with
+    W = exp(ikx) u and P = exp(ikx) G (D_k u - gamma); cell averages are sums
+    of per-segment closed forms.
     """
 
     starts: tuple[tuple[complex, complex], ...]
@@ -202,43 +208,27 @@ class ExactField:
         return float(np.dot([seg.h for seg in self.segments], [seg.G for seg in self.segments]))
 
 
-def _load_amplitude(kind: str, G: float, k: float) -> complex:
-    if kind == "monopole":
-        return 1.0 + 0.0j
-    if kind == "dipole":
-        return -1j * k * G
-    raise ValidationError(f"unknown load kind {kind!r}")
-
-
 def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
     k, omega = float(k), float(omega)
-    phases = cell.phases
     segments = []
     x = 0.0
-    for p in phases:
-        segments.append(_Segment(p, x, k, omega, _load_amplitude(kind, p.G, k)))
+    for p in cell.phases:
+        segments.append(_Segment(p, x, k, omega, kind))
         x += p.length
-    # dipole load: GW' jumps by exp(ikx) [G] at the interior interfaces
-    jumps = [0j] * len(segments)
-    if kind != "monopole":
-        for j in range(len(segments) - 1):
-            nxt = segments[j + 1]
-            jumps[j] = cmath.exp(1j * k * nxt.x) * (nxt.G - segments[j].G)
 
     # march the affine map y_end = M y_0 + s across the cell
     m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     s0, s1 = 0j, 0j
-    for seg, jump in zip(segments, jumps):
+    for seg in segments:
         m00, m10 = seg.step(m00, m10)
         m01, m11 = seg.step(m01, m11)
         s0, s1 = seg.step(s0, s1)
-        s0, s1 = s0 + seg.load[0], s1 + seg.load[1] + jump
+        s0, s1 = s0 + seg.load[0], s1 + seg.load[1]
 
-    # Floquet closure: z = exp(-ik) (M z + s) + d0
-    d1 = phases[0].G - phases[-1].G if kind != "monopole" else 0.0
+    # Floquet closure: z = exp(-ik) (M z + s)
     phase = cmath.exp(-1j * k)
     a00, a01, a10, a11 = 1.0 - phase * m00, -phase * m01, -phase * m10, 1.0 - phase * m11
-    r0, r1 = phase * s0, phase * s1 + d1
+    r0, r1 = phase * s0, phase * s1
     det = a00 * a11 - a01 * a10
     if abs(det) <= _RCOND_FLOOR * (abs(a00 * a11) + abs(a01 * a10)):
         raise ResonanceError(
@@ -248,10 +238,10 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
     y = ((a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det)
 
     starts = []
-    for seg, jump in zip(segments, jumps):
+    for seg in segments:
         starts.append(y)
         y0, y1 = seg.step(*y)
-        y = (y0 + seg.load[0], y1 + seg.load[1] + jump)
+        y = (y0 + seg.load[0], y1 + seg.load[1])
 
     return ExactField(starts=tuple(starts), segments=tuple(segments))
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,7 @@ from willis_homog.cell_functions import (
     solve_zeta,
     solve_zeta_exact,
 )
-from willis_homog.errors import ResonanceError
+from willis_homog.errors import ResonanceError, ValidationError
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble
 
@@ -85,8 +87,9 @@ def test_static_dipole_guard_catches_near_multiples_of_two_pi(k: float) -> None:
 @pytest.mark.parametrize("method", ["exact", "spectral"])
 def test_responses_reject_an_unknown_kind(method: str) -> None:
     # the static dipole is no response kind; solve_zeta is the dipole at omega = 0
-    with pytest.raises(KeyError, match="static_dipole"):
-        responses(bilaminate(0.1, 0.1), 0.5, 0.2, ("static_dipole",), method, 16)
+    for kinds in (("static_dipole",), ("quadrupole",), (), ["monopole"]):
+        with pytest.raises(ValidationError, match=re.escape(repr(kinds))):
+            responses(bilaminate(0.1, 0.1), 0.5, 0.2, kinds, method, 16)
 
 
 def test_homogeneous_means_match_exact_solver() -> None:

@@ -192,11 +192,20 @@ def test_verify_fails_with_tight_tolerances(tmp_path: Path) -> None:
     assert report["passed"] is False
 
 
-def test_corrupted_coefficient_is_caught() -> None:
+def _corrupt_exact_table(monkeypatch, change) -> None:
+    """Make verify's exact static chain hand on ``change(coeffs)`` as its table."""
+
+    def corrupted(cell, method, order):
+        fields, coeffs = homogenize(cell, method=method, order=order)
+        return fields, change(coeffs) if method == "exact" else coeffs
+
+    monkeypatch.setattr(cli, "homogenize", corrupted)
+
+
+def test_corrupted_coefficient_is_caught(monkeypatch) -> None:
     cell = bilaminate(0.1, 0.1)
-    _, coeffs = homogenize(cell, method="exact")
-    bad = dataclasses.replace(coeffs, mu2=coeffs.mu2 * 1.01)
-    report = build_verification_report(cell, coefficients=bad)
+    _corrupt_exact_table(monkeypatch, lambda c: dataclasses.replace(c, mu2=c.mu2 * 1.01))
+    report = build_verification_report(cell)
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert "polynomial/impedance_matches_oracle" in failing
@@ -265,7 +274,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "8b86592e31dddeb40bc7fa890051a3a25265a5b8bf51471365e80bedb6cfc91d"
+VERIFICATION_N16_DIGEST = "79c7955851aca6d2d1ffa2ab6af55fc168b1777921b2650d1afebaedd625623d"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -343,12 +352,11 @@ def test_spectral_coeffs_of_a_high_contrast_cell(tmp_path: Path) -> None:
     assert main(["coeffs", "--config", cfg, "--basis-n", "32", "--out", str(tmp_path)]) == 0
 
 
-def test_numerical_error_in_a_check_group_is_a_failing_check(capsys) -> None:
+def test_numerical_error_in_a_check_group_is_a_failing_check(monkeypatch, capsys) -> None:
     cell = bilaminate(0.1, 0.1)
-    _, coeffs = homogenize(cell, method="exact")
     # a negative mean density ends the two-scale branch before the root probes
-    bad = dataclasses.replace(coeffs, rho0=-coeffs.rho0)
-    report = build_verification_report(cell, coefficients=bad)
+    _corrupt_exact_table(monkeypatch, lambda c: dataclasses.replace(c, rho0=-c.rho0))
+    report = build_verification_report(cell)
     failed = [c for c in report.checks if c.name == "polynomial"]
     assert len(failed) == 1 and failed[0].residual == float("inf")
     assert not report.passed

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from willis_homog import dispersion
 from willis_homog.asymptotics import homogenize
 from willis_homog.dispersion import (
     ROOT_TOL,
@@ -349,6 +350,18 @@ def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisectio
 )
 def test_willis_exact_root_matches_pointwise_scan_bitwise(cell: UnitCell1D, k: float) -> None:
     assert willis_exact_root(cell, k) == _reference_impedance_root(cell, k)
+
+
+def test_willis_exact_root_evaluates_the_impedance_once_per_point(monkeypatch) -> None:
+    omegas = []
+
+    def counted(cell, k, omega, **kwargs):
+        omegas.append(omega)
+        return effective_impedance(cell, k, omega, **kwargs)
+
+    monkeypatch.setattr(dispersion, "effective_impedance", counted)
+    willis_exact_root(BILAMINATE, 1.5)
+    assert len(omegas) == len(set(omegas))
 
 
 @pytest.mark.parametrize("cell", [BILAMINATE, THREE_PHASE, SIX_PHASE])

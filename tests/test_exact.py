@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from test_asymptotics import ORACLE_CELLS
 from willis_homog.cell_functions import (
     averages,
     solve_v_exact,
     solve_w_exact,
     solve_zeta_exact,
 )
+from willis_homog.dispersion import exact_branch
 from willis_homog.errors import ResonanceError, ZeroMeanImpedanceError
 from willis_homog.exact import solve_monopole_exact
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
@@ -195,30 +198,59 @@ def test_uniform_cell_static_dipole_matches_closed_form() -> None:
         assert abs(value - closed[name]) <= 1e-12 * abs(closed[name]), name
 
 
-@pytest.mark.parametrize("kind", ["monopole", "dipole"])
-def test_segment_closed_forms_match_direct_quadrature(kind: str) -> None:
-    # arbitrary start states, so every term of the closed forms counts
+@pytest.mark.parametrize(
+    ("kind", "omega"),
+    [("monopole", 1.4), ("dipole", 1.4), ("monopole", 10.0), ("dipole", 10.0)],
+    ids=["monopole", "dipole", "monopole-wide", "dipole-wide"],
+)
+def test_segment_closed_forms_match_direct_quadrature(kind: str, omega: float) -> None:
+    # arbitrary start states, so every term of the closed forms counts; at
+    # omega = 10, q h = 2.9 and the divided differences split their nodes
     from willis_homog.exact import _Segment
 
-    h, G, rho, x, k, omega = 0.37, 1.3, 0.8, 0.21, 0.9, 1.4
-    amp = 1.0 if kind == "monopole" else -1j * k * G
-    seg = _Segment(Phase(h, G, rho), x, k, omega, amp)
+    h, G, rho, x, k = 0.37, 1.3, 0.8, 0.21, 0.9
+    seg = _Segment(Phase(h, G, rho), x, k, omega, kind)
     y = (0.3 - 0.2j, -0.7 + 0.4j)
-    q = omega * np.sqrt(rho / G)
+    q, w2 = omega * np.sqrt(rho / G), rho * omega**2
     nodes, weights = np.polynomial.legendre.leggauss(64)
-    t, wt = 0.5 * h * (nodes + 1.0), 0.5 * h * weights
-    eik = np.exp(1j * k * t)
-    src = -amp / G * np.exp(1j * k * x)
-    # K = int_0^t sin(q(t - u))/q exp(iku) du and its derivative, q != k
-    K = (eik - np.cos(q * t) - 1j * k * np.sin(q * t) / q) / (q**2 - k**2)
-    dK = (1j * k * eik + q * np.sin(q * t) - 1j * k * np.cos(q * t)) / (q**2 - k**2)
-    W = y[0] * np.cos(q * t) + y[1] * np.sin(q * t) / (q * G) + src * K
-    GW1 = -rho * omega**2 * np.sin(q * t) / q * y[0] + np.cos(q * t) * y[1] + src * G * dK
-    phase = np.exp(-1j * k * (x + t))
-    mean = np.sum(wt * phase * W)
+    t = np.append(0.5 * h * (nodes + 1.0), h)  # the quadrature nodes, then the right end
+    # (W, P) is the fundamental matrix times y plus the source's convolution,
+    # each convolution a Gauss-Legendre sum over [0, t]
+    tau = 0.5 * t[:, None] * (nodes + 1.0)
+    src = np.exp(1j * k * (x + tau)) * 0.5 * t[:, None] * weights
+    cos, sin_q = np.cos(q * (t[:, None] - tau)), np.sin(q * (t[:, None] - tau)) / q
+    if kind == "monopole":  # f = 1: the source -exp(ikx) in P'
+        W_src, P_src, gamma = -np.sum(sin_q * src, axis=1) / G, -np.sum(cos * src, axis=1), 0.0
+    else:  # gamma = 1: the source exp(ikx) in W' = P/G + exp(ikx)
+        W_src, P_src, gamma = np.sum(cos * src, axis=1), -w2 * np.sum(sin_q * src, axis=1), 1.0
+    W = y[0] * np.cos(q * t) + y[1] * np.sin(q * t) / (q * G) + W_src
+    P = -w2 * np.sin(q * t) / q * y[0] + np.cos(q * t) * y[1] + P_src
+    wt, phase = 0.5 * h * weights, np.exp(-1j * k * (x + t[:-1]))
+    mean = np.sum(wt * phase * W[:-1])
     assert abs(seg.mean(*y) - mean) <= 1e-13 * abs(mean)
-    flux = np.sum(wt * phase * GW1)
+    # G D_k u = exp(-ikx) P + gamma G
+    flux = np.sum(wt * (phase * P[:-1] + gamma * G))
     assert abs(seg.mean_flux(*y) - flux) <= 1e-13 * abs(flux)
+    for got, want in zip(seg.load, (W_src[-1], P_src[-1])):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+#: sha256 over ORACLE_CELLS of repr((Z, <w>, <rho w>)) on the exact route at
+#: k = 0.5, 1.5, 2.5 and omega = 0, 0.3 and 0.8 times the exact branch: the
+#: monopole response's bits, which the impedance root and every preset read
+MONOPOLE_DIGEST = "bc68de0d5b1296bfa560cf269efaccc096b0b5bc11e0a2f52073ae986b439973"
+
+
+def test_monopole_response_is_pinned_across_cells() -> None:
+    ks = (0.5, 1.5, 2.5)
+    digest = hashlib.sha256()
+    for cell in ORACLE_CELLS:
+        for k, w_branch in zip(ks, exact_branch(cell, np.array(ks)).omega):
+            for omega in (0.0, 0.3 * float(w_branch), 0.8 * float(w_branch)):
+                w = solve_w_exact(cell, k, omega)
+                z = effective_impedance(cell, k, omega)
+                digest.update(repr((z, w.mean, w.mean_rho)).encode())
+    assert digest.hexdigest() == MONOPOLE_DIGEST
 
 
 def test_resonance_error_names_point_and_cell() -> None:
