@@ -413,16 +413,16 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     # static dipole flux against the density-weighted corrector square
     alpha1_flux = _real(fields.alpha1.flux.mean, "alpha1 flux mean", scales["rho"], cell, fields.method)
     out["static_dipole_flux_matches_covariance"] = abs(alpha1_flux - c.q) / max(
-        abs(c.q), abs(alpha1_flux), 1e-12
+        abs(c.q), abs(alpha1_flux), 1e-12 * scales["rho"]
     )
 
-    # constant-density companion: eta0 drops out and s_g collapses to q
+    # constant-density companion, in its own scales: eta0 drops out and s_g collapses to q / rho0
     companion = UnitCell1D(tuple(Phase(length=p.length, G=p.G, rho=1.0) for p in cell.phases))
     comp_fields, comp = homogenize(companion, method=fields.method, order=fields.order or DEFAULT_ORDER)
-    comp_scale = max(abs(comp.q), 1e-12)
+    q_comp = comp.q / comp.rho0
     out["constant_density_reduction"] = max(
-        abs(comp.s_g - comp.q) / comp_scale,
-        abs(comp.s_rho) / comp_scale,
-        comp_fields.eta0.u.bound(),
+        abs(comp.s_g - q_comp) / max(abs(q_comp), 1e-12),
+        abs(comp.s_rho) / companion.scales["rho/G"],
+        comp_fields.eta0.u.bound() * companion.scales["G"],
     )
     return out

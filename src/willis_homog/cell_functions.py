@@ -1,10 +1,11 @@
 """Monopole and dipole cell responses on either route.
 
-``responses`` is the one place that picks a route: closed-form
-``ExactField``s (``method="exact"``) or ``CellSolution``s of one assembled
-operator (``method="spectral"``), which share one field interface: ``mean``,
-``mean_rho``, ``mean_flux`` and ``mean_G``.  On the spectral route the loads
-at one omega share one resonance certificate and one factorization.
+``responses`` is the one place that picks a route: the closed forms
+(``method="exact"``) or one assembled operator (``method="spectral"``).
+Either returns each response as a ``CellResponse``, the four averages
+``mean``, ``mean_rho``, ``mean_flux`` and ``mean_G``, read where the solve
+ends.  On the spectral route the loads at one omega share one resonance
+certificate and one factorization.
 ``solve_w``, ``solve_v``, ``solve_zeta`` and their ``_exact`` twins solve
 one response each; the static dipole ``zeta`` is the dipole response at
 omega = 0.
@@ -12,13 +13,13 @@ omega = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import ResonanceError, ValidationError
 from .exact import (
-    ExactField,
+    CellResponse,
     solve_dipole_exact,
     solve_monopole_exact,
     solve_static_dipole_exact,
@@ -27,7 +28,7 @@ from .material import UnitCell1D, cell_digest
 from .spectral import DEFAULT_ORDER, BlochOperator, assemble, resolvent_solve
 
 __all__ = [
-    "CellSolution",
+    "CellResponse",
     "solve_w",
     "solve_v",
     "solve_zeta",
@@ -38,36 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
-class CellSolution:
-    """Spectral cell response and its load data."""
-
-    operator: BlochOperator
-    coeffs: np.ndarray
-
-    @property
-    def mean(self) -> complex:
-        return self.operator.mean(self.coeffs)
-
-    @property
-    def mean_rho(self) -> complex:
-        return self.operator.mean_rho(self.coeffs)
-
-    @property
-    def mean_flux(self) -> complex:
-        return self.operator.mean_flux(self.coeffs)
-
-    @property
-    def mean_G(self) -> float:
-        return self.operator.mean_G
-
-
-def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellSolution]:
+def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellResponse]:
     """Responses to the loads ``kinds`` at one omega, through one resolvent solve."""
     load = {"monopole": operator.monopole_load, "dipole": operator.dipole_load}
     loads = [load[kind]() for kind in kinds]
     coeffs = np.ascontiguousarray(resolvent_solve(operator, omega, np.stack(loads, axis=1)).T)
-    return [CellSolution(operator, c) for c in coeffs]
+    return [
+        CellResponse(operator.mean(c), operator.mean_rho(c), operator.mean_flux(c), operator.mean_G)
+        for c in coeffs
+    ]
 
 
 def _require_nonzero_k(cell: UnitCell1D, k: float) -> None:
@@ -86,15 +66,18 @@ def responses(
     kinds: tuple[str, ...],
     method: str,
     order: int = DEFAULT_ORDER,
-) -> list:
+) -> list[CellResponse]:
     """The responses ``kinds`` ("monopole" and/or "dipole") at (k, omega).
 
-    ``kinds`` is a non-empty tuple of those names and ``method`` is "exact"
-    or "spectral" (truncation ``order``); anything else raises
-    ValidationError.
+    ``kinds`` is a non-empty tuple of those names, ``method`` is "exact"
+    or "spectral" (truncation ``order``) and k and omega are finite;
+    anything else raises ValidationError.
     """
     if not (isinstance(kinds, tuple) and kinds and all(kind in ("monopole", "dipole") for kind in kinds)):
         raise ValidationError(f"kinds must be a non-empty tuple of 'monopole' and 'dipole', got {kinds!r}")
+    for name, value in (("k", k), ("omega", omega)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if method == "exact":
         solve = {"monopole": solve_w_exact, "dipole": solve_v_exact}
         return [solve[kind](cell, k, omega) for kind in kinds]
@@ -103,17 +86,17 @@ def responses(
     return _solve(assemble(cell, k, order), omega, kinds)
 
 
-def solve_w(operator: BlochOperator, omega: float) -> CellSolution:
+def solve_w(operator: BlochOperator, omega: float) -> CellResponse:
     """Response to the unit mean load f = 1 at frequency omega."""
     return _solve(operator, omega, ("monopole",))[0]
 
 
-def solve_v(operator: BlochOperator, omega: float) -> CellSolution:
+def solve_v(operator: BlochOperator, omega: float) -> CellResponse:
     """Response to the unit dipole load at frequency omega."""
     return _solve(operator, omega, ("dipole",))[0]
 
 
-def solve_zeta(operator: BlochOperator) -> CellSolution:
+def solve_zeta(operator: BlochOperator) -> CellResponse:
     """Static dipole response (the omega = 0 dipole solve).
 
     Undefined at k = 0, where the static operator has the constants in its
@@ -123,27 +106,26 @@ def solve_zeta(operator: BlochOperator) -> CellSolution:
     return _solve(operator, 0.0, ("dipole",))[0]
 
 
-def solve_w_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
+def solve_w_exact(cell: UnitCell1D, k: float, omega: float) -> CellResponse:
     """Closed-form monopole response (reference route)."""
     return solve_monopole_exact(cell, k, omega)
 
 
-def solve_v_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
+def solve_v_exact(cell: UnitCell1D, k: float, omega: float) -> CellResponse:
     """Closed-form dipole response (reference route)."""
     return solve_dipole_exact(cell, k, omega)
 
 
-def solve_zeta_exact(cell: UnitCell1D, k: float) -> ExactField:
+def solve_zeta_exact(cell: UnitCell1D, k: float) -> CellResponse:
     """Closed-form static dipole response (reference route)."""
     _require_nonzero_k(cell, k)
     return solve_static_dipole_exact(cell, k)
 
 
-def averages(w, v) -> dict[str, complex]:
+def averages(w: CellResponse, v: CellResponse) -> dict[str, complex]:
     """The seven cell averages the effective model is built from.
 
-    Accepts any pair of responses exposing mean / mean_rho / mean_flux /
-    mean_G (spectral CellSolution or closed-form ExactField).  ``mean_G``
+    Accepts a pair of ``CellResponse``s from either route.  ``mean_G``
     is <G> as the route forms G times a strain: exact on the exact route,
     and on the spectral route the constant mode of T(1/G)^{-1} e_0, which
     pairs with <G D_k v> so that their difference, the mean flux of the

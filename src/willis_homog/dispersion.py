@@ -208,8 +208,12 @@ def willis_exact_root(
     that eigenvalue, the acoustic root; its poles, the zeros of <w>, lie
     above it, and invisible eigenvalues leave it finite.  So a point the
     exact route finds resonant before the first sign change lies on that
-    branch, where Z = 0.  ``omega_max`` defaults to the Rayleigh bound, and
-    the step and the tolerance are in units of c, as in :func:`exact_branch`.
+    branch, where Z = 0.  So the bisection ends at the low edge of the exact
+    route's resonance window, not within ``ROOT_TOL`` c: the root is known to
+    the window's half-width, about 1e-10 of omega; ``Z`` in pole-free form
+    (ROADMAP.md, item 2) would remove the window.  ``omega_max`` defaults to
+    the Rayleigh bound, and the scan step is in units of c, as in
+    :func:`exact_branch`.
     """
     if omega_max is None:
         omega_max = _rayleigh_bound(cell, k)

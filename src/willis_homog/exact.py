@@ -12,8 +12,9 @@ is the first-order system
 whose state (W, P) is continuous at every interface.  The monopole load
 (f = 1) is a source in P', the unit dipole load (gamma = 1) a strain source
 in W'.  Segment solutions are propagated with the trigonometric fundamental
-matrix, and the Floquet condition closes a 2x2 linear system.  This module
-is the reference oracle the spectral route is validated against.
+matrix, and the Floquet condition closes a 2x2 linear system; the march
+that closes it sums each segment's averages into a ``CellResponse``.  This
+module is the reference oracle the spectral route is validated against.
 
 No quadrature is involved.  On segment j (left end x_j, length h, wave
 number q = omega sqrt(rho/G)) either load's contribution to the end state
@@ -35,8 +36,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import ResonanceError
 from .material import Phase, UnitCell1D, cell_digest
 
 __all__ = [
-    "ExactField",
+    "CellResponse",
     "solve_monopole_exact",
     "solve_dipole_exact",
     "solve_static_dipole_exact",
@@ -139,7 +139,7 @@ class _Segment:
     def __init__(self, phase: Phase, x: float, k: float, omega: float, kind: str):
         h, G, rho = phase.length, phase.G, phase.rho
         q = omega * math.sqrt(rho / G)
-        self.h, self.G, self.rho = h, G, rho
+        self.G, self.rho = G, rho
         self.w2 = w2 = rho * omega * omega
         self.cos = math.cos(q * h)
         self.sin_q = math.sin(q * h) / q if q else h
@@ -162,53 +162,29 @@ class _Segment:
         c, s = self.cos, self.sin_q
         return c * y0 + (s / self.G) * y1, -self.w2 * s * y0 + c * y1
 
-    def mean(self, y0: complex, y1: complex) -> complex:
-        """int over the segment of u = exp(-ikx) W, from the start state."""
-        return self.gauge * (y0 * self.C0 + y1 * self.S0 / self.G) + self.mean_load
+    def integrals(self, y0: complex, y1: complex) -> tuple[complex, complex]:
+        """The integrals over the segment of u = exp(-ikx) W and of
+        G D_k u = exp(-ikx) P + gamma G, from the start state."""
+        return (
+            self.gauge * (y0 * self.C0 + y1 * self.S0 / self.G) + self.mean_load,
+            self.gauge * (-self.w2 * self.S0 * y0 + self.C0 * y1) + self.flux_load,
+        )
 
-    def mean_flux(self, y0: complex, y1: complex) -> complex:
-        """int over the segment of G D_k u = exp(-ikx) P + gamma G, from the start state."""
-        return self.gauge * (-self.w2 * self.S0 * y0 + self.C0 * y1) + self.flux_load
 
+class CellResponse(NamedTuple):
+    """A cell response u as the four averages the effective model reads.
 
-@dataclass(eq=False)
-class ExactField:
-    """Closed-form cell response.
-
-    ``starts[j]`` is (W, P) at the left end of segment j, with
-    W = exp(ikx) u and P = exp(ikx) G (D_k u - gamma); cell averages are sums
-    of per-segment closed forms.
+    Both routes fill it where their solve ends: the exact route sums the
+    segments' closed forms, the spectral route reads its operator.
     """
 
-    starts: tuple[tuple[complex, complex], ...]
-    segments: tuple[_Segment, ...]
-
-    @cached_property
-    def _segment_means(self) -> list[complex]:
-        return [seg.mean(*y) for seg, y in zip(self.segments, self.starts)]
-
-    @property
-    def mean(self) -> complex:
-        """<u>"""
-        return complex(sum(self._segment_means))
-
-    @property
-    def mean_rho(self) -> complex:
-        """<rho u>"""
-        return complex(sum(seg.rho * m for seg, m in zip(self.segments, self._segment_means)))
-
-    @property
-    def mean_flux(self) -> complex:
-        """<G D_k u>"""
-        return complex(sum(seg.mean_flux(*y) for seg, y in zip(self.segments, self.starts)))
-
-    @property
-    def mean_G(self) -> float:
-        """<G>, as ``UnitCell1D.mean("G")`` forms it"""
-        return float(np.dot([seg.h for seg in self.segments], [seg.G for seg in self.segments]))
+    mean: complex  #: <u>
+    mean_rho: complex  #: <rho u>
+    mean_flux: complex  #: <G D_k u>
+    mean_G: float  #: <G>, as the route forms G times a strain
 
 
-def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
+def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> CellResponse:
     k, omega = float(k), float(omega)
     segments = []
     x = 0.0
@@ -237,26 +213,27 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> ExactField:
         )
     y = ((a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det)
 
-    starts = []
+    # march the periodic state across the cell, summing each segment's averages
+    mean = mean_rho = mean_flux = 0
     for seg in segments:
-        starts.append(y)
+        u, flux = seg.integrals(*y)
+        mean, mean_rho, mean_flux = mean + u, mean_rho + seg.rho * u, mean_flux + flux
         y0, y1 = seg.step(*y)
         y = (y0 + seg.load[0], y1 + seg.load[1])
+    return CellResponse(complex(mean), complex(mean_rho), complex(mean_flux), cell.mean("G"))
 
-    return ExactField(starts=tuple(starts), segments=tuple(segments))
 
-
-def solve_monopole_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
+def solve_monopole_exact(cell: UnitCell1D, k: float, omega: float) -> CellResponse:
     """Cell response w to a unit mean load f = 1 (off resonance)."""
     return _solve(cell, k, omega, "monopole")
 
 
-def solve_dipole_exact(cell: UnitCell1D, k: float, omega: float) -> ExactField:
+def solve_dipole_exact(cell: UnitCell1D, k: float, omega: float) -> CellResponse:
     """Cell response v to a unit dipole load (off resonance)."""
     return _solve(cell, k, omega, "dipole")
 
 
-def solve_static_dipole_exact(cell: UnitCell1D, k: float) -> ExactField:
+def solve_static_dipole_exact(cell: UnitCell1D, k: float) -> CellResponse:
     """Static dipole response zeta (the omega = 0 dipole solve, k != 0)."""
     return _solve(cell, k, 0.0, "dipole")
 

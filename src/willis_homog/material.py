@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,12 +50,9 @@ class Phase:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (self.length > 0.0):
-            raise ValidationError(f"phase length must be > 0, got {self.length}")
-        if not (self.G > 0.0):
-            raise ValidationError(f"phase modulus G must be > 0, got {self.G}")
-        if not (self.rho > 0.0):
-            raise ValidationError(f"phase density rho must be > 0, got {self.rho}")
+        for name, value in (("length", self.length), ("modulus G", self.G), ("density rho", self.rho)):
+            if not (0.0 < value < math.inf):
+                raise ValidationError(f"phase {name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +87,16 @@ class UnitCell1D:
             return np.array([1.0 / p.G for p in self.phases])
         raise ValidationError(f"unknown field {field!r}, expected one of {FIELD_NAMES}")
 
-    def mean(self, field: str) -> float:
-        """Cell average of a coefficient field."""
+    @cached_property
+    def _means(self) -> dict[str, float]:
         lengths = np.array([p.length for p in self.phases])
-        return float(np.dot(lengths, self.values(field)))
+        return {field: float(np.dot(lengths, self.values(field))) for field in FIELD_NAMES}
+
+    def mean(self, field: str) -> float:
+        """Cell average of a coefficient field, formed once per cell."""
+        if field not in FIELD_NAMES:
+            self.values(field)  # raises ValidationError
+        return self._means[field]
 
     @cached_property
     def scales(self) -> dict[str, float]:

@@ -101,6 +101,17 @@ def test_spectral_identity_suite_small() -> None:
         assert value < 1e-5, name
 
 
+@pytest.mark.parametrize("b", [1e-14, 1e-20])
+def test_covariance_check_keeps_its_sensitivity_in_small_density_units(b: float) -> None:
+    # q scales with rho; a floor in absolute units would swallow the residual
+    def residual(cell: UnitCell1D) -> float:
+        return identity_suite(cell, *homogenize(cell, method="exact"))["static_dipole_flux_matches_covariance"]
+
+    scaled = UnitCell1D(tuple(Phase(p.length, p.G, b * p.rho) for p in BILAMINATE.phases))
+    unscaled = residual(BILAMINATE)
+    assert unscaled / 10.0 <= residual(scaled) <= 10.0 * unscaled
+
+
 def test_asymmetric_cell_identities_and_odd_coefficients() -> None:
     cell = UnitCell1D(
         phases=(Phase(0.3, 1.0, 1.0), Phase(0.5, 0.2, 3.0), Phase(0.2, 2.5, 0.4))

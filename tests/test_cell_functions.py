@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog.cell_functions import (
+    CellResponse,
     averages,
     responses,
     solve_v,
@@ -85,11 +86,29 @@ def test_static_dipole_guard_catches_near_multiples_of_two_pi(k: float) -> None:
 
 
 @pytest.mark.parametrize("method", ["exact", "spectral"])
+def test_both_routes_return_one_record_type(method: str) -> None:
+    w, v = responses(bilaminate(0.1, 0.1), 0.5, 0.2, ("monopole", "dipole"), method, 16)
+    assert type(w) is type(v) is CellResponse
+
+
+@pytest.mark.parametrize("method", ["exact", "spectral"])
 def test_responses_reject_an_unknown_kind(method: str) -> None:
     # the static dipole is no response kind; solve_zeta is the dipole at omega = 0
     for kinds in (("static_dipole",), ("quadrupole",), (), ["monopole"]):
         with pytest.raises(ValidationError, match=re.escape(repr(kinds))):
             responses(bilaminate(0.1, 0.1), 0.5, 0.2, kinds, method, 16)
+
+
+@pytest.mark.parametrize("method", ["exact", "spectral"])
+@pytest.mark.parametrize(
+    "k,omega",
+    [(np.nan, 0.3), (np.inf, 0.3), (0.5, np.nan), (0.5, np.inf)],
+    ids=["k-nan", "k-inf", "omega-nan", "omega-inf"],
+)
+def test_responses_reject_a_non_finite_point(method: str, k: float, omega: float) -> None:
+    name = "k" if not np.isfinite(k) else "omega"
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        responses(bilaminate(0.1, 0.1), k, omega, ("monopole",), method, 16)
 
 
 def test_homogeneous_means_match_exact_solver() -> None:

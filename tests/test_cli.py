@@ -253,6 +253,25 @@ def test_non_finite_probe_is_config_error(tmp_path: Path, capsys, probe) -> None
     assert "config field 'probe'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["coeffs", "dispersion", "verify"])
+@pytest.mark.parametrize(
+    "cell",
+    [
+        {"phases": [{"length": 0.5, "G": float("inf"), "rho": 1}, {"length": 0.5, "G": 1, "rho": 1}]},
+        {"bilaminate": [float("inf"), 1]},
+    ],
+    ids=["phases-G", "bilaminate-rho"],
+)
+def test_infinite_phase_data_is_config_error(tmp_path: Path, capsys, command: str, cell: dict) -> None:
+    # the JSON reader accepts Infinity; the phase refuses it
+    cfg = write_config(tmp_path / "c.json", {"cell": cell})
+    assert "Infinity" in Path(cfg).read_text()
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'cell'" in err and "must be finite" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_nan_tolerance_is_config_error(tmp_path: Path, capsys) -> None:
     cfg = write_config(
         tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "tolerances": {"exact": float("nan")}}
@@ -274,7 +293,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "79c7955851aca6d2d1ffa2ab6af55fc168b1777921b2650d1afebaedd625623d"
+VERIFICATION_N16_DIGEST = "b23072dcfc0a9a0564e6cf8c106439be15701ea72efb239019b0cf7245f78222"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -312,12 +331,15 @@ def _scaled_fig2(a: float, b: float) -> dict:
     return {"phases": [{"length": 0.5, "G": a, "rho": b}, {"length": 0.5, "G": 0.1 * a, "rho": 0.1 * b}]}
 
 
-_SCALE_IDS = {1e-6: "1e-6", 1e-3: "1e-3", 1.0: "1", 1e3: "1e3", 1e6: "1e6"}
+_SCALE_IDS = {1e-15: "1e-15", 1e-12: "1e-12", 1e-6: "1e-6", 1e-3: "1e-3", 1.0: "1", 1e3: "1e3", 1e6: "1e6"}
 
 #: (a, b) of fig2's cell scaled by (G, rho) -> (aG, b rho), every speed by sqrt(a/b)
 _UNIT_CHANGES = [
-    *((a, a) for a in (1e-6, 1e-3, 1e3, 1e6)),
+    *((a, a) for a in (1e-12, 1e-6, 1e-3, 1e3, 1e6)),
     *((a, b) for a in (1e-6, 1.0, 1e6) for b in (1e-6, 1.0, 1e6) if a != b),
+    (1e-12, 1.0),
+    (1e-15, 1.0),
+    (1.0, 1e-15),
 ]
 
 

@@ -77,6 +77,14 @@ def test_impedance_root_matches_trace_root() -> None:
     assert abs(w_trace - w_imp) < 1e-6
 
 
+@pytest.mark.parametrize("k", [0.5, 1.5])
+def test_impedance_root_lies_at_the_low_edge_of_the_resonance_window(k: float) -> None:
+    # a resonant scan point counts as Z = 0, so the bisection ends where the
+    # exact route's resonance window opens: below the branch by its half-width
+    w_branch = exact_branch(BILAMINATE, np.array([k])).omega[0]
+    assert 0.0 < (w_branch - willis_exact_root(BILAMINATE, k)) / w_branch <= 2e-10
+
+
 def test_spectral_branch_converges_to_exact() -> None:
     k = np.array([0.5, 1.5])
     w_trace = exact_branch(BILAMINATE, k).omega

@@ -59,3 +59,12 @@ def test_benchmark_tracer_targets_exist() -> None:
     assert sys.modules["willis_homog.cli"].effective_impedance is sys.modules["willis_homog.willis"].effective_impedance
     operator = sys.modules["willis_homog.spectral"].BlochOperator
     assert isinstance(operator.__dict__.get("eigenvalues"), functools.cached_property)
+
+
+def test_readme_library_example_runs(capsys) -> None:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    # the example prints |z2 - Z| at (k, omega) = (0.01, 0.003)
+    assert float(capsys.readouterr().out) < 1e-15

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +27,12 @@ def test_phase_rejects_nonpositive_properties() -> None:
         Phase(length=0.5, G=1.0, rho=-2.0)
     with pytest.raises(ValidationError):
         Phase(length=0.0, G=1.0, rho=1.0)
+
+
+@pytest.mark.parametrize("G,rho", [(math.inf, 1.0), (1.0, math.inf)])
+def test_phase_rejects_infinite_properties(G: float, rho: float) -> None:
+    with pytest.raises(ValidationError, match="finite"):
+        Phase(length=0.5, G=G, rho=rho)
 
 
 def test_cell_lengths_must_fill_the_unit_interval() -> None:
