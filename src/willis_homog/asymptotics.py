@@ -76,8 +76,10 @@ class InverseRuleG:
     """G as the spectral route multiplies a strain: T(1/G)^{-1} on order-N fields.
 
     ``column`` is the first column of T(1/G), the coefficients m = 0..2N of
-    1/G; the O(N^2) inverse is formed when G is first multiplied or averaged,
-    which only ``identity_suite`` does.
+    1/G; the inverse (``toeplitz_inverse``: one LU up to N = 32, where
+    Levinson's Python steps cost more than the O(N^3) LAPACK call, O(N^2)
+    above) is formed when G is first multiplied or averaged, which only
+    ``identity_suite`` does.
     """
 
     column: np.ndarray

@@ -11,13 +11,15 @@ The flux G D_k u is continuous across the interfaces while G and D_k u
 jump, so G multiplies a strain by Li's inverse rule, T(1/G)^{-1} (L. Li,
 JOSA A 13 (1996) 1870), not by Laurent's T(G), whose product converges only
 like 1/N on a discontinuous cell.  The stiffness, the dipole load and the
-mean flux all read that one matrix; the static chain (``asymptotics``)
-divides by G through its inverse T(1/G), so it solves this system at k = 0
-without a factorization.  Both A and B are Hermitian and B is positive
-definite, so A c = lambda B c has a real spectrum with rho-orthonormal
-eigenvectors.  Cell responses come either from the resolvent (direct solve
-of (A - omega^2 B) c = r) or from the modal expansion, which must agree to
-roundoff when all 2N+1 modes are kept.
+mean flux all read that one matrix, formed by ``toeplitz_inverse``: up to
+N = 32 by one LAPACK LU, above it by the O(N^2) Levinson-Trench recurrence,
+whose N Python steps cost more than the O(N^3) LAPACK call at small N.
+The static chain (``asymptotics``) divides by G through its inverse T(1/G),
+so it solves this system at k = 0 without a factorization.  Both A and B
+are Hermitian and B is positive definite, so A c = lambda B c has a real
+spectrum with rho-orthonormal eigenvectors.  Cell responses come either
+from the resolvent (direct solve of (A - omega^2 B) c = r) or from the
+modal expansion, which must agree to roundoff when all 2N+1 modes are kept.
 
 The resolvent never forms the spectrum.  By Sylvester's law of inertia a
 Cholesky factorization of A - sigma B succeeds exactly when every
@@ -67,6 +69,13 @@ RESONANCE_RTOL = 1e-8
 
 #: relative residual bound enforced on every resolvent solve
 RESIDUAL_RTOL = 1e-10
+
+#: largest Toeplitz size n = 2N + 1 that toeplitz_inverse inverts by one dense
+#: LU.  Measured on a 2-core VM with one BLAS thread (median over 6 cells of
+#: the best of 20): one inverse at N = 8, 16, 24, 32 takes about 37, 70, 150,
+#: 280 us by LU against 135, 190, 350, 460 us by Levinson-Durbin and Trench;
+#: at N = 48 the two are even and at N = 64 LU takes 1.7 ms against 0.9 ms
+_DENSE_MAX_SIZE = 65
 
 
 def _where(operator: "BlochOperator", omega_sq: float) -> str:
@@ -204,17 +213,28 @@ def _levinson(t: np.ndarray) -> np.ndarray:
     return a / eps
 
 
-def toeplitz_inverse(t: np.ndarray) -> np.ndarray:
-    """Inverse of the positive definite Hermitian Toeplitz matrix with first column t.
+def _dense_inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse of the Hermitian Toeplitz matrix with first column t by one LU
+    (``numpy.linalg.inv``), returned as its Hermitian part, which has a real
+    diagonal.  LU, not Cholesky: a Cholesky inverse fails on admissible cells
+    whose G spans 1e18 (``verify`` on G = 1e-9 | 1e9)."""
+    j = np.arange(t.size)
+    full = np.concatenate((t[:0:-1].conj(), t))  # full[n - 1 + i - j] = T[i, j]
+    inverse = np.linalg.inv(full[j[:, None] - j[None, :] + t.size - 1])
+    return 0.5 * (inverse + inverse.conj().T)
 
-    O(n^2): Levinson-Durbin gives the first column x, and the Gohberg-Semencul
-    form T^{-1} = (L(x) L(x)^H - L(y) L(y)^H) / x_0, with L(v) the lower
-    triangular Toeplitz matrix of v and y = (0, conj(x_{n-1}), ..., conj(x_1)),
-    gives every diagonal d >= 0 as a running sum (Trench's recurrence):
+
+def _trench(t: np.ndarray) -> np.ndarray:
+    """Inverse of the positive definite Hermitian Toeplitz matrix with first
+    column t in O(n^2): Levinson-Durbin gives the first column x, and the
+    Gohberg-Semencul form T^{-1} = (L(x) L(x)^H - L(y) L(y)^H) / x_0, with
+    L(v) the lower triangular Toeplitz matrix of v and
+    y = (0, conj(x_{n-1}), ..., conj(x_1)), gives every diagonal d >= 0 as a
+    running sum (Trench's recurrence):
     T^{-1}[i, i + d] = sum_{s <= i} (x_s conj(x_{s+d}) - y_s conj(y_{s+d})) / x_0.
     """
     n = t.size
-    x = _levinson(np.asarray(t, dtype=complex))
+    x = _levinson(t)
     scale = 1.0 / x[0].real
     y = np.zeros(n, dtype=complex)
     y[1:] = x[:0:-1].conj()
@@ -234,6 +254,19 @@ def toeplitz_inverse(t: np.ndarray) -> np.ndarray:
     np.copyto(inverse, inverse.T.conj(), where=np.tri(n, k=-1, dtype=bool))
     inverse.flat[:: n + 1] = inverse.diagonal().real
     return inverse
+
+
+def toeplitz_inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse of the positive definite Hermitian Toeplitz matrix with first column t.
+
+    Up to n = _DENSE_MAX_SIZE (N = 32) one LAPACK LU inverse (``_dense_inverse``);
+    above it Levinson-Durbin and Trench's recurrence (``_trench``), which is
+    O(n^2) but takes n Python steps, whose overhead outweighs the O(n^3)
+    LAPACK call at small n.  Either result is exactly Hermitian with a real
+    diagonal.
+    """
+    t = np.asarray(t, dtype=complex)
+    return _dense_inverse(t) if t.size <= _DENSE_MAX_SIZE else _trench(t)
 
 
 def check_order(order) -> int:

@@ -293,7 +293,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "b23072dcfc0a9a0564e6cf8c106439be15701ea72efb239019b0cf7245f78222"
+VERIFICATION_N16_DIGEST = "2e9957fd4ca476072ef3233a64a2aecdbcfccd697fdd645654ea3e0ac578de3e"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -325,6 +325,17 @@ def test_verify_does_not_crash_on_simple_cells(tmp_path: Path, capsys, cell) -> 
     cfg = write_config(tmp_path / "c.json", {"cell": cell})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
     assert "numerical error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis_n", ["8", "16", "32"])
+def test_verify_reports_on_a_cell_of_extreme_contrast(tmp_path: Path, capsys, basis_n: str) -> None:
+    # T(1/G) of G = 1e-9 | 1e9 is near singular: Li's G must still be formed
+    # (by LU; a Cholesky inverse raises LinAlgError here) and verify must report
+    phases = [{"length": 0.5, "G": 1e-9, "rho": 1}, {"length": 0.5, "G": 1e9, "rho": 1}]
+    cfg = write_config(tmp_path / "c.json", {"cell": {"phases": phases}})
+    assert main(["verify", "--config", cfg, "--basis-n", basis_n, "--out", str(tmp_path)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "verification.json").exists()
 
 
 def _scaled_fig2(a: float, b: float) -> dict:

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog import spectral
-from willis_homog.asymptotics import homogenize
+from willis_homog.asymptotics import homogenize, identity_suite
 from willis_homog.dispersion import spectral_acoustic_branch
 from willis_homog.errors import ResonanceError, ValidationError
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, fourier_coefficients, homogeneous
@@ -218,7 +218,7 @@ def test_dipole_load_and_mean_flux_match_per_mode_coefficients() -> None:
 @pytest.mark.parametrize("n_phases", [1, 2, 3, 4, 5, 6])
 def test_toeplitz_inverse_matches_dense_inverse(n_phases: int) -> None:
     rng = np.random.default_rng(n_phases)
-    for order in (4, 16, 64):
+    for order in (4, 16, 32, 33, 64):
         lengths = rng.dirichlet(np.ones(n_phases))
         lengths[-1] = 1.0 - lengths[:-1].sum()
         moduli = 10.0 ** rng.uniform(-2.0, 2.0, n_phases)
@@ -227,6 +227,49 @@ def test_toeplitz_inverse_matches_dense_inverse(n_phases: int) -> None:
         got = toeplitz_inverse(fourier_coefficients(cell, ("1/G",), 2 * order)[0].coeffs[2 * order :])
         assert np.array_equal(got, got.conj().T)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (order, cell_digest(cell))
+
+
+def _counting_levinson(monkeypatch) -> list:
+    sizes = []
+    levinson = spectral._levinson
+
+    def counted(t):
+        sizes.append(t.size)
+        return levinson(t)
+
+    monkeypatch.setattr(spectral, "_levinson", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("order, calls", [(4, 0), (8, 0), (16, 0), (32, 0), (33, 1), (64, 1)])
+def test_li_g_is_dense_up_to_order_32(monkeypatch, order: int, calls: int) -> None:
+    # one LU beats Levinson's Python loop up to 2N + 1 = 65 modes
+    sizes = _counting_levinson(monkeypatch)
+    assemble(bilaminate(0.1, 0.1), 0.5, order)
+    assert sizes == [2 * order + 1] * calls
+
+
+def test_identity_suite_at_order_16_runs_no_levinson(monkeypatch) -> None:
+    sizes = _counting_levinson(monkeypatch)
+    cell = bilaminate(0.1, 0.1)
+    identity_suite(cell, *homogenize(cell, method="spectral", order=16))
+    assert sizes == []
+
+
+@pytest.mark.parametrize("order", [4, 8, 16, 32])
+def test_dense_and_levinson_inverses_agree(order: int) -> None:
+    rng = np.random.default_rng(order)
+    for n_phases in (1, 2, 3, 6):
+        lengths = rng.dirichlet(np.ones(n_phases))
+        lengths[-1] = 1.0 - lengths[:-1].sum()
+        moduli = 10.0 ** rng.uniform(-2.0, 2.0, n_phases)
+        cell = UnitCell1D(tuple(Phase(float(h), float(g), 1.0) for h, g in zip(lengths, moduli)))
+        t = fourier_coefficients(cell, ("1/G",), 2 * order)[0].coeffs[2 * order :].astype(complex)
+        dense, levinson = spectral._dense_inverse(t), spectral._trench(t)
+        for g in (dense, levinson):
+            assert np.array_equal(g, g.conj().T)
+            assert not np.any(g.diagonal().imag)
+        assert np.max(np.abs(dense - levinson)) <= 1e-12 * np.max(np.abs(levinson)), cell_digest(cell)
 
 
 def test_mean_G_is_the_harmonic_mean_at_the_lowest_order() -> None:
