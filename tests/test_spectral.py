@@ -215,14 +215,19 @@ def test_dipole_load_and_mean_flux_match_per_mode_coefficients() -> None:
     assert abs(op.mean_G - g[i0, i0].real) <= 1e-12 * scale
 
 
+def _random_G_cell(rng: np.random.Generator, n_phases: int) -> UnitCell1D:
+    """Random lengths, G in [1e-2, 1e2], rho = 1."""
+    lengths = rng.dirichlet(np.ones(n_phases))
+    lengths[-1] = 1.0 - lengths[:-1].sum()
+    moduli = 10.0 ** rng.uniform(-2.0, 2.0, n_phases)
+    return UnitCell1D(tuple(Phase(float(h), float(g), 1.0) for h, g in zip(lengths, moduli)))
+
+
 @pytest.mark.parametrize("n_phases", [1, 2, 3, 4, 5, 6])
 def test_toeplitz_inverse_matches_dense_inverse(n_phases: int) -> None:
     rng = np.random.default_rng(n_phases)
     for order in (4, 16, 32, 33, 64):
-        lengths = rng.dirichlet(np.ones(n_phases))
-        lengths[-1] = 1.0 - lengths[:-1].sum()
-        moduli = 10.0 ** rng.uniform(-2.0, 2.0, n_phases)
-        cell = UnitCell1D(tuple(Phase(float(h), float(g), 1.0) for h, g in zip(lengths, moduli)))
+        cell = _random_G_cell(rng, n_phases)
         ref = _dense_G_matrix(cell, order)
         got = toeplitz_inverse(fourier_coefficients(cell, ("1/G",), 2 * order)[0].coeffs[2 * order :])
         assert np.array_equal(got, got.conj().T)
@@ -260,10 +265,7 @@ def test_identity_suite_at_order_16_runs_no_levinson(monkeypatch) -> None:
 def test_dense_and_levinson_inverses_agree(order: int) -> None:
     rng = np.random.default_rng(order)
     for n_phases in (1, 2, 3, 6):
-        lengths = rng.dirichlet(np.ones(n_phases))
-        lengths[-1] = 1.0 - lengths[:-1].sum()
-        moduli = 10.0 ** rng.uniform(-2.0, 2.0, n_phases)
-        cell = UnitCell1D(tuple(Phase(float(h), float(g), 1.0) for h, g in zip(lengths, moduli)))
+        cell = _random_G_cell(rng, n_phases)
         t = fourier_coefficients(cell, ("1/G",), 2 * order)[0].coeffs[2 * order :].astype(complex)
         dense, levinson = spectral._dense_inverse(t), spectral._trench(t)
         for g in (dense, levinson):
