@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import HomogCoefficients, two_scale_root
-from .errors import NumericalError, ResonanceError
+from .errors import NumericalError
 from .exact import dispersion_function
 from .material import UnitCell1D, cell_digest
 from .spectral import DEFAULT_ORDER, assemble
@@ -51,18 +51,37 @@ class DispersionBranch:
     terminated_at: float | None = None
 
 
-def _bisect(fn, a: float, b: float, fa: float, tol: float) -> float:
-    """Bisect fn's sign change on [a, b], given fa = fn(a)."""
+def _bisect(fn, a, b, fa, tol: float) -> np.ndarray:
+    """Bisect fn's sign changes on the brackets [a, b] in lockstep to within tol,
+    given fa = fn(a); a closed bracket keeps its ends.  Each root is bit for
+    bit that of its bracket bisected alone."""
+    a, b, fa = np.atleast_1d(a, b, fa)
     for _ in range(200):
+        open_ = b - a > tol
+        if not open_.any():
+            break
         mid = 0.5 * (a + b)
-        if b - a <= tol:
-            return mid
         fm = fn(mid)
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
+        left = fa * fm <= 0.0
+        a, b, fa = np.where(open_ & ~left, mid, a), np.where(open_ & left, mid, b), np.where(left, fa, fm)
     return 0.5 * (a + b)
+
+
+def _golden_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
+    """(x, fn(x)) at the minimum of fn, unimodal on [a, b], by golden section to within tol."""
+    g = 0.5 * (np.sqrt(5.0) - 1.0)
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = fn(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def _scan_points(start: float, step: float, limit: float):
@@ -99,7 +118,11 @@ def exact_branch(
     [0, omega_max].  As D(0) = 1, the first sign change of D - cos k is at
     the first grid point where the running minimum of D reaches cos k; all
     k are then bisected together.  Each root equals that of a scan plus
-    bisection run for one k at a time, bit for bit.
+    bisection run for one k at a time, bit for bit.  A k that the running
+    minimum does not reach by D's first sampled dip crosses inside that dip,
+    or touches its minimum where the gap is closed; it is bisected from the
+    grid point before the dip up to the minimum, found once per call by
+    golden section, so a touch returns the minimum, good to about sqrt(eps).
     """
     rel = relation if relation is not None else (lambda w: dispersion_function(cell, w))
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
@@ -114,7 +137,16 @@ def exact_branch(
     w = np.fromiter(_scan_points(0.0, SCAN_STEP * cell.c, omega_max), dtype=float)
     d, t = rel(w), targets[todo]
     hit = np.searchsorted(-np.minimum.accumulate(d), -t)
-    unbracketed = hit == w.size
+    # D's first sampled dip is at ``last``; a k past it that the dip's minimum reaches
+    # within roundoff is bracketed up to that minimum
+    rises = np.flatnonzero(np.diff(d) > 0.0)
+    last = rises[0] if rises.size else w.size - 1
+    past, b = hit > last, w[np.minimum(hit, w.size - 1)]
+    if rises.size and past.any():
+        w_e, d_e = _golden_min(lambda x: rel(np.array([x]))[0], w[last - 1], w[last + 1], ROOT_TOL * cell.c)
+        past &= d_e - t <= 1e-12
+        hit[past], b[past] = last, w_e
+    unbracketed = hit > last
     if unbracketed.any():
         k_bad = k_grid[todo[np.argmax(unbracketed)]]
         raise NumericalError(
@@ -122,22 +154,8 @@ def exact_branch(
             f"for k = {float(k_bad)!r} ({int(unbracketed.sum())} of {k_grid.size} k unresolved) "
             f"in cell {cell_digest(cell)}"
         )
-    a, b, fa = w[hit - 1], w[hit], d[hit - 1] - t
-
-    # lockstep bisection; a root is final once its bracket is within ROOT_TOL c
-    live, tol = np.arange(t.size), ROOT_TOL * cell.c
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        done = b - a <= tol
-        omegas[todo[live[done]]] = mid[done]
-        keep = ~done
-        live, a, b, fa, t, mid = live[keep], a[keep], b[keep], fa[keep], t[keep], mid[keep]
-        if live.size == 0:
-            break
-        fm = rel(mid) - t
-        left = fa * fm <= 0.0
-        a, b, fa = np.where(left, a, mid), np.where(left, mid, b), np.where(left, fa, fm)
-    omegas[todo[live]] = 0.5 * (a + b)
+    a, fa = w[hit - 1], d[hit - 1] - t
+    omegas[todo] = _bisect(lambda mid: rel(mid) - t, a, b, fa, ROOT_TOL * cell.c)
     return DispersionBranch(label="exact", k=k_grid, omega=omegas)
 
 
@@ -206,23 +224,16 @@ def willis_exact_root(
     lowest visible eigenvalue, where it blows up and changes sign.  Z = 1/<w>
     is there finite and positive, and first changes sign through zero at
     that eigenvalue, the acoustic root; its poles, the zeros of <w>, lie
-    above it, and invisible eigenvalues leave it finite.  So a point the
-    exact route finds resonant before the first sign change lies on that
-    branch, where Z = 0.  So the bisection ends at the low edge of the exact
-    route's resonance window, not within ``ROOT_TOL`` c: the root is known to
-    the window's half-width, about 1e-10 of omega; ``Z`` in pole-free form
-    (ROADMAP.md, item 2) would remove the window.  ``omega_max`` defaults to
-    the Rayleigh bound, and the scan step is in units of c, as in
-    :func:`exact_branch`.
+    above it, and invisible eigenvalues leave it finite.  The exact route
+    forms Z = det/N with no pole on the branch, so the root is bisected to
+    within ``ROOT_TOL`` c.  ``omega_max`` defaults to the Rayleigh bound, and
+    the scan step is in units of c, as in :func:`exact_branch`.
     """
     if omega_max is None:
         omega_max = _rayleigh_bound(cell, k)
 
     def z(w: float) -> float:
-        try:
-            return effective_impedance(cell, k, w, method="exact").real
-        except ResonanceError:
-            return 0.0
+        return effective_impedance(cell, k, w, method="exact").real
 
     c = cell.c
     points = _scan_points(1e-9 * c, SCAN_STEP * c, omega_max)
@@ -231,7 +242,7 @@ def willis_exact_root(
     for w_hi in points:
         fb = z(w_hi)
         if fa * fb <= 0.0:
-            return float(_bisect(z, w_lo, w_hi, fa, ROOT_TOL * c))
+            return float(_bisect(lambda mid: z(float(mid[0])), w_lo, w_hi, fa, ROOT_TOL * c)[0])
         w_lo, fa = w_hi, fb
     raise NumericalError(
         f"willis_exact_root: no impedance root found below omega_max = {omega_max:.6g} "

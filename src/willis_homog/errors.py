@@ -34,4 +34,4 @@ class SolvabilityError(NumericalError):
 
 class ZeroMeanImpedanceError(NumericalError):
     """The cell average of the monopole response is numerically zero, so the
-    effective impedance 1/<w> is not representable at this point."""
+    effective impedance Z = det/N, N = det <w>, is not representable here."""

@@ -12,9 +12,10 @@ is the first-order system
 whose state (W, P) is continuous at every interface.  The monopole load
 (f = 1) is a source in P', the unit dipole load (gamma = 1) a strain source
 in W'.  Segment solutions are propagated with the trigonometric fundamental
-matrix, and the Floquet condition closes a 2x2 linear system; the march
-that closes it sums each segment's averages into a ``CellResponse``.  This
-module is the reference oracle the spectral route is validated against.
+matrix; the Floquet condition A y = r closes in adjugate form, det y =
+adj(A) r, and one march with the loads scaled by det sums det times each
+segment's averages.  A response divides once by det; Z = det/N, N = det <w>,
+has no pole.  This is the oracle the spectral route is validated against.
 
 No quadrature is involved.  On segment j (left end x_j, length h, wave
 number q = omega sqrt(rho/G)) either load's contribution to the end state
@@ -48,6 +49,7 @@ __all__ = [
     "solve_monopole_exact",
     "solve_dipole_exact",
     "solve_static_dipole_exact",
+    "monopole_adjugate",
     "dispersion_function",
 ]
 
@@ -162,12 +164,12 @@ class _Segment:
         c, s = self.cos, self.sin_q
         return c * y0 + (s / self.G) * y1, -self.w2 * s * y0 + c * y1
 
-    def integrals(self, y0: complex, y1: complex) -> tuple[complex, complex]:
-        """The integrals over the segment of u = exp(-ikx) W and of
-        G D_k u = exp(-ikx) P + gamma G, from the start state."""
+    def integrals(self, y0: complex, y1: complex, det: complex) -> tuple[complex, complex]:
+        """det times the integrals over the segment of u = exp(-ikx) W and of
+        G D_k u = exp(-ikx) P + gamma G, from the start state det (W, P)."""
         return (
-            self.gauge * (y0 * self.C0 + y1 * self.S0 / self.G) + self.mean_load,
-            self.gauge * (-self.w2 * self.S0 * y0 + self.C0 * y1) + self.flux_load,
+            self.gauge * (y0 * self.C0 + y1 * self.S0 / self.G) + det * self.mean_load,
+            self.gauge * (-self.w2 * self.S0 * y0 + self.C0 * y1) + det * self.flux_load,
         )
 
 
@@ -184,7 +186,9 @@ class CellResponse(NamedTuple):
     mean_G: float  #: <G>, as the route forms G times a strain
 
 
-def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> CellResponse:
+def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: float = 0.0) -> tuple[complex, ...]:
+    """det and det <u>, det <rho u>, det <G D_k u>; ResonanceError where det
+    and ``mean_scale`` det <u> are both below _RCOND_FLOOR of det's scale."""
     k, omega = float(k), float(omega)
     segments = []
     x = 0.0
@@ -204,38 +208,49 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str) -> CellResponse:
     # Floquet closure: z = exp(-ik) (M z + s)
     phase = cmath.exp(-1j * k)
     a00, a01, a10, a11 = 1.0 - phase * m00, -phase * m01, -phase * m10, 1.0 - phase * m11
-    r0, r1 = phase * s0, phase * s1
     det = a00 * a11 - a01 * a10
-    if abs(det) <= _RCOND_FLOOR * (abs(a00 * a11) + abs(a01 * a10)):
+    y = (phase * (a11 * s0 - a01 * s1), phase * (a00 * s1 - a10 * s0))  # adj(A) exp(-ik) s
+
+    # march the periodic state det y across the cell, summing each segment's averages
+    mean = mean_rho = mean_flux = 0
+    for seg in segments:
+        u, flux = seg.integrals(*y, det)
+        mean, mean_rho, mean_flux = mean + u, mean_rho + seg.rho * u, mean_flux + flux
+        y0, y1 = seg.step(*y)
+        y = (y0 + det * seg.load[0], y1 + det * seg.load[1])
+    if max(abs(det), abs(mean) * mean_scale) <= _RCOND_FLOOR * (abs(a00 * a11) + abs(a01 * a10)):
         raise ResonanceError(
             f"(k, omega) = ({k!r}, {omega!r}) lies on a Bloch branch of cell "
             f"{cell_digest(cell)}; the {kind} cell response is resonant"
         )
-    y = ((a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det)
+    return det, complex(mean), complex(mean_rho), complex(mean_flux)
 
-    # march the periodic state across the cell, summing each segment's averages
-    mean = mean_rho = mean_flux = 0
-    for seg in segments:
-        u, flux = seg.integrals(*y)
-        mean, mean_rho, mean_flux = mean + u, mean_rho + seg.rho * u, mean_flux + flux
-        y0, y1 = seg.step(*y)
-        y = (y0 + seg.load[0], y1 + seg.load[1])
-    return CellResponse(complex(mean), complex(mean_rho), complex(mean_flux), cell.mean("G"))
+
+def _response(cell: UnitCell1D, k: float, omega: float, kind: str) -> CellResponse:
+    det, *sums = _solve(cell, k, omega, kind)
+    return CellResponse(*(s / det for s in sums), cell.mean("G"))
 
 
 def solve_monopole_exact(cell: UnitCell1D, k: float, omega: float) -> CellResponse:
     """Cell response w to a unit mean load f = 1 (off resonance)."""
-    return _solve(cell, k, omega, "monopole")
+    return _response(cell, k, omega, "monopole")
 
 
 def solve_dipole_exact(cell: UnitCell1D, k: float, omega: float) -> CellResponse:
     """Cell response v to a unit dipole load (off resonance)."""
-    return _solve(cell, k, omega, "dipole")
+    return _response(cell, k, omega, "dipole")
 
 
 def solve_static_dipole_exact(cell: UnitCell1D, k: float) -> CellResponse:
     """Static dipole response zeta (the omega = 0 dipole solve, k != 0)."""
-    return _solve(cell, k, 0.0, "dipole")
+    return _response(cell, k, 0.0, "dipole")
+
+
+def monopole_adjugate(cell: UnitCell1D, k: float, omega: float) -> tuple[complex, complex]:
+    """(det, N = det <w>); ResonanceError where det and z N, z = <rho> ((c k)^2 + omega^2),
+    both vanish: Z = det/N is 0/0 there, at an eigenvalue invisible to <w>."""
+    det, n, _, _ = _solve(cell, k, omega, "monopole", cell.scales["rho"] * ((cell.c * k) ** 2 + omega**2))
+    return det, n
 
 
 def dispersion_function(cell: UnitCell1D, omega):

@@ -24,6 +24,7 @@ import numpy as np
 
 from .cell_functions import _require_nonzero_k, averages, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
+from .exact import monopole_adjugate
 from .material import UnitCell1D, cell_digest
 from .spectral import DEFAULT_ORDER, BlochEigensystem
 
@@ -91,19 +92,17 @@ class VisibilityReport:
         return "Visible" if self.visible else "Invisible"
 
 
-def impedance_from_mean(mean_w: complex, cell: UnitCell1D, k: float, omega: float) -> complex:
-    """Z = 1/<w>; ZeroMeanImpedanceError where <w> is numerically zero.
-
-    <w> is judged against the inverse of the cell's size for an impedance,
-    <G> k^2 + <rho> omega^2 = <rho> ((c k)^2 + omega^2).
-    """
+def impedance_from_mean(mean_w: complex, cell: UnitCell1D, k: float, omega: float, det: complex = 1.0) -> complex:
+    """Z = det/N for N = ``mean_w`` = det <w> (1/<w> at det = 1); ZeroMeanImpedanceError
+    where <w> is numerically zero against the inverse of the cell's size for an
+    impedance, <G> k^2 + <rho> omega^2 = <rho> ((c k)^2 + omega^2)."""
     z_scale = cell.scales["rho"] * ((cell.c * k) ** 2 + omega**2)
-    if abs(mean_w) * z_scale <= ZERO_MEAN_TOL:
+    if abs(mean_w) * z_scale <= ZERO_MEAN_TOL * abs(det):
         raise ZeroMeanImpedanceError(
-            f"<w> = {mean_w:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
+            f"<w> = {mean_w / det:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
             f"on cell {cell_digest(cell)}; the effective impedance is undefined there"
         )
-    return 1.0 / mean_w
+    return det / mean_w
 
 
 def effective_impedance(
@@ -115,8 +114,13 @@ def effective_impedance(
 ) -> complex:
     """Z = 1/<w>; the imaginary part is a diagnostic and should sit at roundoff.
 
-    Only the monopole response w is solved, on either route.
+    Only the monopole response w is solved, on either route; the exact route
+    forms Z = det/N (:func:`~willis_homog.exact.monopole_adjugate`).
     """
+    if method == "exact" and np.isfinite([k, omega]).all():
+        det, n = monopole_adjugate(cell, k, omega)
+        return impedance_from_mean(n, cell, k, omega, det)
+    # responses rejects a non-finite point and an unknown method
     (w,) = responses(cell, k, omega, ("monopole",), method, order)
     return impedance_from_mean(complex(w.mean), cell, k, omega)
 

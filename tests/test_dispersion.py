@@ -18,7 +18,7 @@ from willis_homog.dispersion import (
     spectral_acoustic_branch,
     willis_exact_root,
 )
-from willis_homog.errors import NumericalError, ResonanceError
+from willis_homog.errors import NumericalError
 from willis_homog.exact import dispersion_function
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import BRANCH_RTOL, DEFAULT_ORDER
@@ -75,14 +75,6 @@ def test_impedance_root_matches_trace_root() -> None:
     w_trace = exact_branch(BILAMINATE, np.array([k])).omega[0]
     w_imp = willis_exact_root(BILAMINATE, k)
     assert abs(w_trace - w_imp) < 1e-6
-
-
-@pytest.mark.parametrize("k", [0.5, 1.5])
-def test_impedance_root_lies_at_the_low_edge_of_the_resonance_window(k: float) -> None:
-    # a resonant scan point counts as Z = 0, so the bisection ends where the
-    # exact route's resonance window opens: below the branch by its half-width
-    w_branch = exact_branch(BILAMINATE, np.array([k])).omega[0]
-    assert 0.0 < (w_branch - willis_exact_root(BILAMINATE, k)) / w_branch <= 2e-10
 
 
 def test_spectral_branch_converges_to_exact() -> None:
@@ -290,14 +282,10 @@ def _reference_branch(rel, k_grid, c: float) -> np.ndarray:
 
 
 def _reference_impedance_root(cell: UnitCell1D, k: float) -> float:
-    """First sign change of Re Z from 1e-9 c, a resonant point counting as
-    Z = 0, by the same scalar scan and bisection."""
+    """First sign change of Re Z from 1e-9 c by the same scalar scan and bisection."""
 
     def z(w: float) -> float:
-        try:
-            return effective_impedance(cell, k, w, method="exact").real
-        except ResonanceError:
-            return 0.0
+        return effective_impedance(cell, k, w, method="exact").real
 
     root = _reference_root(z, 1e-9 * cell.c, cell.c, _rayleigh_bound(k, cell.c))
     assert root is not None, f"reference scan found no impedance root for k = {k}"
@@ -358,6 +346,40 @@ def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisectio
 )
 def test_willis_exact_root_matches_pointwise_scan_bitwise(cell: UnitCell1D, k: float) -> None:
     assert willis_exact_root(cell, k) == _reference_impedance_root(cell, k)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.5])
+@pytest.mark.parametrize(
+    "cell", [BILAMINATE, THREE_PHASE, SIX_PHASE], ids=["fig2", "3-phase", "6-phase"]
+)
+def test_impedance_root_lies_on_the_branch_within_the_bisection_tolerance(cell: UnitCell1D, k: float) -> None:
+    # Z = det/N has no pole on the branch, so the root is bisected like the branch itself
+    w_branch = exact_branch(cell, np.array([k])).omega[0]
+    assert abs(willis_exact_root(cell, k) - w_branch) <= 2 * ROOT_TOL * cell.c
+
+
+@pytest.mark.parametrize(("dk", "rtol"), [(1e-3, 1e-13), (1e-5, 1e-11), (0.0, 3e-8)])
+@pytest.mark.parametrize(
+    ("cell", "speed"),
+    [(homogeneous(1.0, 1.0), 1.0), (bilaminate(1.0, 1.0), 1.0), (bilaminate(4.0, 0.25), 0.4)],
+    ids=["homogeneous(1,1)", "bilaminate(1,1)", "bilaminate(4,0.25)"],
+)
+def test_exact_branch_reaches_a_closed_band_edge(cell: UnitCell1D, speed: float, dk: float, rtol: float) -> None:
+    # equal phase impedances close every gap: D = cos(omega / speed) only touches -1
+    # at k = pi, and near it cos k lies inside D's dip between grid points; at
+    # k = pi the minimum of D is flat to roundoff, so omega is known to sqrt(eps)
+    k = np.pi - dk
+    omega = exact_branch(cell, np.array([k])).omega[0]
+    assert abs(omega - speed * k) <= rtol * speed * k
+
+
+def test_exact_branch_stays_on_the_lowest_band_past_a_gap_between_scan_points() -> None:
+    # the gap at k = pi is 7.7e-4 wide, a tenth of the scan step: the samples of
+    # D's first dip stay above -1, and a later dip reaches cos k on a higher band
+    cell = UnitCell1D((Phase(0.634, 0.0392, 10.0), Phase(0.366, 10.7, 0.08)))
+    k = np.array([np.pi - 1e-3, np.pi])
+    spectral = spectral_acoustic_branch(cell, k, order=64).omega
+    assert_allclose(exact_branch(cell, k).omega, spectral, rtol=1e-5)
 
 
 def test_willis_exact_root_evaluates_the_impedance_once_per_point(monkeypatch) -> None:

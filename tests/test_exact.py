@@ -227,7 +227,7 @@ def test_segment_closed_forms_match_direct_quadrature(kind: str, omega: float) -
     P = -w2 * np.sin(q * t) / q * y[0] + np.cos(q * t) * y[1] + P_src
     wt, phase = 0.5 * h * weights, np.exp(-1j * k * (x + t[:-1]))
     mean = np.sum(wt * phase * W[:-1])
-    got_mean, got_flux = seg.integrals(*y)
+    got_mean, got_flux = seg.integrals(*y, 1.0)
     assert abs(got_mean - mean) <= 1e-13 * abs(mean)
     # G D_k u = exp(-ikx) P + gamma G
     flux = np.sum(wt * (phase * P[:-1] + gamma * G))
@@ -239,7 +239,7 @@ def test_segment_closed_forms_match_direct_quadrature(kind: str, omega: float) -
 #: sha256 over ORACLE_CELLS of repr((Z, <w>, <rho w>)) on the exact route at
 #: k = 0.5, 1.5, 2.5 and omega = 0, 0.3 and 0.8 times the exact branch: the
 #: monopole response's bits, which the impedance root and every preset read
-MONOPOLE_DIGEST = "bc68de0d5b1296bfa560cf269efaccc096b0b5bc11e0a2f52073ae986b439973"
+MONOPOLE_DIGEST = "7f27fb45eed33f55407685146fc4c85f989f3a085c9be21970592250290cc977"
 
 
 def test_monopole_response_is_pinned_across_cells() -> None:
@@ -336,3 +336,30 @@ def test_cyclic_rotation_keeps_impedance(cell, shift, k, omega) -> None:
 def test_mirror_with_reversed_wavenumber_keeps_impedance(cell, k, omega) -> None:
     mirrored = UnitCell1D(tuple(reversed(cell.phases)))
     assert abs(_z(mirrored, -k, omega) - _z(cell, k, omega)) <= 1e-9 * _scale(cell, k, omega)
+
+
+@_SETTINGS
+@given(cell=cells(), k=st.floats(0.05, 3.0))
+def test_exact_impedance_passes_through_zero_on_the_acoustic_branch(cell, k) -> None:
+    # Z = det/N: det vanishes on the branch and N does not, so Z is finite and crosses zero
+    w_b = float(exact_branch(cell, np.array([k])).omega[0])
+    assert abs(effective_impedance(cell, k, w_b)) <= 1e-10 * _scale(cell, k, w_b)
+    below, above = (effective_impedance(cell, k, w_b * (1.0 + s)).real for s in (-1e-6, 1e-6))
+    assert below > 0.0 > above
+
+
+@pytest.mark.parametrize("m", [-1, 1, -2])
+@pytest.mark.parametrize("k", [0.5, 1.5])
+def test_exact_impedance_is_resonant_only_at_the_invisible_eigenvalue(k: float, m: int) -> None:
+    # a uniform cell's folded branches omega_m = |k + 2 pi m| c carry modes of
+    # zero mean: det and N = det <w> vanish together there, so Z = det/N is 0/0
+    G, rho = 1.7, 0.9
+    cell = homogeneous(G, rho)
+    omega_m = abs(k + 2.0 * math.pi * m) * math.sqrt(G / rho)
+    for d in (0.0, -1e-12, 1e-12):
+        with pytest.raises(ResonanceError):
+            effective_impedance(cell, k, omega_m * (1.0 + d))
+    for d in (-1e-8, 1e-8):
+        omega = omega_m * (1.0 + d)
+        z = effective_impedance(cell, k, omega)
+        assert abs(z - (G * k**2 - rho * omega**2)) <= 1e-9 * _scale(cell, k, omega)
