@@ -399,6 +399,11 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
         abs(c.mu0) + abs(c.mu1)
     )
 
+    # second-order coefficient identity: the static Z(k, 0) = mu0 k^2 in 1D forces mu2 = mu0 s_g
+    out["second_order_coefficient_identity"] = abs(c.mu2 - c.mu0 * c.s_g) / max(
+        abs(c.mu2) + abs(c.mu0 * c.s_g), 1e-8 * scales["G"]
+    )
+
     # the unreduced first-order mean equation forces a vanishing correction
     k, w = IDENTITY_PROBE[0], IDENTITY_PROBE[1] * cell.c0
     ik = 1j * k

@@ -4,8 +4,9 @@
 (``method="exact"``) or one assembled operator (``method="spectral"``).
 Either returns each response as a ``CellResponse``, the four averages
 ``mean``, ``mean_rho``, ``mean_flux`` and ``mean_G``, read where the solve
-ends.  On the spectral route the loads at one omega share one resonance
-certificate and one factorization.
+ends; :mod:`~willis_homog.willis` reads the records as they are.  On the
+spectral route the loads at one omega share one resonance certificate and
+one factorization.
 ``solve_w``, ``solve_v``, ``solve_zeta`` and their ``_exact`` twins solve
 one response each; the static dipole ``zeta`` is the dipole response at
 omega = 0.
@@ -35,7 +36,6 @@ __all__ = [
     "solve_w_exact",
     "solve_v_exact",
     "solve_zeta_exact",
-    "averages",
 ]
 
 
@@ -121,22 +121,3 @@ def solve_zeta_exact(cell: UnitCell1D, k: float) -> CellResponse:
     _require_nonzero_k(cell, k)
     return solve_static_dipole_exact(cell, k)
 
-
-def averages(w: CellResponse, v: CellResponse) -> dict[str, complex]:
-    """The seven cell averages the effective model is built from.
-
-    Accepts a pair of ``CellResponse``s from either route.  ``mean_G``
-    is <G> as the route forms G times a strain: exact on the exact route,
-    and on the spectral route the constant mode of T(1/G)^{-1} e_0, which
-    pairs with <G D_k v> so that their difference, the mean flux of the
-    dipole response, converges at the rate of Li's rule.
-    """
-    return {
-        "mean_w": complex(w.mean),
-        "mean_v": complex(v.mean),
-        "mean_rho_w": complex(w.mean_rho),
-        "mean_rho_v": complex(v.mean_rho),
-        "mean_G_dkw": complex(w.mean_flux),
-        "mean_G_dkv": complex(v.mean_flux),
-        "mean_G": complex(v.mean_G),
-    }

@@ -82,13 +82,8 @@ _PRESETS: dict[str, dict] = {
         "k_range": [0.0, 2.0 * math.pi, 96],
         "omega_range": [0.0, 2.0 * math.pi, 96],
     },
-    "fig4": {
-        "cell": {"bilaminate": [0.1, 0.1]},
-        "cell_label": "bilaminate(0.1,0.1)",
-        "k_range": [0.0, 2.0 * math.pi, 96],
-        "omega_range": [0.0, 2.0 * math.pi, 96],
-    },
 }
+_PRESETS["fig4"] = _PRESETS["fig3"]
 
 _CONFIG_KEYS = {
     "cell",
@@ -292,15 +287,19 @@ def _grid_nodes(k: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     return [np.repeat(k_text, w.size), np.tile(w_text, k.size)]
 
 
-def _grid_frame(k: np.ndarray, w: np.ndarray) -> Frame:
+def _write_heat_maps(out: Path, config: RunConfig, k: np.ndarray, w: np.ndarray, maps) -> str:
+    """One heat-map SVG per (name, values, flagged) of ``maps`` over the (k, omega)
+    grid, flagged nodes grey; returns the written paths, comma-separated."""
     dk = float(k[1] - k[0]) if k.size > 1 else 1.0
     dw = float(w[1] - w[0]) if w.size > 1 else 1.0
-    return Frame(
-        x_min=float(k[0]),
-        x_max=float(k[-1]) + dk,
-        y_min=float(w[0]),
-        y_max=float(w[-1]) + dw,
-    )
+    frame = Frame(x_min=float(k[0]), x_max=float(k[-1]) + dk, y_min=float(w[0]), y_max=float(w[-1]) + dw)
+    for name, values, flagged in maps:
+        body = heat_cells(frame, k, w, values, flagged=flagged) + axes(frame, "k", "omega")
+        (out / name).write_text(
+            document(frame, body, name.removesuffix(".svg"), desc=cell_digest(config.cell)),
+            encoding="utf-8",
+        )
+    return ", ".join(str(out / name) for name, _, _ in maps)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +392,10 @@ def cmd_modulation_map(config: RunConfig, args) -> int:
         ["k", "omega", "re_m2", "abs_m2"],
         [*_grid_nodes(k, w), m2, np.abs(m2)],
     )
-    frame = _grid_frame(k, w)
-    for name, values in (("modulation_re.svg", m2), ("modulation_abs.svg", np.abs(m2))):
-        body = heat_cells(frame, k, w, values) + axes(frame, "k", "omega")
-        (out / name).write_text(
-            document(frame, body, name.removesuffix(".svg"), desc=cell_digest(config.cell)),
-            encoding="utf-8",
-        )
-    print(f"wrote {out / 'modulation.csv'}, {out / 'modulation_re.svg'}, {out / 'modulation_abs.svg'}")
+    svgs = _write_heat_maps(
+        out, config, k, w, [("modulation_re.svg", m2, None), ("modulation_abs.svg", np.abs(m2), None)]
+    )
+    print(f"wrote {out / 'modulation.csv'}, {svgs}")
     return 0
 
 
@@ -428,17 +423,10 @@ def cmd_impedance_map(config: RunConfig, args) -> int:
         ["k", "omega", "cal_z2", "m2", "z2", "near_zero", "zero_crossing"],
         [*_grid_nodes(k, w), cal, m2, z2, near_zero, crossing],
     )
-    frame = _grid_frame(k, w)
-    for name, values, flags in (
-        ("impedance_z2.svg", z2, near_zero | crossing),
-        ("impedance_cal.svg", cal, None),
-    ):
-        body = heat_cells(frame, k, w, values, flagged=flags) + axes(frame, "k", "omega")
-        (out / name).write_text(
-            document(frame, body, name.removesuffix(".svg"), desc=cell_digest(config.cell)),
-            encoding="utf-8",
-        )
-    print(f"wrote {out / 'impedance.csv'}, {out / 'impedance_z2.svg'}, {out / 'impedance_cal.svg'}")
+    svgs = _write_heat_maps(
+        out, config, k, w, [("impedance_z2.svg", z2, near_zero | crossing), ("impedance_cal.svg", cal, None)]
+    )
+    print(f"wrote {out / 'impedance.csv'}, {svgs}")
     return 0
 
 

@@ -102,7 +102,6 @@ def exact_branch(
     cell: UnitCell1D,
     k_grid: np.ndarray,
     omega_max: float | None = None,
-    relation=None,
 ) -> DispersionBranch:
     """Lowest branch from the transfer-matrix relation D(omega) = cos k.
 
@@ -110,11 +109,8 @@ def exact_branch(
     scan step and the bisection tolerance are ``SCAN_STEP`` and ``ROOT_TOL``
     times the cell's Rayleigh speed c.
 
-    ``relation`` maps an array of omega to D(omega), with D(0) = 1 as for
-    every half-trace; it defaults to the general trace-based
-    :func:`~willis_homog.exact.dispersion_function`.
-
-    D does not depend on k, so it is evaluated once on the whole scan grid
+    D is the half-trace :func:`~willis_homog.exact.dispersion_function`.
+    It does not depend on k, so it is evaluated once on the whole scan grid
     [0, omega_max].  As D(0) = 1, the first sign change of D - cos k is at
     the first grid point where the running minimum of D reaches cos k; all
     k are then bisected together.  Each root equals that of a scan plus
@@ -124,7 +120,6 @@ def exact_branch(
     grid point before the dip up to the minimum, found once per call by
     golden section, so a touch returns the minimum, good to about sqrt(eps).
     """
-    rel = relation if relation is not None else (lambda w: dispersion_function(cell, w))
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
     if omega_max is None:
         omega_max = _rayleigh_bound(cell, k_grid)
@@ -135,7 +130,7 @@ def exact_branch(
     # scan: brackets [a, b] with fa = D(a) - cos k, first sign change per k;
     # the running minimum of D never rises, so its first point <= cos k is a sorted search
     w = np.fromiter(_scan_points(0.0, SCAN_STEP * cell.c, omega_max), dtype=float)
-    d, t = rel(w), targets[todo]
+    d, t = dispersion_function(cell, w), targets[todo]
     hit = np.searchsorted(-np.minimum.accumulate(d), -t)
     # D's first sampled dip is at ``last``; a k past it that the dip's minimum reaches
     # within roundoff is bracketed up to that minimum
@@ -143,7 +138,9 @@ def exact_branch(
     last = rises[0] if rises.size else w.size - 1
     past, b = hit > last, w[np.minimum(hit, w.size - 1)]
     if rises.size and past.any():
-        w_e, d_e = _golden_min(lambda x: rel(np.array([x]))[0], w[last - 1], w[last + 1], ROOT_TOL * cell.c)
+        w_e, d_e = _golden_min(
+            lambda x: dispersion_function(cell, np.array([x]))[0], w[last - 1], w[last + 1], ROOT_TOL * cell.c
+        )
         past &= d_e - t <= 1e-12
         hit[past], b[past] = last, w_e
     unbracketed = hit > last
@@ -155,7 +152,7 @@ def exact_branch(
             f"in cell {cell_digest(cell)}"
         )
     a, fa = w[hit - 1], d[hit - 1] - t
-    omegas[todo] = _bisect(lambda mid: rel(mid) - t, a, b, fa, ROOT_TOL * cell.c)
+    omegas[todo] = _bisect(lambda mid: dispersion_function(cell, mid) - t, a, b, fa, ROOT_TOL * cell.c)
     return DispersionBranch(label="exact", k=k_grid, omega=omegas)
 
 

@@ -183,7 +183,11 @@ class CellResponse(NamedTuple):
     mean: complex  #: <u>
     mean_rho: complex  #: <rho u>
     mean_flux: complex  #: <G D_k u>
-    mean_G: float  #: <G>, as the route forms G times a strain
+    #: <G> as the route forms G times a strain: exact on the exact route; on the
+    #: spectral route the constant mode of T(1/G)^{-1} e_0, which pairs with
+    #: <G D_k v> so that their difference, the mean flux of the dipole
+    #: response, converges at the rate of Li's rule
+    mean_G: float
 
 
 def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: float = 0.0) -> tuple[complex, ...]:

@@ -2,7 +2,8 @@
 
 The mean monopole response fixes the effective impedance Z = 1/<w>.  The
 four constitutive parameters (effective density, stiffness and the two
-coupling coefficients) are assembled from seven cell averages along two
+coupling coefficients) are assembled from the seven averages of the monopole
+and dipole responses, read off their two ``CellResponse`` records, along two
 algebraically equivalent routes:
 
 * ``direct``    - the parameters as read off the mean-field representation;
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_functions import _require_nonzero_k, averages, responses
+from .cell_functions import CellResponse, _require_nonzero_k, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
 from .exact import monopole_adjugate
 from .material import UnitCell1D, cell_digest
@@ -126,23 +127,20 @@ def effective_impedance(
 
 
 def parameters_from_averages(
-    cell: UnitCell1D, avg: dict[str, complex], k: float, omega: float, route: str = "symmetric"
+    cell: UnitCell1D, w: CellResponse, v: CellResponse, k: float, omega: float, route: str = "symmetric"
 ) -> EffectiveParameters:
-    """Constitutive parameters from the seven cell averages of ``cell``.
+    """Constitutive parameters from the monopole and dipole responses w, v of ``cell``.
 
-    The ``direct`` route uses the averages as they appear in the mean-field
-    representation; the ``symmetric`` route substitutes the mean identities
-    first.  Both must agree to the accuracy of the averages.
+    The ``direct`` route uses their seven averages as they appear in the
+    mean-field representation; the ``symmetric`` route substitutes the mean
+    identities first.  Both must agree to the accuracy of the averages.
     """
     if route not in ROUTES:
         raise ValidationError(f"route must be one of {ROUTES}, got {route!r}")
     if omega == 0:
         raise ValidationError("constitutive parameters need omega != 0")
-    Z = impedance_from_mean(avg["mean_w"], cell, k, omega)
-    mw, mv = avg["mean_w"], avg["mean_v"]
-    mrw, mrv = avg["mean_rho_w"], avg["mean_rho_v"]
-    mfw, mfv = avg["mean_G_dkw"], avg["mean_G_dkv"]
-    mG = avg["mean_G"]
+    Z = impedance_from_mean(w.mean, cell, k, omega)
+    mw, mv, mrw, mrv, mfw, mfv, mG = w.mean, v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux, v.mean_G
     ik, iom = 1j * k, 1j * omega
     if route == "direct":
         density = Z * mrw * (1.0 - ik * mv) + ik * mrv
@@ -176,7 +174,7 @@ def effective_parameters(
     order: int = DEFAULT_ORDER,
 ) -> EffectiveParameters:
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
-    return parameters_from_averages(cell, averages(w, v), k, omega, route)
+    return parameters_from_averages(cell, w, v, k, omega, route)
 
 
 def impedance_from_parameters(p: EffectiveParameters) -> complex:
@@ -265,11 +263,7 @@ def dynamic_identity_residuals(
     """
     _require_nonzero_k(cell, k)
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
-    avg = averages(w, v)
-    mw, mv = avg["mean_w"], avg["mean_v"]
-    mrw, mrv = avg["mean_rho_w"], avg["mean_rho_v"]
-    mfw, mfv = avg["mean_G_dkw"], avg["mean_G_dkv"]
-    mG = avg["mean_G"]
+    mw, mv, mrw, mrv, mfw, mfv, mG = w.mean, v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux, v.mean_G
     ik, om2 = 1j * k, omega**2
 
     res: dict[str, float] = {}
@@ -282,8 +276,8 @@ def dynamic_identity_residuals(
     ) / max(abs(ik * mfv), abs(ik * mG))
     res["mean_identity_monopole_flux"] = abs(mfw - np.conj(mv)) / max(abs(mv), 1e-30)
 
-    p_direct = parameters_from_averages(cell, avg, k, omega, "direct")
-    p_sym = parameters_from_averages(cell, avg, k, omega, "symmetric")
+    p_direct = parameters_from_averages(cell, w, v, k, omega, "direct")
+    p_sym = parameters_from_averages(cell, w, v, k, omega, "symmetric")
     scale = max(abs(p_sym.density), abs(p_sym.stiffness), 1e-30)
     res["route_agreement"] = (
         max(

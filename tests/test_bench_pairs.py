@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,17 @@ def test_summary_counts_ties_for_neither_side() -> None:
     out = bench_pairs.summarize(_pairs([5.0], [5.0], [1.0], [1.0]), END_TO_END)
     ops = out["metrics"]["ops_per_s"]
     assert ops["wins"] == 0 and ops["base"] == {"median": 5.0, "q1": 5.0, "q3": 5.0, "runs": [5.0]}
+
+
+def test_each_run_appends_its_record_to_the_trajectory(tmp_path: Path) -> None:
+    path = tmp_path / "BENCH_w.json"
+    assert bench_pairs.append_record(path, {"commit": "a"}) == [{"commit": "a"}]
+    bench_pairs.append_record(path, {"commit": "b"})
+    assert json.loads(path.read_text()) == [{"commit": "a"}, {"commit": "b"}]
+
+
+def test_a_file_of_one_record_becomes_the_first_entry(tmp_path: Path) -> None:
+    path = tmp_path / "BENCH_w.json"
+    path.write_text(json.dumps({"commit": "a"}))
+    bench_pairs.append_record(path, {"commit": "b"})
+    assert json.loads(path.read_text()) == [{"commit": "a"}, {"commit": "b"}]

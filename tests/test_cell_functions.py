@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from willis_homog.cell_functions import (
     CellResponse,
-    averages,
     responses,
     solve_v,
     solve_v_exact,
@@ -21,7 +20,7 @@ from willis_homog.errors import ResonanceError, ValidationError
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble
 
-from test_exact import homogeneous_means
+from test_exact import homogeneous_means, response_means
 
 
 def test_uniform_cell_monopole_is_constant() -> None:
@@ -117,7 +116,7 @@ def test_homogeneous_means_match_exact_solver() -> None:
     closed = homogeneous_means(G, rho, k, omega)
     w = solve_w_exact(cell, k, omega)
     v = solve_v_exact(cell, k, omega)
-    got = averages(w, v)
+    got = response_means(w, v)
     for name, value in closed.items():
         assert abs(got[name] - value) < 1e-12 * max(1.0, abs(value))
 

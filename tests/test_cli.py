@@ -211,6 +211,22 @@ def test_corrupted_coefficient_is_caught(monkeypatch) -> None:
     assert "polynomial/impedance_matches_oracle" in failing
 
 
+@pytest.mark.parametrize("field", ["mu2", "s_g"])
+def test_second_order_coefficient_error_is_caught(tmp_path: Path, monkeypatch, field: str) -> None:
+    # the polynomial checks pass this cell with mu2 or s_g off by 3%; mu2 = mu0 s_g does not
+    phases = [
+        {"length": 0.2, "G": 3.0, "rho": 0.5},
+        {"length": 0.5, "G": 0.7, "rho": 2.0},
+        {"length": 0.3, "G": 1.5, "rho": 1.1},
+    ]
+    cfg = write_config(tmp_path / "c.json", {"cell": {"phases": phases}})
+    _corrupt_exact_table(monkeypatch, lambda c: dataclasses.replace(c, **{field: getattr(c, field) * (1 + 1e-6)}))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verification.json").read_text())
+    failing = {(c["name"], c["route"]) for c in report["checks"] if not c["passed"]}
+    assert failing == {("static/second_order_coefficient_identity", "exact")}
+
+
 def test_modulation_map_is_deterministic(tmp_path: Path) -> None:
     cfg = write_config(
         tmp_path / "c.json",
@@ -293,7 +309,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "a1417c72bd02dae65f04f0ee812a07c136d20cbba1469438da5b440f62ad2e0c"
+VERIFICATION_N16_DIGEST = "63b0dfb6bb17925e30294224fb2cb0e6a68ee10e9a7b2496a20192bb726b804c"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

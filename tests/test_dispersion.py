@@ -303,11 +303,12 @@ def test_exact_branch_matches_pointwise_scan_bitwise(cell: UnitCell1D) -> None:
     assert np.array_equal(exact_branch(cell, K64).omega, ref)
 
 
-def test_exact_branch_closed_form_matches_pointwise_scan_bitwise() -> None:
+def test_exact_branch_closed_form_matches_pointwise_scan_bitwise(monkeypatch) -> None:
     def rel(w):
         return exact_bilaminate_relation(BILAMINATE, w)
 
-    batched = exact_branch(BILAMINATE, K64, relation=rel).omega
+    monkeypatch.setattr(dispersion, "dispersion_function", exact_bilaminate_relation)
+    batched = exact_branch(BILAMINATE, K64).omega
     assert np.array_equal(batched, _reference_branch(rel, K64, 1.0))  # <G> = <rho>, so c = 1
 
 
@@ -326,14 +327,15 @@ def test_exact_branch_matches_pointwise_scan_bitwise_on_drawn_cells(cell: UnitCe
     assert np.array_equal(exact_branch(cell, k).omega, ref), cell_digest(cell)
 
 
-def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisection_step() -> None:
+def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisection_step(monkeypatch) -> None:
     sizes = []
 
-    def rel(w):
+    def rel(cell, w):
         sizes.append(np.size(w))
-        return exact_bilaminate_relation(BILAMINATE, w)
+        return exact_bilaminate_relation(cell, w)
 
-    exact_branch(BILAMINATE, K64, relation=rel)  # <G> = <rho>, so c = 1
+    monkeypatch.setattr(dispersion, "dispersion_function", rel)
+    exact_branch(BILAMINATE, K64)  # <G> = <rho>, so c = 1
     grid = _reference_scan_points(0.0, SCAN_STEP, _rayleigh_bound(K64, 1.0))
     # every bracket is one scan step wide, so the 63 k with cos k < 1 halve in lockstep
     steps = int(np.ceil(np.log2(SCAN_STEP / ROOT_TOL)))

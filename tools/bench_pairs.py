@@ -1,4 +1,4 @@
-"""Alternated parent/change pairs of one benchmark workload, summarized in BENCH_<workload>.json.
+"""Alternated parent/change pairs of one benchmark workload, appended to BENCH_<workload>.json.
 
     python3 tools/bench_pairs.py --workload spectral-refine \
         [--seeds 1 2 ...] [--base HEAD~1] [--change HEAD]
@@ -13,7 +13,9 @@ end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 per-pair ratios change/base and the number of pairs the change won (ties
 count for neither), and whether that is a gain by the rule of the
 benchmark's README: at least nine tenths of the pairs won and the medians
-apart by more than the base's interquartile distance.
+apart by more than the base's interquartile distance.  BENCH_<workload>.json
+is the trajectory of these summaries, a list to which each run appends its
+record; a file that holds one bare record becomes the list's first entry.
 
 Run it from anywhere inside the repository; it needs git and the Python
 the benchmark runs on, and nothing outside the standard library.
@@ -114,6 +116,17 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def append_record(path: Path, record: dict) -> list[dict]:
+    """Append ``record`` to the trajectory in ``path`` and return it; a missing
+    file starts one, and a file holding one bare record is its first entry."""
+    trajectory = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    if isinstance(trajectory, dict):
+        trajectory = [trajectory]
+    trajectory.append(record)
+    path.write_text(json.dumps(trajectory, indent=1) + "\n", encoding="utf-8")
+    return trajectory
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -151,8 +164,8 @@ def main(argv=None) -> int:
         **summarize(pairs, bench["end_to_end"]),
     }
     path = ROOT / f"BENCH_{args.workload}.json"
-    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {path.name}")
+    trajectory = append_record(path, record)
+    print(f"appended record {len(trajectory)} to {path.name}")
     return 0
 
 
