@@ -50,6 +50,7 @@ from .spectral import BRANCH_RTOL, DEFAULT_ORDER, MIN_ORDER
 # checks that the tracer wraps it at this binding site too
 from .willis import dynamic_identity_residuals, effective_impedance, impedance_from_mean  # noqa: F401
 
+#: verify's thresholds, one per check group; every CSV header records them
 _DEFAULT_TOLERANCES = {
     "exact": 1e-8,
     "spectral": 1e-5,
@@ -94,7 +95,6 @@ _CONFIG_KEYS = {
     "k_range",
     "omega_range",
     "probe",
-    "tolerances",
 }
 
 
@@ -116,7 +116,6 @@ class RunConfig:
     k_range: tuple[float, float, int]
     omega_range: tuple[float, float, int]
     probe: tuple[float, float] | None
-    tolerances: dict[str, float]
 
     def k_grid(self) -> np.ndarray:
         lo, hi, n = self.k_range
@@ -196,17 +195,6 @@ def build_config(data: dict) -> RunConfig:
         if not all(map(math.isfinite, probe)):
             raise ConfigError(f"config field 'probe': k and omega must be finite, got {list(probe)}")
 
-    tol = dict(_DEFAULT_TOLERANCES)
-    for key, value in dict(data.get("tolerances", {})).items():
-        if key not in _DEFAULT_TOLERANCES:
-            raise ConfigError(f"config field 'tolerances.{key}': unknown tolerance")
-        try:
-            tol[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field 'tolerances.{key}': expected a number") from exc
-        if not tol[key] > 0.0:
-            raise ConfigError(f"config field 'tolerances.{key}': must be positive, got {value!r}")
-
     return RunConfig(
         cell=cell,
         cell_label=label,
@@ -219,7 +207,6 @@ def build_config(data: dict) -> RunConfig:
             data.get("omega_range"), "omega_range", (0.0, 2.0 * math.pi, 96)
         ),
         probe=probe,
-        tolerances=tol,
     )
 
 
@@ -255,7 +242,7 @@ def _csv_header(config: RunConfig) -> list[str]:
         f"# willis-homog {__version__}",
         f"# cell: {cell_digest(config.cell)} {json.dumps(cell_to_dict(config.cell), separators=(',', ':'))}",
         f"# basis_n: {config.basis_n}",
-        f"# tolerances: {json.dumps(config.tolerances, sort_keys=True, separators=(',', ':'))}",
+        f"# tolerances: {json.dumps(_DEFAULT_TOLERANCES, sort_keys=True, separators=(',', ':'))}",
     ]
 
 
@@ -503,7 +490,6 @@ def _check_group(checks: list[CheckResult], name: str, route: str, tolerance: fl
 def build_verification_report(
     cell: UnitCell1D,
     basis_n: int = DEFAULT_ORDER,
-    tolerances: dict[str, float] | None = None,
     probe: tuple[float, float] | None = None,
 ) -> VerificationReport:
     """Run the dynamic, static, dispersion and polynomial check suites.
@@ -515,8 +501,7 @@ def build_verification_report(
     (0.5, 0.7 omega_1(0.5)), below the lowest branch.  They raise there, so
     a probe on a Bloch branch is a numerical error (exit 3).
     """
-    tol = dict(_DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    tol = _DEFAULT_TOLERANCES
     checks: list[CheckResult] = []
     k_triangle = (0.5, 1.5)
     w_exact = exact_branch(cell, np.array(k_triangle)).omega
@@ -620,7 +605,6 @@ def cmd_verify(config: RunConfig, args) -> int:
     report = build_verification_report(
         config.cell,
         basis_n=config.verify_n,
-        tolerances=config.tolerances,
         probe=config.probe,
     )
     print(report.table())

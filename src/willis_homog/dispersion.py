@@ -30,10 +30,11 @@ __all__ = [
     "willis_exact_root",
 ]
 
-#: omega scan step when bracketing roots, in units of the Rayleigh speed c
+#: omega scan step when bracketing roots, in units of the scan speed
+#: s = min(c, 2 c0) (``_scan_grid``)
 SCAN_STEP = 0.01
 
-#: bisection tolerance on omega, in units of c
+#: bisection tolerance on omega, in units of s
 ROOT_TOL = 1e-12
 
 
@@ -84,18 +85,30 @@ def _golden_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _scan_points(start: float, step: float, limit: float):
-    """Scan points start, then min(a + step, limit) accumulated up to ``limit``."""
-    a = start
-    yield a
-    while a < limit:
-        a = min(a + step, limit)
+def _scan_grid(cell: UnitCell1D, k, omega_max: float | None) -> tuple[np.ndarray, float, float]:
+    """(grid, omega_max, s): the scan grid of both exact roots, 0 then a + SCAN_STEP s
+    accumulated up to omega_max, which defaults to (1.1 max|k| + 0.05) c0.
+
+    The trial Bloch function exp(ik theta(x)), theta' = (1/G) / <1/G>, has
+    Rayleigh quotient (c0 k)^2, so the lowest branch lies below c0 |k|.
+    The speed s = min(c, 2 c0) lies in [c0, 2 c0] (c >= c0), so the step is at
+    most 1% of the first band's top omega_1(pi), which tends to 2 c0 in the
+    mass-spring limit and was measured no lower; s = c keeps the grid of the
+    cells where c <= 2 c0.
+    """
+    c0 = cell.c0
+    if omega_max is None:
+        omega_max = (1.1 * float(np.max(np.abs(k), initial=0.0)) + 0.05) * c0
+    s = min(cell.c, 2.0 * c0)
+
+    def points():
+        a = 0.0
         yield a
+        while a < omega_max:
+            a = min(a + SCAN_STEP * s, omega_max)
+            yield a
 
-
-def _rayleigh_bound(cell: UnitCell1D, k) -> float:
-    """(1.1 max|k| + 0.05) c, above the lowest branch (``UnitCell1D.c``)."""
-    return (1.1 * float(np.max(np.abs(k), initial=0.0)) + 0.05) * cell.c
+    return np.fromiter(points(), dtype=float), omega_max, s
 
 
 def exact_branch(
@@ -105,9 +118,9 @@ def exact_branch(
 ) -> DispersionBranch:
     """Lowest branch from the transfer-matrix relation D(omega) = cos k.
 
-    ``omega_max`` defaults to the Rayleigh bound (``_rayleigh_bound``); the
-    scan step and the bisection tolerance are ``SCAN_STEP`` and ``ROOT_TOL``
-    times the cell's Rayleigh speed c.
+    ``omega_max`` defaults to the bound (1.1 max|k| + 0.05) c0 and the scan
+    step and the bisection tolerance are ``SCAN_STEP`` and ``ROOT_TOL`` times
+    the scan speed s = min(c, 2 c0) (``_scan_grid``).
 
     D is the half-trace :func:`~willis_homog.exact.dispersion_function`.
     It does not depend on k, so it is evaluated once on the whole scan grid
@@ -121,15 +134,13 @@ def exact_branch(
     golden section, so a touch returns the minimum, good to about sqrt(eps).
     """
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
-    if omega_max is None:
-        omega_max = _rayleigh_bound(cell, k_grid)
+    w, omega_max, s = _scan_grid(cell, k_grid, omega_max)
     targets = np.cos(k_grid)
     omegas = np.zeros_like(k_grid)
     todo = np.flatnonzero(~(np.abs(targets - 1.0) < 1e-15))
 
     # scan: brackets [a, b] with fa = D(a) - cos k, first sign change per k;
     # the running minimum of D never rises, so its first point <= cos k is a sorted search
-    w = np.fromiter(_scan_points(0.0, SCAN_STEP * cell.c, omega_max), dtype=float)
     d, t = dispersion_function(cell, w), targets[todo]
     hit = np.searchsorted(-np.minimum.accumulate(d), -t)
     # D's first sampled dip is at ``last``; a k past it that the dip's minimum reaches
@@ -139,7 +150,7 @@ def exact_branch(
     past, b = hit > last, w[np.minimum(hit, w.size - 1)]
     if rises.size and past.any():
         w_e, d_e = _golden_min(
-            lambda x: dispersion_function(cell, np.array([x]))[0], w[last - 1], w[last + 1], ROOT_TOL * cell.c
+            lambda x: dispersion_function(cell, np.array([x]))[0], w[last - 1], w[last + 1], ROOT_TOL * s
         )
         past &= d_e - t <= 1e-12
         hit[past], b[past] = last, w_e
@@ -152,7 +163,7 @@ def exact_branch(
             f"in cell {cell_digest(cell)}"
         )
     a, fa = w[hit - 1], d[hit - 1] - t
-    omegas[todo] = _bisect(lambda mid: dispersion_function(cell, mid) - t, a, b, fa, ROOT_TOL * cell.c)
+    omegas[todo] = _bisect(lambda mid: dispersion_function(cell, mid) - t, a, b, fa, ROOT_TOL * s)
     return DispersionBranch(label="exact", k=k_grid, omega=omegas)
 
 
@@ -206,15 +217,12 @@ def effective_speed(c: HomogCoefficients) -> float:
     return float(np.sqrt(c.mu0 / c.rho0))
 
 
-def willis_exact_root(
-    cell: UnitCell1D,
-    k: float,
-    omega_max: float | None = None,
-) -> float:
+def willis_exact_root(cell: UnitCell1D, k: float) -> float:
     """Lowest positive root in omega of the exact effective impedance.
 
-    Scans the (real) impedance a point at a time from 1e-9 c, on the
-    accumulated grid of :func:`exact_branch`, and bisects its first sign change.
+    Scans the (real) impedance a point at a time on the grid of
+    :func:`exact_branch`, from Z(k, 0) = mu_h k^2 > 0, and bisects its first
+    sign change.
     In the eigenfunction form <w> = sum_m |<phi_m>|^2 / (lam_m - omega^2)
     (J. R. Willis, Proc. R. Soc. A 467 (2011) 1865) only the visible modes,
     <phi_m> != 0, contribute, so <w> is positive from omega = 0 up to the
@@ -223,24 +231,20 @@ def willis_exact_root(
     that eigenvalue, the acoustic root; its poles, the zeros of <w>, lie
     above it, and invisible eigenvalues leave it finite.  The exact route
     forms Z = det/N with no pole on the branch, so the root is bisected to
-    within ``ROOT_TOL`` c.  ``omega_max`` defaults to the Rayleigh bound, and
-    the scan step is in units of c, as in :func:`exact_branch`.
+    within ``ROOT_TOL`` s, as the branch is.
     """
-    if omega_max is None:
-        omega_max = _rayleigh_bound(cell, k)
+    w, omega_max, s = _scan_grid(cell, k, None)
 
-    def z(w: float) -> float:
-        return effective_impedance(cell, k, w, method="exact").real
+    def z(x: float) -> float:
+        return effective_impedance(cell, k, x, method="exact").real
 
-    c = cell.c
-    points = _scan_points(1e-9 * c, SCAN_STEP * c, omega_max)
-    w_lo = next(points)
-    fa = z(w_lo)
-    for w_hi in points:
+    grid = w.tolist()
+    fa = z(grid[0])
+    for w_lo, w_hi in zip(grid, grid[1:]):
         fb = z(w_hi)
         if fa * fb <= 0.0:
-            return float(_bisect(lambda mid: z(float(mid[0])), w_lo, w_hi, fa, ROOT_TOL * c)[0])
-        w_lo, fa = w_hi, fb
+            return float(_bisect(lambda mid: z(float(mid[0])), w_lo, w_hi, fa, ROOT_TOL * s)[0])
+        fa = fb
     raise NumericalError(
         f"willis_exact_root: no impedance root found below omega_max = {omega_max:.6g} "
         f"for k = {float(k)!r} in cell {cell_digest(cell)}"

@@ -215,13 +215,15 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: floa
     det = a00 * a11 - a01 * a10
     y = (phase * (a11 * s0 - a01 * s1), phase * (a00 * s1 - a10 * s0))  # adj(A) exp(-ik) s
 
-    # march the periodic state det y across the cell, summing each segment's averages
+    # march the periodic state det y across the cell, summing each segment's
+    # averages; the end state is exp(ik) times the start, so the last step is left out
     mean = mean_rho = mean_flux = 0
     for seg in segments:
         u, flux = seg.integrals(*y, det)
         mean, mean_rho, mean_flux = mean + u, mean_rho + seg.rho * u, mean_flux + flux
-        y0, y1 = seg.step(*y)
-        y = (y0 + det * seg.load[0], y1 + det * seg.load[1])
+        if seg is not segments[-1]:
+            y0, y1 = seg.step(*y)
+            y = (y0 + det * seg.load[0], y1 + det * seg.load[1])
     if max(abs(det), abs(mean) * mean_scale) <= _RCOND_FLOOR * (abs(a00 * a11) + abs(a01 * a10)):
         raise ResonanceError(
             f"(k, omega) = ({k!r}, {omega!r}) lies on a Bloch branch of cell "

@@ -113,7 +113,8 @@ class UnitCell1D:
 
     @cached_property
     def c0(self) -> float:
-        """Quasistatic speed sqrt(mu_h / rho0), the branch's slope at k = 0."""
+        """Quasistatic speed sqrt(mu_h / rho0), the branch's slope at k = 0 and a
+        bound on it, omega_1(k) <= c0 |k| (``dispersion._scan_grid``)."""
         return float(np.sqrt(self.scales["G"] / self.scales["rho"]))
 
 

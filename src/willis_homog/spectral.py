@@ -64,7 +64,8 @@ DEFAULT_ORDER = 32
 BRANCH_RTOL = 1e-3
 
 #: relative half-width of the resonance window around discrete eigenvalues,
-#: |lam - omega^2| < RESONANCE_RTOL (|lam| + c^2) with c the Rayleigh speed
+#: |lam - omega^2| < RESONANCE_RTOL (|lam| + c0^2) with c0 the quasistatic
+#: speed, the scale of the acoustic branch (omega_1(k) <= c0 |k|)
 RESONANCE_RTOL = 1e-8
 
 #: relative residual bound enforced on every resolvent solve
@@ -141,20 +142,20 @@ class BlochOperator:
     def resonance_distance(self, omega_sq: float) -> tuple[float, float]:
         """(relative distance, nearest eigenvalue) for a squared frequency."""
         lam = self.eigenvalues
-        rel = np.abs(lam - omega_sq) / (np.abs(lam) + self.cell.c**2)
+        rel = np.abs(lam - omega_sq) / (np.abs(lam) + self.cell.c0**2)
         j = int(np.argmin(rel))
         return float(rel[j]), float(lam[j])
 
     def check_resonance(self, omega_sq: float) -> None:
         """Raise ResonanceError inside the resonance window of an eigenvalue.
 
-        The window |lam - omega^2| < RESONANCE_RTOL (|lam| + c^2), with c
-        the cell's Rayleigh speed, lies below sigma = (omega^2 +
-        RESONANCE_RTOL c^2) / (1 - RESONANCE_RTOL), so one Cholesky
+        The window |lam - omega^2| < RESONANCE_RTOL (|lam| + c0^2), with c0
+        the cell's quasistatic speed, lies below sigma = (omega^2 +
+        RESONANCE_RTOL c0^2) / (1 - RESONANCE_RTOL), so one Cholesky
         factorization of A - sigma B clears it; the eigenvalue list is read
         only when that factorization fails.
         """
-        sigma = (omega_sq + RESONANCE_RTOL * self.cell.c**2) / (1.0 - RESONANCE_RTOL)
+        sigma = (omega_sq + RESONANCE_RTOL * self.cell.c0**2) / (1.0 - RESONANCE_RTOL)
         if self._all_above(sigma):
             return
         rel, lam_near = self.resonance_distance(omega_sq)
@@ -328,15 +329,15 @@ class BlochEigensystem:
 
     def cluster(self, index: int) -> np.ndarray:
         """Indices of the near-degenerate group containing one mode: neighbours
-        within the resonance window, |lam_j - lam_{j+1}| < RESONANCE_RTOL (|lam| + c^2)."""
+        within the resonance window, |lam_j - lam_{j+1}| < RESONANCE_RTOL (|lam| + c0^2)."""
         lam = self.eigenvalues
-        c_sq = self.operator.cell.c**2
+        c0_sq = self.operator.cell.c0**2
         lo = index
-        while lo > 0 and abs(lam[lo] - lam[lo - 1]) < RESONANCE_RTOL * (abs(lam[lo]) + c_sq):
+        while lo > 0 and abs(lam[lo] - lam[lo - 1]) < RESONANCE_RTOL * (abs(lam[lo]) + c0_sq):
             lo -= 1
         hi = index
         while hi + 1 < lam.size and abs(lam[hi + 1] - lam[hi]) < RESONANCE_RTOL * (
-            abs(lam[hi]) + c_sq
+            abs(lam[hi]) + c0_sq
         ):
             hi += 1
         return np.arange(lo, hi + 1)

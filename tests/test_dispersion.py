@@ -231,9 +231,16 @@ def _reference_half_trace(cell: UnitCell1D, omega: float) -> float:
     return float(0.5 * np.trace(M))
 
 
-def _rayleigh_bound(k, c: float) -> float:
-    """(1.1 max|k| + 0.05) c, the default omega_max of both exact roots."""
-    return (1.1 * float(np.max(np.abs(k))) + 0.05) * c
+def _scan_speeds(cell: UnitCell1D) -> tuple[float, float]:
+    """(c0, s): the quasistatic speed sqrt(<1/G>^-1 / <rho>), which bounds the
+    branch, and the scan speed min(c, 2 c0), c = sqrt(<G>/<rho>)."""
+    c0 = np.sqrt(1.0 / cell.mean("1/G") / cell.mean("rho"))
+    return c0, min(np.sqrt(cell.mean("G") / cell.mean("rho")), 2.0 * c0)
+
+
+def _branch_bound(k, c0: float) -> float:
+    """(1.1 max|k| + 0.05) c0, the default omega_max of both exact roots."""
+    return (1.1 * float(np.max(np.abs(k))) + 0.05) * c0
 
 
 def _reference_scan_points(start: float, step: float, limit: float) -> list[float]:
@@ -244,17 +251,17 @@ def _reference_scan_points(start: float, step: float, limit: float) -> list[floa
     return points
 
 
-def _reference_root(fn, start: float, c: float, omega_max: float) -> float | None:
-    """First sign change of the scalar fn by scan in steps of SCAN_STEP c from
-    start, bisected to within ROOT_TOL c; None without one below omega_max."""
-    points = _reference_scan_points(start, SCAN_STEP * c, omega_max)
+def _reference_root(fn, s: float, omega_max: float) -> float | None:
+    """First sign change of the scalar fn by scan in steps of SCAN_STEP s from
+    0, bisected to within ROOT_TOL s; None without one below omega_max."""
+    points = _reference_scan_points(0.0, SCAN_STEP * s, omega_max)
     fa = fn(points[0])
     for a, b in zip(points, points[1:]):
         fb = fn(b)
         if fa * fb <= 0.0:
             for _ in range(200):
                 mid = 0.5 * (a + b)
-                if b - a <= ROOT_TOL * c:
+                if b - a <= ROOT_TOL * s:
                     return mid
                 fm = fn(mid)
                 if fa * fm <= 0.0:
@@ -266,28 +273,30 @@ def _reference_root(fn, start: float, c: float, omega_max: float) -> float | Non
     return None
 
 
-def _reference_branch(rel, k_grid, c: float) -> np.ndarray:
+def _reference_branch(rel, k_grid, cell: UnitCell1D) -> np.ndarray:
     """Lowest root of rel(omega) = cos k by scan plus bisection, one k at a
-    time, up to the Rayleigh bound."""
+    time, up to the bound c0 (1.1 max|k| + 0.05)."""
+    c0, s = _scan_speeds(cell)
     out = np.empty_like(k_grid)
     for i, k in enumerate(k_grid):
         target = np.cos(k)
         if abs(target - 1.0) < 1e-15:
             out[i] = 0.0
             continue
-        root = _reference_root(lambda w: rel(w) - target, 0.0, c, _rayleigh_bound(k_grid, c))
+        root = _reference_root(lambda w: rel(w) - target, s, _branch_bound(k_grid, c0))
         assert root is not None, f"reference scan found no crossing for k = {k}"
         out[i] = root
     return out
 
 
 def _reference_impedance_root(cell: UnitCell1D, k: float) -> float:
-    """First sign change of Re Z from 1e-9 c by the same scalar scan and bisection."""
+    """First sign change of Re Z from 0 by the same scalar scan and bisection."""
 
     def z(w: float) -> float:
         return effective_impedance(cell, k, w, method="exact").real
 
-    root = _reference_root(z, 1e-9 * cell.c, cell.c, _rayleigh_bound(k, cell.c))
+    c0, s = _scan_speeds(cell)
+    root = _reference_root(z, s, _branch_bound(k, c0))
     assert root is not None, f"reference scan found no impedance root for k = {k}"
     return root
 
@@ -298,8 +307,7 @@ def _reference_impedance_root(cell: UnitCell1D, k: float) -> float:
     ids=["bilaminate(0.1,0.1)", "bilaminate(0.5,0.5)", "3-phase", "6-phase"],
 )
 def test_exact_branch_matches_pointwise_scan_bitwise(cell: UnitCell1D) -> None:
-    c = np.sqrt(cell.mean("G") / cell.mean("rho"))
-    ref = _reference_branch(lambda w: _reference_half_trace(cell, w), K64, c)
+    ref = _reference_branch(lambda w: _reference_half_trace(cell, w), K64, cell)
     assert np.array_equal(exact_branch(cell, K64).omega, ref)
 
 
@@ -309,7 +317,7 @@ def test_exact_branch_closed_form_matches_pointwise_scan_bitwise(monkeypatch) ->
 
     monkeypatch.setattr(dispersion, "dispersion_function", exact_bilaminate_relation)
     batched = exact_branch(BILAMINATE, K64).omega
-    assert np.array_equal(batched, _reference_branch(rel, K64, 1.0))  # <G> = <rho>, so c = 1
+    assert np.array_equal(batched, _reference_branch(rel, K64, BILAMINATE))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -323,7 +331,7 @@ def test_exact_branch_matches_pointwise_scan_bitwise_on_drawn_cells(cell: UnitCe
         return values[w]
 
     k = np.linspace(0.0, np.pi, 16, endpoint=False)
-    ref = _reference_branch(rel, k, cell.c)
+    ref = _reference_branch(rel, k, cell)
     assert np.array_equal(exact_branch(cell, k).omega, ref), cell_digest(cell)
 
 
@@ -335,8 +343,9 @@ def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisectio
         return exact_bilaminate_relation(cell, w)
 
     monkeypatch.setattr(dispersion, "dispersion_function", rel)
-    exact_branch(BILAMINATE, K64)  # <G> = <rho>, so c = 1
-    grid = _reference_scan_points(0.0, SCAN_STEP, _rayleigh_bound(K64, 1.0))
+    exact_branch(BILAMINATE, K64)
+    c0, s = _scan_speeds(BILAMINATE)  # c0 = 0.575 c, so s = c = 1
+    grid = _reference_scan_points(0.0, SCAN_STEP * s, _branch_bound(K64, c0))
     # every bracket is one scan step wide, so the 63 k with cos k < 1 halve in lockstep
     steps = int(np.ceil(np.log2(SCAN_STEP / ROOT_TOL)))
     assert sizes == [len(grid)] + [63] * steps
@@ -357,7 +366,7 @@ def test_willis_exact_root_matches_pointwise_scan_bitwise(cell: UnitCell1D, k: f
 def test_impedance_root_lies_on_the_branch_within_the_bisection_tolerance(cell: UnitCell1D, k: float) -> None:
     # Z = det/N has no pole on the branch, so the root is bisected like the branch itself
     w_branch = exact_branch(cell, np.array([k])).omega[0]
-    assert abs(willis_exact_root(cell, k) - w_branch) <= 2 * ROOT_TOL * cell.c
+    assert abs(willis_exact_root(cell, k) - w_branch) <= 2 * ROOT_TOL * _scan_speeds(cell)[1]
 
 
 @pytest.mark.parametrize(("dk", "rtol"), [(1e-3, 1e-13), (1e-5, 1e-11), (0.0, 3e-8)])
@@ -382,6 +391,74 @@ def test_exact_branch_stays_on_the_lowest_band_past_a_gap_between_scan_points() 
     k = np.array([np.pi - 1e-3, np.pi])
     spectral = spectral_acoustic_branch(cell, k, order=64).omega
     assert_allclose(exact_branch(cell, k).omega, spectral, rtol=1e-5)
+
+
+#: impedance-contrast cells whose Rayleigh speed c overstates the branch's scale
+#: c0: by 2.6e3 on the first, whose first band a step of 0.01 c skips, and
+#: by 5e8 on the second, whose branch lies below c0 k <= 1.4e-4
+HIGH_CONTRAST = [
+    UnitCell1D(
+        (
+            Phase(0.00163, 4.76, 0.00775),
+            Phase(0.56119, 1.19e5, 8.51e-6),
+            Phase(0.40151, 0.00709, 5.82e-5),
+            Phase(0.03413, 7.19e-4, 8656.0),
+            Phase(0.00154, 16.4, 8.35e-5),
+        )
+    ),
+    UnitCell1D((Phase(0.5, 1e-9, 1.0), Phase(0.5, 1e9, 1.0))),
+]
+
+
+def _fine_branch(cell: UnitCell1D, k_grid) -> list[float]:
+    """First crossing of D = cos k on a scan in steps of 2e-4 c0, bisected to 1e-15 relative."""
+    c0 = _scan_speeds(cell)[0]
+    grid = np.arange(0.0, (max(k_grid) + 0.05) * c0, 2e-4 * c0)
+    d = np.array([_reference_half_trace(cell, w) for w in grid.tolist()])
+    out = []
+    for k in k_grid:
+        i = int(np.argmax(d <= np.cos(k)))
+        a, b = grid[i - 1], grid[i]
+        while b - a > 1e-15 * b:
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if _reference_half_trace(cell, mid) > np.cos(k) else (a, mid)
+        out.append(0.5 * (a + b))
+    return out
+
+
+@pytest.mark.parametrize("cell", HIGH_CONTRAST, ids=["5-phase", "G=1e-9|1e9"])
+def test_exact_roots_find_the_first_band_of_high_contrast_cells(cell: UnitCell1D) -> None:
+    k = [0.5, 1.5]
+    ref = _fine_branch(cell, k)
+    assert_allclose(exact_branch(cell, k).omega, ref, rtol=1e-9)
+    assert_allclose([willis_exact_root(cell, kk) for kk in k], ref, rtol=1e-9)
+
+
+@st.composite
+def contrast_cells(draw) -> UnitCell1D:
+    """1-6 phases, each at least 0.002 of the cell, with G and rho in 10^[-4, 4]."""
+    n = draw(st.integers(1, 6))
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    total = sum(weights)
+    lengths = [0.002 + (1.0 - 0.002 * n) * (w / total if total > 0 else 1.0 / n) for w in weights]
+    lengths[-1] = 1.0 - sum(lengths[:-1])
+    moduli = [10 ** draw(st.floats(-4.0, 4.0)) for _ in range(n)]
+    densities = [10 ** draw(st.floats(-4.0, 4.0)) for _ in range(n)]
+    return UnitCell1D(tuple(Phase(h, G, r) for h, G, r in zip(lengths, moduli, densities)))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(cell=contrast_cells())
+def test_exact_roots_agree_on_the_lowest_band_below_the_bound(cell: UnitCell1D) -> None:
+    # the trial Bloch function exp(ik theta), theta' = (1/G) / <1/G>, bounds the branch by c0 |k|
+    c0, s = _scan_speeds(cell)
+    k = np.array([0.5, 1.5, 3.0])
+    for kk, w_branch in zip(k, exact_branch(cell, k).omega):
+        w_root = willis_exact_root(cell, kk)
+        assert abs(w_branch - w_root) <= 2 * ROOT_TOL * s, cell_digest(cell)
+        assert max(w_branch, w_root) <= c0 * kk * (1.0 + 1e-11), cell_digest(cell)
+        below = np.linspace(0.0, w_branch, 4000, endpoint=False)
+        assert np.all(dispersion_function(cell, below) > np.cos(kk)), cell_digest(cell)
 
 
 def test_willis_exact_root_evaluates_the_impedance_once_per_point(monkeypatch) -> None:
@@ -424,9 +501,11 @@ def test_exact_branch_default_bound_scales_with_the_cell() -> None:
     assert_allclose(exact_branch(homogeneous(100.0, 1.0), k).omega, 10.0 * k, rtol=1e-10)
 
 
-def test_willis_exact_root_error_names_k_and_cell() -> None:
+def test_willis_exact_root_error_names_k_and_cell(monkeypatch) -> None:
+    scan_grid = dispersion._scan_grid
+    monkeypatch.setattr(dispersion, "_scan_grid", lambda cell, k, omega_max: scan_grid(cell, k, 0.5))
     with pytest.raises(NumericalError) as err:
-        willis_exact_root(BILAMINATE, 3.0, omega_max=0.5)
+        willis_exact_root(BILAMINATE, 3.0)
     msg = str(err.value)
     assert "willis_exact_root" in msg
     assert "k = 3.0" in msg

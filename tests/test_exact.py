@@ -252,7 +252,7 @@ def test_segment_closed_forms_match_direct_quadrature(kind: str, omega: float) -
 #: sha256 over ORACLE_CELLS of repr((Z, <w>, <rho w>)) on the exact route at
 #: k = 0.5, 1.5, 2.5 and omega = 0, 0.3 and 0.8 times the exact branch: the
 #: monopole response's bits, which the impedance root and every preset read
-MONOPOLE_DIGEST = "7f27fb45eed33f55407685146fc4c85f989f3a085c9be21970592250290cc977"
+MONOPOLE_DIGEST = "5ff76dc972db8f9392b52a3e94c7fa0d240dcddafebbef2ec573c04dfe9826d7"
 
 
 def test_monopole_response_is_pinned_across_cells() -> None:
