@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .material import UnitCell1D
+from .material import _SCALARS, UnitCell1D
 
 __all__ = ["PiecewisePoly", "piecewise_constant"]
 
@@ -62,16 +62,21 @@ class PiecewisePoly:
         return out
 
     def _operand(self, other) -> np.ndarray:
-        """Coefficient array of a field on the same partition, or of a constant."""
+        """Coefficient array of a field on the same partition, or of an array."""
         if isinstance(other, PiecewisePoly):
             if other.breaks is not self.breaks and not np.array_equal(self.breaks, other.breaks):
                 raise ValidationError("piecewise operands live on different partitions")
             return other.coeffs
-        if np.ndim(other):
-            return PiecewisePoly(self.breaks, other).coeffs  # checked: an array is a coefficient array
-        return np.full((self.coeffs.shape[0], 1), other, dtype=complex)
+        return PiecewisePoly(self.breaks, other).coeffs  # checked: an array is a coefficient array
+
+    def _shift(self, coeffs: np.ndarray, constant) -> "PiecewisePoly":
+        """The field of ``coeffs``, a fresh array on this partition, plus a constant."""
+        coeffs[:, 0] += constant
+        return self._new(coeffs)
 
     def __add__(self, other) -> "PiecewisePoly":
+        if isinstance(other, _SCALARS) or not isinstance(other, PiecewisePoly) and not np.ndim(other):
+            return self._shift(self.coeffs.copy(), other)
         a, b = self.coeffs, self._operand(other)
         if a.shape[1] < b.shape[1]:
             a, b = b, a
@@ -85,14 +90,15 @@ class PiecewisePoly:
         return self._new(-self.coeffs)
 
     def __sub__(self, other) -> "PiecewisePoly":
-        return self + (-other)
+        return self._shift(self.coeffs.copy(), -other) if isinstance(other, _SCALARS) else self + (-other)
 
     def __rsub__(self, other) -> "PiecewisePoly":
-        return (-self) + other
+        return self._shift(-self.coeffs, other) if isinstance(other, _SCALARS) else (-self) + other
 
     def __mul__(self, other) -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):
-            return PiecewisePoly(self.breaks, self.coeffs * other)  # checked: ``other`` may be an array
+            c = self.coeffs * other  # checked unless a scalar: ``other`` may be an array
+            return self._new(c) if isinstance(other, _SCALARS) else PiecewisePoly(self.breaks, c)
         a, b = self.coeffs, self._operand(other)
         la, lb = _lead_sizes(a), _lead_sizes(b)
         out = np.zeros((a.shape[0], max(map(sum, zip(la, lb))) - 1), dtype=complex)

@@ -222,7 +222,7 @@ def willis_exact_root(cell: UnitCell1D, k: float) -> float:
 
     Scans the (real) impedance a point at a time on the grid of
     :func:`exact_branch`, from Z(k, 0) = mu_h k^2 > 0, and bisects its first
-    sign change.
+    sign change; where cos k = 1 within 1e-15 the root is 0, as on that branch.
     In the eigenfunction form <w> = sum_m |<phi_m>|^2 / (lam_m - omega^2)
     (J. R. Willis, Proc. R. Soc. A 467 (2011) 1865) only the visible modes,
     <phi_m> != 0, contribute, so <w> is positive from omega = 0 up to the
@@ -233,6 +233,8 @@ def willis_exact_root(cell: UnitCell1D, k: float) -> float:
     forms Z = det/N with no pole on the branch, so the root is bisected to
     within ``ROOT_TOL`` s, as the branch is.
     """
+    if abs(np.cos(k) - 1.0) < 1e-15:
+        return 0.0
     w, omega_max, s = _scan_grid(cell, k, None)
 
     def z(x: float) -> float:

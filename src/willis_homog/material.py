@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,89 +134,106 @@ def homogeneous(G: float = 1.0, rho: float = 1.0) -> UnitCell1D:
     return UnitCell1D((Phase(length=1.0, G=float(G), rho=float(rho)),))
 
 
-@dataclass(frozen=True, eq=False)
 class FourierField:
-    """Complex Fourier coefficients c_m, m = -N..N, of a periodic function."""
+    """Complex Fourier coefficients c_m, m = -N..N, of a periodic function; ``order`` is N.
 
-    coeffs: np.ndarray
+    Only the constructor checks its array (1-D, odd length).  The operators' direct
+    paths, scalar ``+ - *`` and same-order ``+ -`` on the coefficient array alone and
+    ``antiderivative`` by the order's table of 2 pi i m, equal the checked path (a
+    constructed field, neg-then-add, c_m / (2 pi i m)) bit for bit."""
 
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
+    __slots__ = ("coeffs", "order")
+
+    def __init__(self, coeffs) -> None:
+        c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValidationError("coefficient array must be 1-D with odd length")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        """Truncation order N (coefficients cover m = -N..N)."""
-        return (self.coeffs.size - 1) // 2
+        self.coeffs, self.order = c, (c.size - 1) // 2
 
     @property
     def mean(self) -> complex:
         """Cell average, i.e. the m = 0 coefficient."""
         return complex(self.coeffs[self.order])
 
+    def _shift(self, coeffs: np.ndarray, constant) -> "FourierField":
+        """The field of ``coeffs``, a fresh array of this order, plus a constant."""
+        coeffs[self.order] += constant
+        return _field(coeffs, self.order)
+
     def __add__(self, other) -> "FourierField":
         """Sum; of two fields, truncated to the lower of their orders."""
-        if not isinstance(other, FourierField):
-            if np.ndim(other):
-                return self + FourierField(other)  # checked: an array is a coefficient array
-            c = self.coeffs.copy()
-            c[self.order] += other
-            return _field(c)
-        n = min(self.order, other.order)
-        return _field(_centre(self.coeffs, n) + _centre(other.coeffs, n))
+        if isinstance(other, FourierField):
+            if other.order == self.order:
+                return _field(self.coeffs + other.coeffs, self.order)
+            n = min(self.order, other.order)
+            return _field(_centre(self.coeffs, n) + _centre(other.coeffs, n), n)
+        if not isinstance(other, _SCALARS) and np.ndim(other):
+            return self + FourierField(other)  # checked: an array is a coefficient array
+        return self._shift(self.coeffs.copy(), other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FourierField":
-        return _field(-self.coeffs)
+        return _field(-self.coeffs, self.order)
 
     def __sub__(self, other) -> "FourierField":
-        return self + (-other)
+        if isinstance(other, FourierField) and other.order == self.order:
+            return _field(self.coeffs - other.coeffs, self.order)
+        return self._shift(self.coeffs.copy(), -other) if isinstance(other, _SCALARS) else self + (-other)
 
     def __rsub__(self, other) -> "FourierField":
-        return (-self) + other
+        return self._shift(-self.coeffs, other) if isinstance(other, _SCALARS) else (-self) + other
 
     def __mul__(self, other) -> "FourierField":
         """Product; of two fields, truncated to the lower of their orders."""
         if not isinstance(other, FourierField):
-            return FourierField(self.coeffs * other)  # checked: ``other`` may be an array
+            c = self.coeffs * other  # checked unless a scalar: ``other`` may be an array
+            return _field(c, self.order) if isinstance(other, _SCALARS) else FourierField(c)
         a, b = (self, other) if self.order >= other.order else (other, self)
         n = b.order
         if a.order >= 2 * n:
             # the harmonics |m| <= n draw on those of a up to 2n only
-            return _field(np.convolve(_centre(a.coeffs, 2 * n), b.coeffs, mode="valid"))
-        return _field(_centre(np.convolve(a.coeffs, b.coeffs), n))
+            return _field(np.convolve(_centre(a.coeffs, 2 * n), b.coeffs, mode="valid"), n)
+        return _field(_centre(np.convolve(a.coeffs, b.coeffs), n), n)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "FourierField":
         m = np.arange(-self.order, self.order + 1)
-        return _field(2j * np.pi * m * self.coeffs)
+        return _field(2j * np.pi * m * self.coeffs, self.order)
 
     def antiderivative(self) -> "FourierField":
         """The zero-mean antiderivative c_m / (2 pi i m); the mean c_0 has none and is dropped."""
-        n = self.order
-        m = np.arange(-n, n + 1)
-        m[n] = 1
-        c = self.coeffs / (2j * np.pi * m)
-        c[n] = 0.0
-        return _field(c)
+        c = self.coeffs / _two_pi_im(self.order)
+        c[self.order] = 0.0
+        return _field(c, self.order)
 
     def zero_mean(self) -> "FourierField":
         return self - self.mean
 
     def bound(self) -> float:
         """sum_m |c_m|, a bound on |f(x)| over the cell."""
-        return float(np.sum(np.abs(self.coeffs)))
+        return float(np.abs(self.coeffs).sum())
 
 
-def _field(coeffs: np.ndarray) -> FourierField:
-    """The field of an odd-length complex array an operation just built, unchecked."""
+_SCALARS = (int, float, complex)  #: taken unchecked, numpy's float64 and complex128 too
+
+
+def _field(coeffs: np.ndarray, order: int) -> FourierField:
+    """The field of an order-N complex array (size 2N + 1) an operation just built, unchecked."""
     field = object.__new__(FourierField)
-    field.__dict__["coeffs"] = coeffs
+    field.coeffs, field.order = coeffs, order
     return field
+
+
+@lru_cache(maxsize=None)
+def _two_pi_im(order: int) -> np.ndarray:
+    """2 pi i m for m = -order..order (1 at m = 0), a constant of the order alone like
+    ``exact._INV_FACTORIAL``; a product with its reciprocal could flip a zero's sign."""
+    divisor = 2j * np.pi * np.arange(-order, order + 1)
+    divisor[order] = 1.0
+    divisor.flags.writeable = False
+    return divisor
 
 
 def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -248,7 +265,7 @@ def fourier_coefficients(cell: UnitCell1D, names: tuple[str, ...], N: int) -> tu
         coeffs = np.empty(2 * N + 1, dtype=complex)
         coeffs[nonzero] = (phase @ vals) / divisor
         coeffs[N] = np.dot(lengths, vals)
-        fields.append(_field(coeffs))
+        fields.append(_field(coeffs, N))
     return tuple(fields)
 
 

@@ -461,6 +461,18 @@ def test_exact_roots_agree_on_the_lowest_band_below_the_bound(cell: UnitCell1D) 
         assert np.all(dispersion_function(cell, below) > np.cos(kk)), cell_digest(cell)
 
 
+@pytest.mark.parametrize("k", [0.0, 2.0 * np.pi], ids=["0", "2pi"])
+@pytest.mark.parametrize(
+    "cell",
+    [BILAMINATE, UnitCell1D((Phase(0.2, 3.0, 0.5), Phase(0.5, 0.7, 2.0), Phase(0.3, 1.5, 1.1)))],
+    ids=["fig2", "3-phase"],
+)
+def test_both_exact_roots_are_zero_where_cos_k_is_one(cell: UnitCell1D, k: float) -> None:
+    # Z(k, 0) is 0/0 at k = 0 and the scan from it would miss the root 0 at k = 2 pi
+    assert willis_exact_root(cell, k) == 0.0
+    assert exact_branch(cell, [k]).omega[0] == 0.0
+
+
 def test_willis_exact_root_evaluates_the_impedance_once_per_point(monkeypatch) -> None:
     omegas = []
 

@@ -137,6 +137,80 @@ def test_fourier_field_scalar_algebra_and_calculus() -> None:
     assert e1.bound() == 1.0
 
 
+# -- the operators' direct paths against the checked formulas, bit for bit ----
+
+SCALAR_OPERANDS = [3, -2.5, 1.5 - 0.5j, np.float64(0.75), np.complex128(-1j), np.array(2.0), np.array(0.5 + 2j)]
+
+
+def _centre(c: np.ndarray, n: int) -> np.ndarray:
+    mid = c.size // 2
+    return c[mid - n : mid + n + 1]
+
+
+def _sample(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random coefficients m = -n..n with some real, imaginary and signed-zero parts."""
+    c = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+    c[::4] = c[::4].real
+    c[1::5] = 1j * c[1::5].imag
+    c.imag[2::6] = -0.0
+    return c
+
+
+def _assert_bits(field: FourierField, want: np.ndarray) -> None:
+    assert field.order == (field.coeffs.size - 1) // 2 == (want.size - 1) // 2
+    assert np.array_equal(field.coeffs, want)
+    # the signs of zero parts too
+    assert np.array_equal(field.coeffs.view(np.uint64), np.ascontiguousarray(want, dtype=complex).view(np.uint64))
+
+
+@pytest.mark.parametrize("s", SCALAR_OPERANDS, ids=lambda s: f"{type(s).__name__}({s})")
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_fourier_field_scalar_operators_match_the_checked_formulas_bitwise(n: int, s) -> None:
+    c = _sample(np.random.default_rng(n), n)
+    f = FourierField(c)
+    plus, minus, rminus = c.copy(), c.copy(), -c
+    plus[n] += s
+    minus[n] += -s
+    rminus[n] += s
+    for got, want in ((f + s, plus), (s + f, plus), (f - s, minus), (s - f, rminus), (f * s, c * s), (s * f, c * s)):
+        _assert_bits(got, want)
+    m = np.arange(-n, n + 1)
+    m[n] = 1
+    anti = c / (2j * np.pi * m)
+    anti[n] = 0.0
+    _assert_bits(f.antiderivative(), anti)
+    centred = c.copy()
+    centred[n] += -complex(c[n])
+    _assert_bits(f.zero_mean(), centred)
+    _assert_bits(-f, -c)
+    _assert_bits(f.derivative(), 2j * np.pi * np.arange(-n, n + 1) * c)
+
+
+def _checked_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    a, b = (x, y) if x.size >= y.size else (y, x)
+    n = (b.size - 1) // 2
+    if (a.size - 1) // 2 >= 2 * n:
+        return np.convolve(_centre(a, 2 * n), b, mode="valid")
+    return _centre(np.convolve(a, b), n)
+
+
+@pytest.mark.parametrize(
+    "orders", [pair for n in (4, 8, 16) for pair in ((n, n), (n, 2 * n), (2 * n, n), (n, n + 3), (n + 3, n))]
+)
+def test_fourier_field_sums_and_products_match_the_checked_formulas_bitwise(orders) -> None:
+    na, nb = orders
+    rng = np.random.default_rng(orders)
+    a, b = _sample(rng, na), _sample(rng, nb)
+    fa, fb = FourierField(a), FourierField(b)
+    n = min(na, nb)
+    _assert_bits(fa + fb, _centre(a, n) + _centre(b, n))
+    _assert_bits(fa - fb, _centre(a, n) + _centre(-b, n))
+    _assert_bits(fb - fa, _centre(b, n) + _centre(-a, n))
+    _assert_bits(fa * fb, _checked_product(a, b))
+    _assert_bits(fb * fa, _checked_product(b, a))
+    _assert_bits(fa + b, _centre(a, n) + _centre(b, n))  # an array operand is checked, then added
+
+
 def test_dict_roundtrip_preserves_cell() -> None:
     cell = UnitCell1D(
         phases=(Phase(0.3, 1.0, 1.0), Phase(0.5, 0.2, 3.0), Phase(0.2, 2.5, 0.4))

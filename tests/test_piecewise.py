@@ -77,6 +77,21 @@ def test_arithmetic_with_scalars_and_fields() -> None:
     assert_allclose(evaluate(f * f, x), evaluate(f, x) ** 2, atol=1e-15)
 
 
+@pytest.mark.parametrize("s", [3, -2.5, 1.5 - 0.5j, np.float64(0.75), np.complex128(-1j), np.array(2.0)])
+def test_scalar_arithmetic_matches_the_constant_field_formulas_bitwise(s) -> None:
+    # the checked path: a constant column from np.full, and neg-then-add for differences;
+    # a zero imaginary part of either sign keeps its sign
+    f = PiecewisePoly((0.0, 0.5, 1.0), [[complex(0.5, -0.0), -1.0, 2.0], [-0.25, 0.0, 1.0]])
+    c = f.coeffs
+    plus, minus, rminus = c.copy(), c.copy(), -c
+    plus[:, :1] += np.full((2, 1), s, dtype=complex)
+    minus[:, :1] += np.full((2, 1), -s, dtype=complex)
+    rminus[:, :1] += np.full((2, 1), s, dtype=complex)
+    for got, want in ((f + s, plus), (s + f, plus), (f - s, minus), (s - f, rminus), (f * s, c * s), (s * f, c * s)):
+        assert np.array_equal(got.coeffs.view(np.uint64), want.view(np.uint64))
+        assert got.breaks is f.breaks and np.array_equal(got.lengths, np.diff(f.breaks))
+
+
 def test_zero_mean_shifts_the_mean_only() -> None:
     f = quadratic_example()
     g = f.zero_mean()
