@@ -75,7 +75,7 @@ class PiecewisePoly:
         return self._new(coeffs)
 
     def __add__(self, other) -> "PiecewisePoly":
-        if isinstance(other, _SCALARS) or not isinstance(other, PiecewisePoly) and not np.ndim(other):
+        if isinstance(other, _SCALARS) or (not isinstance(other, PiecewisePoly) and not np.ndim(other)):
             return self._shift(self.coeffs.copy(), other)
         a, b = self.coeffs, self._operand(other)
         if a.shape[1] < b.shape[1]:
