@@ -2,8 +2,9 @@
 
 ``responses`` is the one place that picks a route: the closed forms
 (``method="exact"``) or one assembled operator (``method="spectral"``).
-Either returns each response as a ``CellResponse``, the four averages
-``mean``, ``mean_rho``, ``mean_flux`` and ``mean_G``, read where the solve
+Either returns each response as a ``CellResponse``, the three averages
+``mean``, ``mean_rho`` and ``mean_flux`` (the mean of the response's own
+flux, which for the dipole excludes its unit strain), read where the solve
 ends; :mod:`~willis_homog.willis` reads the records as they are.  On the
 spectral route the loads at one omega share one resonance certificate and
 one factorization.
@@ -42,11 +43,12 @@ __all__ = [
 def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellResponse]:
     """Responses to the loads ``kinds`` at one omega, through one resolvent solve."""
     load = {"monopole": operator.monopole_load, "dipole": operator.dipole_load}
+    strain = {"monopole": 0.0, "dipole": 1.0}  # gamma, the strain the load imposes
     loads = [load[kind]() for kind in kinds]
     coeffs = np.ascontiguousarray(resolvent_solve(operator, omega, np.stack(loads, axis=1)).T)
     return [
-        CellResponse(operator.mean(c), operator.mean_rho(c), operator.mean_flux(c), operator.mean_G)
-        for c in coeffs
+        CellResponse(operator.mean(c), operator.mean_rho(c), operator.mean_flux(c, strain[kind]))
+        for kind, c in zip(kinds, coeffs)
     ]
 
 

@@ -194,6 +194,8 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError("config field 'probe': expected [k, omega]") from exc
         if not all(map(math.isfinite, probe)):
             raise ConfigError(f"config field 'probe': k and omega must be finite, got {list(probe)}")
+        if probe[1] == 0.0:
+            raise ConfigError(f"config field 'probe': the Willis parameters need omega != 0, got {list(probe)}")
 
     return RunConfig(
         cell=cell,

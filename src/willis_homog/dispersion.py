@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import HomogCoefficients, two_scale_root
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .exact import dispersion_function
 from .material import UnitCell1D, cell_digest
 from .spectral import DEFAULT_ORDER, assemble
@@ -85,9 +85,18 @@ def _golden_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _finite_k(k_grid) -> np.ndarray:
+    """``k_grid`` as a 1D float array; ValidationError naming its first non-finite k."""
+    k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
+    if not np.isfinite(k_grid).all():
+        raise ValidationError(f"k must be finite, got {float(k_grid[~np.isfinite(k_grid)][0])!r}")
+    return k_grid
+
+
 def _scan_grid(cell: UnitCell1D, k, omega_max: float | None) -> tuple[np.ndarray, float, float]:
     """(grid, omega_max, s): the scan grid of both exact roots, 0 then a + SCAN_STEP s
-    accumulated up to omega_max, which defaults to (1.1 max|k| + 0.05) c0.
+    accumulated up to omega_max, which defaults to (1.1 max|k| + 0.05) c0 and
+    must otherwise be finite and > 0 (ValidationError).
 
     The trial Bloch function exp(ik theta(x)), theta' = (1/G) / <1/G>, has
     Rayleigh quotient (c0 k)^2, so the lowest branch lies below c0 |k|.
@@ -99,6 +108,8 @@ def _scan_grid(cell: UnitCell1D, k, omega_max: float | None) -> tuple[np.ndarray
     c0 = cell.c0
     if omega_max is None:
         omega_max = (1.1 * float(np.max(np.abs(k), initial=0.0)) + 0.05) * c0
+    elif not (np.isfinite(omega_max) and omega_max > 0.0):
+        raise ValidationError(f"omega_max must be finite and > 0, got {omega_max!r}")
     s = min(cell.c, 2.0 * c0)
 
     def points():
@@ -132,8 +143,9 @@ def exact_branch(
     or touches its minimum where the gap is closed; it is bisected from the
     grid point before the dip up to the minimum, found once per call by
     golden section, so a touch returns the minimum, good to about sqrt(eps).
+    A non-finite k raises ValidationError.
     """
-    k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
+    k_grid = _finite_k(k_grid)
     w, omega_max, s = _scan_grid(cell, k_grid, omega_max)
     targets = np.cos(k_grid)
     omegas = np.zeros_like(k_grid)
@@ -174,9 +186,9 @@ def spectral_acoustic_branch(
 
     The eigenvalues come from the graded reduced pencil
     (``BlochOperator.eigenvalues``), whose lowest one is accurate relative
-    to itself.
+    to itself.  A non-finite k raises ValidationError.
     """
-    k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
+    k_grid = _finite_k(k_grid)
     omegas = np.empty_like(k_grid)
     for i, k in enumerate(k_grid):
         lam = float(assemble(cell, float(k), order).eigenvalues[0])
@@ -231,8 +243,9 @@ def willis_exact_root(cell: UnitCell1D, k: float) -> float:
     that eigenvalue, the acoustic root; its poles, the zeros of <w>, lie
     above it, and invisible eigenvalues leave it finite.  The exact route
     forms Z = det/N with no pole on the branch, so the root is bisected to
-    within ``ROOT_TOL`` s, as the branch is.
+    within ``ROOT_TOL`` s, as the branch is.  A non-finite k raises ValidationError.
     """
+    _finite_k(k)
     if abs(np.cos(k) - 1.0) < 1e-15:
         return 0.0
     w, omega_max, s = _scan_grid(cell, k, None)

@@ -156,8 +156,8 @@ class _Segment:
             # f = 1: the source -exp(ikx) in P'
             self.load, self.mean_load, self.flux_load = (-end * S0 / G, -end * C0), -T / G, -tail
         else:
-            # gamma = 1: the source exp(ikx) in W', and G D_k u gains G
-            self.load, self.mean_load, self.flux_load = (end * C0, -w2 * end * S0), tail, G * h - w2 * T
+            # gamma = 1: the source exp(ikx) in W'
+            self.load, self.mean_load, self.flux_load = (end * C0, -w2 * end * S0), tail, -w2 * T
 
     def step(self, y0: complex, y1: complex) -> tuple[complex, complex]:
         """Homogeneous propagation of (W, P) across the segment."""
@@ -166,7 +166,7 @@ class _Segment:
 
     def integrals(self, y0: complex, y1: complex, det: complex) -> tuple[complex, complex]:
         """det times the integrals over the segment of u = exp(-ikx) W and of
-        G D_k u = exp(-ikx) P + gamma G, from the start state det (W, P)."""
+        its flux G (D_k u - gamma) = exp(-ikx) P, from the start state det (W, P)."""
         return (
             self.gauge * (y0 * self.C0 + y1 * self.S0 / self.G) + det * self.mean_load,
             self.gauge * (-self.w2 * self.S0 * y0 + self.C0 * y1) + det * self.flux_load,
@@ -174,7 +174,7 @@ class _Segment:
 
 
 class CellResponse(NamedTuple):
-    """A cell response u as the four averages the effective model reads.
+    """A cell response u as the three averages the effective model reads.
 
     Both routes fill it where their solve ends: the exact route sums the
     segments' closed forms, the spectral route reads its operator.
@@ -182,16 +182,11 @@ class CellResponse(NamedTuple):
 
     mean: complex  #: <u>
     mean_rho: complex  #: <rho u>
-    mean_flux: complex  #: <G D_k u>
-    #: <G> as the route forms G times a strain: exact on the exact route; on the
-    #: spectral route the constant mode of T(1/G)^{-1} e_0, which pairs with
-    #: <G D_k v> so that their difference, the mean flux of the dipole
-    #: response, converges at the rate of Li's rule
-    mean_G: float
+    mean_flux: complex  #: <G (D_k u - gamma)>, its own flux: <G D_k w>, <G (D_k v - 1)>
 
 
 def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: float = 0.0) -> tuple[complex, ...]:
-    """det and det <u>, det <rho u>, det <G D_k u>; ResonanceError where det
+    """det and det <u>, det <rho u>, det <G (D_k u - gamma)>; ResonanceError where det
     and ``mean_scale`` det <u> are both below _RCOND_FLOOR of det's scale."""
     k, omega = float(k), float(omega)
     segments = []
@@ -234,7 +229,7 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: floa
 
 def _response(cell: UnitCell1D, k: float, omega: float, kind: str) -> CellResponse:
     det, *sums = _solve(cell, k, omega, kind)
-    return CellResponse(*(s / det for s in sums), cell.mean("G"))
+    return CellResponse(*(s / det for s in sums))
 
 
 def solve_monopole_exact(cell: UnitCell1D, k: float, omega: float) -> CellResponse:

@@ -175,11 +175,6 @@ class BlochOperator:
         """Weak-form load of the unit dipole, r = -i K T(1/G)^{-1} e_0 (G times the unit strain)."""
         return -1j * self.wavenumbers * self.G_matrix[:, self.index0]
 
-    @property
-    def mean_G(self) -> float:
-        """<G> by the same rule: the constant mode of G times the unit strain."""
-        return float(self.G_matrix[self.index0, self.index0].real)
-
     def mean(self, coeffs: np.ndarray) -> complex:
         return complex(coeffs[self.index0])
 
@@ -187,9 +182,12 @@ class BlochOperator:
         """<rho u> read off the mass matrix row of the constant mode."""
         return complex((self.mass @ coeffs)[self.index0])
 
-    def mean_flux(self, coeffs: np.ndarray) -> complex:
-        """<G D_k u>, the constant mode of T(1/G)^{-1} times the covariant gradient."""
-        return complex(self.G_matrix[self.index0] @ (1j * self.wavenumbers * coeffs))
+    def mean_flux(self, coeffs: np.ndarray, gamma: float = 0.0) -> complex:
+        """<G (D_k u - gamma)>, the constant mode of T(1/G)^{-1} times the strain
+        iK c - gamma e_0: the mean flux of the response to a load of strain gamma."""
+        strain = 1j * self.wavenumbers * coeffs
+        strain[self.index0] -= gamma
+        return complex(self.G_matrix[self.index0] @ strain)
 
 
 def _levinson(t: np.ndarray) -> np.ndarray:

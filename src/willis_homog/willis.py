@@ -2,7 +2,7 @@
 
 The mean monopole response fixes the effective impedance Z = 1/<w>.  The
 four constitutive parameters (effective density, stiffness and the two
-coupling coefficients) are assembled from the seven averages of the monopole
+coupling coefficients) are assembled from the six averages of the monopole
 and dipole responses, read off their two ``CellResponse`` records, along two
 algebraically equivalent routes:
 
@@ -131,27 +131,26 @@ def parameters_from_averages(
 ) -> EffectiveParameters:
     """Constitutive parameters from the monopole and dipole responses w, v of ``cell``.
 
-    The ``direct`` route uses their seven averages as they appear in the
+    The ``direct`` route uses their six averages as they appear in the
     mean-field representation; the ``symmetric`` route substitutes the mean
-    identities first.  Both must agree to the accuracy of the averages.
+    identities first.  Both must agree to the accuracy of the averages.  The
+    dipole's ``mean_flux`` is its own flux <G (D_k v - 1)>, so <G> cancels.
     """
     if route not in ROUTES:
         raise ValidationError(f"route must be one of {ROUTES}, got {route!r}")
     if omega == 0:
         raise ValidationError("constitutive parameters need omega != 0")
     Z = impedance_from_mean(w.mean, cell, k, omega)
-    mw, mv, mrw, mrv, mfw, mfv, mG = w.mean, v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux, v.mean_G
+    mv, mrw, mrv, mfw, mfv = v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux
     ik, iom = 1j * k, 1j * omega
     if route == "direct":
         density = Z * mrw * (1.0 - ik * mv) + ik * mrv
-        stiffness = mG + Z * mfw * mv - mfv
-        coupling_strain = (
-            (ik / iom) * mG - (Z / iom) * mfw * (1.0 - ik * mv) - (ik / iom) * mfv
-        )
+        stiffness = Z * mfw * mv - mfv
+        coupling_strain = -(Z / iom) * mfw * (1.0 - ik * mv) - (ik / iom) * mfv
         coupling_velocity = iom * (mrv - Z * mrw * mv)
     else:
         density = -(omega**2) * Z * abs(mrw) ** 2 + ik * mrv
-        stiffness = mG + Z * abs(mv) ** 2 - mfv
+        stiffness = Z * abs(mv) ** 2 - mfv
         coupling_velocity = iom * (mrv - Z * mrw * mv)
         coupling_strain = -np.conj(coupling_velocity)
     return EffectiveParameters(
@@ -253,41 +252,31 @@ def dynamic_identity_residuals(
 ) -> dict[str, float]:
     """Named relative residuals of the exact mean-value identities.
 
-    Covers: realness of <G D_k v>; the three mean identities tying the
-    dipole averages to the conjugated monopole averages; the parameter
-    symmetries; agreement of the two parameter routes; reconstruction of
-    the impedance from the parameters; and the static-dipole (cell-basis)
-    expressions for both flux averages, with the 1D static dipole
-    zeta = -i/k (the mean balances of the w and v equations; k = 0 mod 2 pi
-    raises ResonanceError).
+    Covers: realness of the dipole's mean flux <G (D_k v - 1)>; the three
+    mean identities tying the dipole averages to the conjugated monopole
+    averages; the parameter symmetries; agreement of the two parameter
+    routes; reconstruction of the impedance from the parameters; and the
+    static-dipole (cell-basis) expressions for both flux averages, with the
+    1D static dipole zeta = -i/k (the mean balances of the w and v
+    equations; k = 0 mod 2 pi raises ResonanceError).  The dipole's flux
+    vanishes with omega, so the checks dividing by it floor it at mu_h.
     """
     _require_nonzero_k(cell, k)
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
-    mw, mv, mrw, mrv, mfw, mfv, mG = w.mean, v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux, v.mean_G
-    ik, om2 = 1j * k, omega**2
+    mw, mv, mrw, mrv, mfw, mfv = w.mean, v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux
+    ik, om2, mu_h = 1j * k, omega**2, cell.scales["G"]
 
     res: dict[str, float] = {}
-    res["cross_coupling_real"] = abs(mfv.imag) / max(abs(mfv), 1e-30)
-    res["mean_identity_dipole"] = abs(ik * mv - 1.0 - om2 * np.conj(mrw)) / max(
-        abs(ik * mv), 1.0
-    )
-    res["mean_identity_flux"] = abs(
-        ik * mfv - ik * mG - om2 * np.conj(mrv)
-    ) / max(abs(ik * mfv), abs(ik * mG))
+    res["cross_coupling_real"] = abs(mfv.imag) / max(abs(mfv), mu_h)
+    res["mean_identity_dipole"] = abs(ik * mv - 1.0 - om2 * np.conj(mrw)) / max(abs(ik * mv), 1.0)
+    res["mean_identity_flux"] = abs(ik * mfv - om2 * np.conj(mrv)) / (abs(k) * max(abs(mfv), mu_h))
     res["mean_identity_monopole_flux"] = abs(mfw - np.conj(mv)) / max(abs(mv), 1e-30)
 
     p_direct = parameters_from_averages(cell, w, v, k, omega, "direct")
     p_sym = parameters_from_averages(cell, w, v, k, omega, "symmetric")
     scale = max(abs(p_sym.density), abs(p_sym.stiffness), 1e-30)
-    res["route_agreement"] = (
-        max(
-            abs(p_direct.density - p_sym.density),
-            abs(p_direct.stiffness - p_sym.stiffness),
-            abs(p_direct.coupling_strain - p_sym.coupling_strain),
-            abs(p_direct.coupling_velocity - p_sym.coupling_velocity),
-        )
-        / scale
-    )
+    fields = ("density", "stiffness", "coupling_strain", "coupling_velocity")
+    res["route_agreement"] = max(abs(getattr(p_direct, f) - getattr(p_sym, f)) for f in fields) / scale
     for name, value in p_direct.symmetry_residuals().items():
         res[f"symmetry_{name}"] = value
     Z = impedance_from_mean(mw, cell, k, omega)
@@ -297,5 +286,5 @@ def dynamic_identity_residuals(
     # flux averages through the static dipole conj(zeta) = i/k
     i_over_k = 1j / k
     res["cell_basis_monopole"] = abs(mfw - i_over_k - om2 * i_over_k * mrw) / max(abs(mfw), 1e-30)
-    res["cell_basis_dipole"] = abs(mfv - mG - om2 * i_over_k * mrv) / max(abs(mfv), 1e-30)
+    res["cell_basis_dipole"] = abs(mfv - om2 * i_over_k * mrv) / max(abs(mfv), mu_h)
     return res

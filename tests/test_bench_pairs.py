@@ -75,3 +75,9 @@ def test_a_file_of_one_record_becomes_the_first_entry(tmp_path: Path) -> None:
     path.write_text(json.dumps({"commit": "a"}))
     bench_pairs.append_record(path, {"commit": "b"})
     assert json.loads(path.read_text()) == [{"commit": "a"}, {"commit": "b"}]
+
+
+def test_the_two_trees_are_exported_under_names_of_equal_length() -> None:
+    names = bench_pairs.TREE_NAMES
+    assert set(names) == {"base", "change"}
+    assert len(names["base"]) == len(names["change"]) and names["base"] != names["change"]

@@ -18,7 +18,7 @@ from willis_homog.dispersion import (
     spectral_acoustic_branch,
     willis_exact_root,
 )
-from willis_homog.errors import NumericalError
+from willis_homog.errors import NumericalError, ValidationError
 from willis_homog.exact import dispersion_function
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import BRANCH_RTOL, DEFAULT_ORDER
@@ -522,3 +522,36 @@ def test_willis_exact_root_error_names_k_and_cell(monkeypatch) -> None:
     assert "willis_exact_root" in msg
     assert "k = 3.0" in msg
     assert cell_digest(BILAMINATE) in msg
+
+
+# --- non-finite input --------------------------------------------------------
+# Each call below used to loop forever in the scan, or to fail with the wrong
+# error; warnings are errors in this suite, so none of them may warn either.
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda cell: exact_branch(cell, [0.5, np.inf]), r"^k must be finite, got inf"),
+        (lambda cell: exact_branch(cell, [np.nan]), r"^k must be finite, got nan"),
+        (lambda cell: exact_branch(cell, [0.5], omega_max=np.inf), r"^omega_max must be finite and > 0, got inf"),
+        (lambda cell: exact_branch(cell, [0.5], omega_max=np.nan), r"^omega_max must be finite and > 0, got nan"),
+        (lambda cell: exact_branch(cell, [0.5], omega_max=-1.0), r"^omega_max must be finite and > 0, got -1.0"),
+        (lambda cell: willis_exact_root(cell, np.inf), r"^k must be finite, got inf"),
+        (lambda cell: willis_exact_root(cell, -np.inf), r"^k must be finite, got -inf"),
+        (lambda cell: spectral_acoustic_branch(cell, [np.nan], order=8), r"^k must be finite, got nan"),
+    ],
+    ids=[
+        "exact_branch-k-inf",
+        "exact_branch-k-nan",
+        "exact_branch-omega_max-inf",
+        "exact_branch-omega_max-nan",
+        "exact_branch-omega_max-negative",
+        "willis_exact_root-k-inf",
+        "willis_exact_root-k-minus-inf",
+        "spectral_acoustic_branch-k-nan",
+    ],
+)
+def test_branch_functions_reject_non_finite_input(call, match: str) -> None:
+    with pytest.raises(ValidationError, match=match):
+        call(bilaminate(0.1, 0.1))

@@ -39,20 +39,19 @@ def homogeneous_means(G: float, rho: float, k: float, omega: float) -> dict[str,
         "mean_rho_v": rho * v,
         "mean_G_dkw": G * 1j * k * w,
         "mean_G_dkv": G * 1j * k * v,
-        "mean_G": complex(G),
     }
 
 
-def response_means(w: CellResponse, v: CellResponse) -> dict[str, complex]:
-    """The records' averages under the names of :func:`homogeneous_means`."""
+def response_means(cell: UnitCell1D, w: CellResponse, v: CellResponse) -> dict[str, complex]:
+    """The records' averages under the names of :func:`homogeneous_means`; the
+    dipole's record holds its own flux <G (D_k v - 1)>, so <G D_k v> adds <G>."""
     return {
         "mean_w": w.mean,
         "mean_v": v.mean,
         "mean_rho_w": w.mean_rho,
         "mean_rho_v": v.mean_rho,
         "mean_G_dkw": w.mean_flux,
-        "mean_G_dkv": v.mean_flux,
-        "mean_G": v.mean_G,
+        "mean_G_dkv": v.mean_flux + cell.mean("G"),
     }
 
 
@@ -162,7 +161,7 @@ FROZEN = [
     )),
 ]
 
-# static dipole of the bilaminate at k = 0.5: <zeta>, <rho zeta>, <G D_k zeta>
+# static dipole of the bilaminate at k = 0.5: <zeta>, <rho zeta>, <G D_k zeta> = <G>
 FROZEN_ZETA = (
     -2.123824933228862e-15 - 1.9999999999999991j,
     -1.1710794572925952e-15 - 1.0999999999999994j,
@@ -180,7 +179,7 @@ def test_closed_form_matches_frozen_quadrature(name, k, omega, frozen) -> None:
     cell = CELLS[name]
     w = solve_w_exact(cell, k, omega)
     v = solve_v_exact(cell, k, omega)
-    avg = response_means(w, v)
+    avg = response_means(cell, w, v)
     got = [avg[key] for key in AVERAGE_KEYS]
     got += [1j / k * avg["mean_rho_w"], 1j / k * avg["mean_rho_v"]]
     _assert_rel(got, frozen, 1e-10)
@@ -188,7 +187,9 @@ def test_closed_form_matches_frozen_quadrature(name, k, omega, frozen) -> None:
 
 def test_static_dipole_matches_frozen_quadrature() -> None:
     zeta = solve_zeta_exact(BILAMINATE, 0.5)
-    _assert_rel((zeta.mean, zeta.mean_rho, zeta.mean_flux), FROZEN_ZETA, 1e-10)
+    _assert_rel((zeta.mean, zeta.mean_rho, zeta.mean_flux + BILAMINATE.mean("G")), FROZEN_ZETA, 1e-10)
+    # the static dipole's own flux vanishes
+    assert abs(zeta.mean_flux) <= 1e-15 * BILAMINATE.scales["G"]
 
 
 @pytest.mark.parametrize("omega", [1e-6, 1e-9])
@@ -197,7 +198,7 @@ def test_uniform_cell_limits_match_closed_form(omega: float) -> None:
     # limits and the static dipole apply to it
     G, rho, k = 1.7, 0.9, 0.5
     cell = homogeneous(G, rho)
-    got = response_means(solve_w_exact(cell, k, omega), solve_v_exact(cell, k, omega))
+    got = response_means(cell, solve_w_exact(cell, k, omega), solve_v_exact(cell, k, omega))
     for name, value in homogeneous_means(G, rho, k, omega).items():
         assert abs(got[name] - value) <= 1e-12 * abs(value), name
 
@@ -206,7 +207,7 @@ def test_uniform_cell_static_dipole_matches_closed_form() -> None:
     G, rho, k = 1.7, 0.9, 0.5
     zeta = solve_zeta_exact(homogeneous(G, rho), k)
     closed = homogeneous_means(G, rho, k, 0.0)
-    got = {"mean_v": zeta.mean, "mean_rho_v": zeta.mean_rho, "mean_G_dkv": zeta.mean_flux}
+    got = {"mean_v": zeta.mean, "mean_rho_v": zeta.mean_rho, "mean_G_dkv": zeta.mean_flux + G}
     for name, value in got.items():
         assert abs(value - closed[name]) <= 1e-12 * abs(closed[name]), name
 
@@ -233,17 +234,17 @@ def test_segment_closed_forms_match_direct_quadrature(kind: str, omega: float) -
     src = np.exp(1j * k * (x + tau)) * 0.5 * t[:, None] * weights
     cos, sin_q = np.cos(q * (t[:, None] - tau)), np.sin(q * (t[:, None] - tau)) / q
     if kind == "monopole":  # f = 1: the source -exp(ikx) in P'
-        W_src, P_src, gamma = -np.sum(sin_q * src, axis=1) / G, -np.sum(cos * src, axis=1), 0.0
+        W_src, P_src = -np.sum(sin_q * src, axis=1) / G, -np.sum(cos * src, axis=1)
     else:  # gamma = 1: the source exp(ikx) in W' = P/G + exp(ikx)
-        W_src, P_src, gamma = np.sum(cos * src, axis=1), -w2 * np.sum(sin_q * src, axis=1), 1.0
+        W_src, P_src = np.sum(cos * src, axis=1), -w2 * np.sum(sin_q * src, axis=1)
     W = y[0] * np.cos(q * t) + y[1] * np.sin(q * t) / (q * G) + W_src
     P = -w2 * np.sin(q * t) / q * y[0] + np.cos(q * t) * y[1] + P_src
     wt, phase = 0.5 * h * weights, np.exp(-1j * k * (x + t[:-1]))
     mean = np.sum(wt * phase * W[:-1])
     got_mean, got_flux = seg.integrals(*y, 1.0)
     assert abs(got_mean - mean) <= 1e-13 * abs(mean)
-    # G D_k u = exp(-ikx) P + gamma G
-    flux = np.sum(wt * (phase * P[:-1] + gamma * G))
+    # the response's own flux G (D_k u - gamma) = exp(-ikx) P
+    flux = np.sum(wt * phase * P[:-1])
     assert abs(got_flux - flux) <= 1e-13 * abs(flux)
     for got, want in zip(seg.load, (W_src[-1], P_src[-1])):
         assert abs(got - want) <= 1e-13 * abs(want)

@@ -203,7 +203,8 @@ def _dense_G_matrix(cell, order: int) -> np.ndarray:
 
 def test_dipole_load_and_mean_flux_match_per_mode_coefficients() -> None:
     # both read Li's G matrix, T(1/G)^-1: the load is -i k_m times its
-    # constant-mode column, the mean flux its constant-mode row against i k_m c_m
+    # constant-mode column, the mean flux its constant-mode row against the
+    # strain i k_m c_m, less gamma in the constant mode for a load of strain gamma
     op = assemble(bilaminate(0.2, 0.4), 0.7, 128)
     g = _dense_G_matrix(op.cell, op.order)
     i0 = op.index0
@@ -212,7 +213,7 @@ def test_dipole_load_and_mean_flux_match_per_mode_coefficients() -> None:
     c = np.random.default_rng(5).standard_normal((op.size, 2)) @ np.array([1.0, 1j])
     ref = complex(np.sum(g[i0] * 1j * op.wavenumbers * c))
     assert abs(op.mean_flux(c) - ref) <= 1e-12 * scale * np.sum(np.abs(op.wavenumbers * c))
-    assert abs(op.mean_G - g[i0, i0].real) <= 1e-12 * scale
+    assert abs(op.mean_flux(c, 1.0) - (ref - g[i0, i0])) <= 1e-12 * scale * np.sum(np.abs(op.wavenumbers * c))
 
 
 def _random_G_cell(rng: np.random.Generator, n_phases: int) -> UnitCell1D:
@@ -275,11 +276,12 @@ def test_dense_and_levinson_inverses_agree(order: int) -> None:
 
 
 def test_mean_G_is_the_harmonic_mean_at_the_lowest_order() -> None:
-    # a one-mode basis has T(1/G) = <1/G>; Li's <G> rises towards <G> with N
+    # a one-mode basis has T(1/G) = <1/G>; Li's <G>, the constant mode of
+    # T(1/G)^{-1} e_0, rises towards <G> with N
     cell = bilaminate(0.1, 0.1)
     g = toeplitz_inverse(fourier_coefficients(cell, ("1/G",), 0)[0].coeffs)
     assert_allclose(g[0, 0], 1.0 / cell.mean("1/G"), rtol=1e-15)
-    means = [assemble(cell, 0.5, n).mean_G for n in (4, 16, 64)]
+    means = [assemble(cell, 0.5, n).G_matrix[n, n].real for n in (4, 16, 64)]
     assert 1.0 / cell.mean("1/G") < means[0] < means[1] < means[2] < cell.mean("G")
 
 

@@ -5,6 +5,9 @@
 
 Each side is a tree exported with ``git archive`` into a temporary
 directory, so both run only committed files, as a fresh checkout would.
+The directories are named ``TREE_NAMES``, of equal length, so the two
+sides' paths (which the interpreter holds in ``sys.path`` and every
+module's ``__file__``) cost them the same memory.
 There is one pair per seed (by default seeds 1 to 10).  Pair i runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` on both
 sides with the same seed, T being BENCHMARK.json's ``run_seconds``, the
@@ -34,6 +37,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: directory of each side's exported tree; the record keys stay ``base`` and ``change``
+TREE_NAMES = {"base": "parent", "change": "change"}
 
 
 def _git(*args: str) -> str:
@@ -141,7 +147,7 @@ def main(argv=None) -> int:
 
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
+        trees = {side: export(rev, Path(tmp) / TREE_NAMES[side]) for side, rev in revs.items()}
         for i, seed in enumerate(seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
