@@ -525,8 +525,9 @@ def test_willis_exact_root_error_names_k_and_cell(monkeypatch) -> None:
 
 
 # --- non-finite input --------------------------------------------------------
-# Each call below used to loop forever in the scan, or to fail with the wrong
-# error; warnings are errors in this suite, so none of them may warn either.
+# The scan steps up to omega_max, which a non-finite k or omega_max would never
+# end, so each is refused before any arithmetic; warnings are errors in this
+# suite, so none of them may warn either.
 
 
 @pytest.mark.parametrize(

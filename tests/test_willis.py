@@ -241,8 +241,8 @@ def contrast_cells(draw) -> UnitCell1D:
 @given(contrast_cells())
 def test_exact_identities_hold_at_any_contrast(cell: UnitCell1D) -> None:
     # the dipole's record holds its own flux, not <G> plus it, so no average
-    # of the Willis parameters cancels against <G>; at the parent, over 200
-    # such cells, 97 broke verify's 1e-8 bound
+    # of the Willis parameters cancels against <G>, which here may exceed the
+    # flux by far more than 1/eps
     k = 0.5
     omega = 0.7 * float(exact_branch(cell, [k]).omega[0])
     residuals = dynamic_identity_residuals(cell, k, omega)
