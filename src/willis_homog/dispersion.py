@@ -143,7 +143,7 @@ def exact_branch(
     or touches its minimum where the gap is closed; it is bisected from the
     grid point before the dip up to the minimum, found once per call by
     golden section, so a touch returns the minimum, good to about sqrt(eps).
-    A non-finite k raises ValidationError.
+    A non-finite k or omega_max, or an omega_max <= 0, raises ValidationError.
     """
     k_grid = _finite_k(k_grid)
     w, omega_max, s = _scan_grid(cell, k_grid, omega_max)
