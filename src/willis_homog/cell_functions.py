@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ResonanceError, ValidationError
 from .exact import (
+    _LOADS,
     CellResponse,
     solve_dipole_exact,
     solve_monopole_exact,
@@ -43,11 +44,10 @@ __all__ = [
 def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellResponse]:
     """Responses to the loads ``kinds`` at one omega, through one resolvent solve."""
     load = {"monopole": operator.monopole_load, "dipole": operator.dipole_load}
-    strain = {"monopole": 0.0, "dipole": 1.0}  # gamma, the strain the load imposes
     loads = [load[kind]() for kind in kinds]
     coeffs = np.ascontiguousarray(resolvent_solve(operator, omega, np.stack(loads, axis=1)).T)
     return [
-        CellResponse(operator.mean(c), operator.mean_rho(c), operator.mean_flux(c, strain[kind]))
+        CellResponse(operator.mean(c), operator.mean_rho(c), operator.mean_flux(c, _LOADS[kind][0]))
         for kind, c in zip(kinds, coeffs)
     ]
 

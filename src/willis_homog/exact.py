@@ -1,33 +1,29 @@
 """Exact closed-form cell responses for piecewise-constant 1D cells.
 
-In W = exp(ikx) u and the flux P = exp(ikx) G (D_k u - gamma) the Bloch
-cell equation
+In the periodic field u and its flux p = G (D_k u - gamma) the Bloch cell
+equation
 
     -omega^2 rho u - D_k (G (D_k u - gamma)) = f,   D_k = d/dx + ik,
 
 is the first-order system
 
-    W' = P/G + gamma exp(ikx),   P' = -omega^2 rho W - f exp(ikx),
+    u' = -ik u + p/G + gamma,   p' = -ik p - omega^2 rho u - f,
 
-whose state (W, P) is continuous at every interface.  The monopole load
-(f = 1) is a source in P', the unit dipole load (gamma = 1) a strain source
-in W'.  Segment solutions are propagated with the trigonometric fundamental
-matrix; the Floquet condition A y = r closes in adjugate form, det y =
-adj(A) r, and one march with the loads scaled by det sums det times each
-segment's averages.  A response divides once by det; Z = det/N, N = det <w>,
-has no pole.  This is the oracle the spectral route is validated against.
+whose state (u, p) is continuous at every interface.  A load is the
+constant source g = (gamma, -f): the monopole (f = 1) a source in p', the
+unit dipole (gamma = 1) a strain source in u'.  A phase steps (u, p) by
+exp(-ikh) times its real transfer matrix; the periodic condition
+(I - M) y = s closes in adjugate form, det y = adj(I - M) s, and one march
+with the load scaled by det sums det times each phase's averages.  A
+response divides once by det; Z = det/N, N = det <w>, has no pole.  This
+is the oracle the spectral route is validated against.
 
-No quadrature is involved.  On segment j (left end x_j, length h, wave
-number q = omega sqrt(rho/G)) either load's contribution to the end state
-and every cell average reduce to moments
-
-    int_0^h t^m exp(-ikt) {cos qt, sin(qt)/q} dt,   m in {0, 1}.
-
-Written as iterated integrals of exponentials over a simplex, each moment
-is h^n times a divided difference of exp over the nodes
-{0, (+-iq - ik) h} (Hermite-Genocchi); for example
-int_0^h (h - t) exp(-ikt) sin(qt)/q dt = h^3 exp[0, 0, a, b] with
-a, b = (+-iq - ik) h.  One Newton row of :func:`_dd_exp` per segment gives
+No quadrature is involved.  On a phase of length h, with wave number
+q = omega sqrt(rho/G), the load's end state and every cell average reduce
+to the moments int_0^h t^m exp(-ikt) {cos qt, sin(qt)/q} dt, m in {0, 1}.
+Written as iterated integrals of exponentials over a simplex, each is h^n
+times a divided difference of exp over the nodes {0, (+-iq - ik) h}
+(Hermite-Genocchi).  One Newton row of :func:`_dd_exp` per phase gives
 them all, evaluated stably, so the removable limits q = 0 (the static
 dipole), q -> 0 and q = +-k need no special case anywhere else.
 """
@@ -53,9 +49,9 @@ __all__ = [
     "dispersion_function",
 ]
 
-#: the Floquet closure is treated as resonant where its determinant
+#: the periodic closure is treated as resonant where its determinant
 #: 2 exp(-ik) (cos k - D(omega)) is below this fraction of the size of its two
-#: products; the ratio does not change under any rescaling of W or P
+#: products; the ratio does not change under any rescaling of u or p
 _RCOND_FLOOR = 1e-10
 
 #: nodes within this distance of their centroid are summed as one Taylor
@@ -127,49 +123,49 @@ def _dd_exp(*z: complex) -> list[complex]:
     return [_dd_last(z[: i + 1], memo) for i in range(len(z))]
 
 
-class _Segment:
-    """One phase at (k, omega): propagator, load moments and the load's terms.
+#: each load as the constant source g = (gamma, -f) of the (u, p) system,
+#: the one definition both routes read
+_LOADS = {"monopole": (0.0, -1.0), "dipole": (1.0, 0.0)}
 
-    With a, b = (+-iq - ik) h, the kappa = k moments over [0, h] are
-    S0 = int exp(-ikt) sin(qt)/q = h^2 exp[0, a, b],
-    C0 = int exp(-ikt) cos qt = h exp[0, b] + iq S0,
-    T = int (h - t) exp(-ikt) sin(qt)/q = h^3 exp[0, 0, a, b] and, by parts,
-    tail = int (h - t) exp(-ikt) cos qt = S0 + ik T.  ``kind`` is "monopole"
-    or "dipole"; ``load`` is its end state from a zero start.
+
+class _Segment:
+    """One phase at (k, omega): its step, and the load's end state and integrals.
+
+    Each map of (u, p) has the form [[a, b/G], [-rho omega^2 b, a]]: the step
+    (a, b) = exp(-ikh) (cos qh, sin(qh)/q), its integral Phi over [0, h],
+    (C0, S0), and Psi = int_0^h (h - t) step(t) dt, (S0 + ik T, T).  Over the
+    nodes z, z' = (+-iq - ik) h, S0 = h^2 exp[0, z, z'], C0 = h exp[0, z'] +
+    iq S0 and T = h^3 exp[0, 0, z, z'].  The load ``g`` = (gamma, -f) ends at
+    ``load`` = Phi g from a zero start and adds Psi g to the integrals.
     """
 
-    def __init__(self, phase: Phase, x: float, k: float, omega: float, kind: str):
+    def __init__(self, phase: Phase, k: float, omega: float, g: tuple[float, float]):
         h, G, rho = phase.length, phase.G, phase.rho
         q = omega * math.sqrt(rho / G)
-        self.G, self.rho = G, rho
-        self.w2 = w2 = rho * omega * omega
-        self.cos = math.cos(q * h)
-        self.sin_q = math.sin(q * h) / q if q else h
-        self.gauge = cmath.exp(-1j * k * x)  # back from W to u at x_j
+        w2 = rho * omega * omega
+        e = cmath.exp(-1j * k * h)
+        b = e * (math.sin(q * h) / q if q else h)
+        self.rho, self.a = rho, e * math.cos(q * h)
+        self.b_G, self.w2_b = b / G, -w2 * b
         _, e0b, e0ab, e00ab = _dd_exp(-1j * (q + k) * h, 0.0, 1j * (q - k) * h, 0.0)
-        self.S0 = S0 = h * h * e0ab
+        S0, T = h * h * e0ab, h**3 * e00ab
         self.C0 = C0 = h * e0b + 1j * q * S0
-        T = h**3 * e00ab
+        self.S0_G, self.w2_S0 = S0 / G, -w2 * S0
         tail = S0 + 1j * k * T
-        end = cmath.exp(1j * k * (x + h))
-        if kind == "monopole":
-            # f = 1: the source -exp(ikx) in P'
-            self.load, self.mean_load, self.flux_load = (-end * S0 / G, -end * C0), -T / G, -tail
-        else:
-            # gamma = 1: the source exp(ikx) in W'
-            self.load, self.mean_load, self.flux_load = (end * C0, -w2 * end * S0), tail, -w2 * T
+        g0, g1 = g
+        self.load = (C0 * g0 + self.S0_G * g1, self.w2_S0 * g0 + C0 * g1)
+        self.mean_load, self.flux_load = tail * g0 + T / G * g1, -w2 * T * g0 + tail * g1
 
     def step(self, y0: complex, y1: complex) -> tuple[complex, complex]:
-        """Homogeneous propagation of (W, P) across the segment."""
-        c, s = self.cos, self.sin_q
-        return c * y0 + (s / self.G) * y1, -self.w2 * s * y0 + c * y1
+        """Homogeneous propagation of (u, p) across the segment."""
+        return self.a * y0 + self.b_G * y1, self.w2_b * y0 + self.a * y1
 
     def integrals(self, y0: complex, y1: complex, det: complex) -> tuple[complex, complex]:
-        """det times the integrals over the segment of u = exp(-ikx) W and of
-        its flux G (D_k u - gamma) = exp(-ikx) P, from the start state det (W, P)."""
+        """det times the integrals over the segment of u and of its flux
+        p = G (D_k u - gamma), from the start state det (u, p)."""
         return (
-            self.gauge * (y0 * self.C0 + y1 * self.S0 / self.G) + det * self.mean_load,
-            self.gauge * (-self.w2 * self.S0 * y0 + self.C0 * y1) + det * self.flux_load,
+            self.C0 * y0 + self.S0_G * y1 + det * self.mean_load,
+            self.w2_S0 * y0 + self.C0 * y1 + det * self.flux_load,
         )
 
 
@@ -189,11 +185,7 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: floa
     """det and det <u>, det <rho u>, det <G (D_k u - gamma)>; ResonanceError where det
     and ``mean_scale`` det <u> are both below _RCOND_FLOOR of det's scale."""
     k, omega = float(k), float(omega)
-    segments = []
-    x = 0.0
-    for p in cell.phases:
-        segments.append(_Segment(p, x, k, omega, kind))
-        x += p.length
+    segments = [_Segment(p, k, omega, _LOADS[kind]) for p in cell.phases]
 
     # march the affine map y_end = M y_0 + s across the cell
     m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
@@ -204,14 +196,13 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: floa
         s0, s1 = seg.step(s0, s1)
         s0, s1 = s0 + seg.load[0], s1 + seg.load[1]
 
-    # Floquet closure: z = exp(-ik) (M z + s)
-    phase = cmath.exp(-1j * k)
-    a00, a01, a10, a11 = 1.0 - phase * m00, -phase * m01, -phase * m10, 1.0 - phase * m11
+    # periodic closure: (I - M) y = s
+    a00, a01, a10, a11 = 1.0 - m00, -m01, -m10, 1.0 - m11
     det = a00 * a11 - a01 * a10
-    y = (phase * (a11 * s0 - a01 * s1), phase * (a00 * s1 - a10 * s0))  # adj(A) exp(-ik) s
+    y = (a11 * s0 - a01 * s1, a00 * s1 - a10 * s0)  # adj(I - M) s
 
     # march the periodic state det y across the cell, summing each segment's
-    # averages; the end state is exp(ik) times the start, so the last step is left out
+    # averages; the end state is the start, so the last step is left out
     mean = mean_rho = mean_flux = 0
     for seg in segments:
         u, flux = seg.integrals(*y, det)
@@ -258,6 +249,8 @@ def dispersion_function(cell: UnitCell1D, omega):
     """Half-trace D(omega) of the cell monodromy matrix.
 
     Bloch waves exist where D(omega) = cos k; pass bands are |D| <= 1.
+    The periodic gauge's monodromy M is exp(-ik) times this matrix, so the
+    closure's determinant is det(I - M) = 2 exp(-ik) (cos k - D).
     Valid for any number of phases.  ``omega`` may be an array: each
     phase's transfer matrices are stacked into one ``(..., 2, 2)`` matmul,
     and every element equals the scalar call bit for bit.  A scalar

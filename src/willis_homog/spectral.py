@@ -122,7 +122,11 @@ class BlochOperator:
         small eigenvalues accurate relative to themselves, not to ||A||.
         """
         p = self._by_wavenumber()
-        L = np.linalg.cholesky(self.mass[np.ix_(p, p)])
+        try:
+            L = np.linalg.cholesky(self.mass[np.ix_(p, p)])
+        except np.linalg.LinAlgError as exc:
+            where = f"k = {self.k!r}, N = {self.order}, cell {cell_digest(self.cell)}"
+            raise NumericalError(f"spectral eigenvalues: the mass matrix is not positive definite at {where}") from exc
         C = np.linalg.solve(L, np.linalg.solve(L, self.stiffness[np.ix_(p, p)]).conj().T)
         return 0.5 * (C + C.conj().T), L, p
 

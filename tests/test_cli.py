@@ -299,7 +299,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "0263bd887581301d48bfc60268998c441460ee0904837578c2b415b83d664e12"
+VERIFICATION_N16_DIGEST = "f7f54d0553d37194ecefa34e53053bd0116aca8685b8ed48a4290bbb535ed2c2"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -415,6 +415,23 @@ def test_numerical_error_in_a_check_group_is_a_failing_check(monkeypatch, capsys
     assert len(failed) == 1 and failed[0].residual == float("inf")
     assert not report.passed
     assert "two-scale branch terminates" in capsys.readouterr().err
+
+
+def test_verify_fails_the_spectral_checks_of_an_indefinite_mass_matrix(tmp_path: Path, capsys) -> None:
+    # density spanning 1e15: the spectral mass matrix is not positive definite
+    # in floating point, so every spectral check that needs its eigenvalues fails
+    phases = [(0.262, 1e5, 0.0199), (0.310, 4.4e-8, 5.28e7), (0.121, 0.0127, 0.146), (0.307, 0.0365, 1.6e-8)]
+    cell = {"phases": [{"length": h, "G": G, "rho": rho} for h, G, rho in phases]}
+    cfg = write_config(tmp_path / "c.json", {"cell": cell})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    for part in ("spectral eigenvalues", "not positive definite", "k = 0.5", "N = 32", "cell e027265c3a5a"):
+        assert part in err, part
+    checks = {c["name"]: c for c in json.loads((tmp_path / "verification.json").read_text())["checks"]}
+    for name in ("dynamic", "triangle/spectral_branch_k=0.5", "triangle/spectral_branch_k=1.5"):
+        assert checks[name]["route"] == "spectral" and checks[name]["residual"] == float("inf"), name
+    # the exact triangle checks still run
+    assert checks["triangle/impedance_root_k=0.5"]["passed"] and checks["triangle/impedance_root_k=1.5"]["passed"]
 
 
 def test_verify_default_probe_clears_a_slow_cell(tmp_path: Path, capsys) -> None:

@@ -17,7 +17,7 @@ from willis_homog.cell_functions import (
 )
 from willis_homog.dispersion import exact_branch
 from willis_homog.errors import ResonanceError, ZeroMeanImpedanceError
-from willis_homog.exact import solve_monopole_exact
+from willis_homog.exact import dispersion_function, solve_monopole_exact
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.willis import effective_impedance
 
@@ -220,40 +220,50 @@ def test_uniform_cell_static_dipole_matches_closed_form() -> None:
 def test_segment_closed_forms_match_direct_quadrature(kind: str, omega: float) -> None:
     # arbitrary start states, so every term of the closed forms counts; at
     # omega = 10, q h = 2.9 and the divided differences split their nodes
-    from willis_homog.exact import _Segment
+    from willis_homog.exact import _LOADS, _Segment
 
-    h, G, rho, x, k = 0.37, 1.3, 0.8, 0.21, 0.9
-    seg = _Segment(Phase(h, G, rho), x, k, omega, kind)
+    gamma, f = {"monopole": (0.0, 1.0), "dipole": (1.0, 0.0)}[kind]
+    assert _LOADS[kind] == (gamma, -f)
+    h, G, rho, k = 0.37, 1.3, 0.8, 0.9
+    seg = _Segment(Phase(h, G, rho), k, omega, _LOADS[kind])
     y = (0.3 - 0.2j, -0.7 + 0.4j)
     q, w2 = omega * np.sqrt(rho / G), rho * omega**2
+
+    def fundamental(s):
+        """(exp(-iks) cos qs, exp(-iks) sin(qs)/q): the solution of
+        u' = -ik u + p/G, p' = -ik p - omega^2 rho u is [[c, s/G], [-w2 s, c]] y."""
+        e = np.exp(-1j * k * s)
+        return e * np.cos(q * s), e * np.sin(q * s) / q
+
     nodes, weights = np.polynomial.legendre.leggauss(64)
     t = np.append(0.5 * h * (nodes + 1.0), h)  # the quadrature nodes, then the right end
-    # (W, P) is the fundamental matrix times y plus the source's convolution,
-    # each convolution a Gauss-Legendre sum over [0, t]
+    # the constant source (gamma, -f) enters by its convolution with the
+    # fundamental matrix, a Gauss-Legendre sum over [0, t]
     tau = 0.5 * t[:, None] * (nodes + 1.0)
-    src = np.exp(1j * k * (x + tau)) * 0.5 * t[:, None] * weights
-    cos, sin_q = np.cos(q * (t[:, None] - tau)), np.sin(q * (t[:, None] - tau)) / q
-    if kind == "monopole":  # f = 1: the source -exp(ikx) in P'
-        W_src, P_src = -np.sum(sin_q * src, axis=1) / G, -np.sum(cos * src, axis=1)
-    else:  # gamma = 1: the source exp(ikx) in W' = P/G + exp(ikx)
-        W_src, P_src = np.sum(cos * src, axis=1), -w2 * np.sum(sin_q * src, axis=1)
-    W = y[0] * np.cos(q * t) + y[1] * np.sin(q * t) / (q * G) + W_src
-    P = -w2 * np.sin(q * t) / q * y[0] + np.cos(q * t) * y[1] + P_src
-    wt, phase = 0.5 * h * weights, np.exp(-1j * k * (x + t[:-1]))
-    mean = np.sum(wt * phase * W[:-1])
+    c, s = fundamental(t[:, None] - tau)
+    src = 0.5 * t[:, None] * weights
+    u_src = np.sum(src * (gamma * c - f * s / G), axis=1)
+    p_src = np.sum(src * (-w2 * gamma * s - f * c), axis=1)
+    c, s = fundamental(t)
+    u = c * y[0] + s / G * y[1] + u_src
+    p = -w2 * s * y[0] + c * y[1] + p_src
+    wt = 0.5 * h * weights
     got_mean, got_flux = seg.integrals(*y, 1.0)
+    mean = np.sum(wt * u[:-1])
     assert abs(got_mean - mean) <= 1e-13 * abs(mean)
-    # the response's own flux G (D_k u - gamma) = exp(-ikx) P
-    flux = np.sum(wt * phase * P[:-1])
+    # the response's own flux p = G (D_k u - gamma)
+    flux = np.sum(wt * p[:-1])
     assert abs(got_flux - flux) <= 1e-13 * abs(flux)
-    for got, want in zip(seg.load, (W_src[-1], P_src[-1])):
+    for got, want in zip(seg.load, (u_src[-1], p_src[-1])):
+        assert abs(got - want) <= 1e-13 * abs(want)
+    for got, want in zip(seg.step(*y), (u[-1] - u_src[-1], p[-1] - p_src[-1])):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
 #: sha256 over ORACLE_CELLS of repr((Z, <w>, <rho w>)) on the exact route at
 #: k = 0.5, 1.5, 2.5 and omega = 0, 0.3 and 0.8 times the exact branch: the
 #: monopole response's bits, which the impedance root and every preset read
-MONOPOLE_DIGEST = "5ff76dc972db8f9392b52a3e94c7fa0d240dcddafebbef2ec573c04dfe9826d7"
+MONOPOLE_DIGEST = "8a3d69b013ee496462fe08dfe15c033dc53efa6fadacdcc76d478379a6cd5b83"
 
 
 def test_monopole_response_is_pinned_across_cells() -> None:
@@ -337,12 +347,31 @@ def test_unit_scaling_maps_impedance(cell, a, b, k, omega) -> None:
     assert abs(z_scaled - a * z) <= 1e-9 * a * _scale(cell, k, omega)
 
 
+def _responses(cell: UnitCell1D, k: float, omega: float) -> tuple[CellResponse, CellResponse]:
+    try:
+        return solve_w_exact(cell, k, omega), solve_v_exact(cell, k, omega)
+    except ResonanceError:
+        assume(False)
+
+
 @_SETTINGS
 @given(cell=cells(), shift=st.integers(1, 5), **_POINTS)
 def test_cyclic_rotation_keeps_impedance(cell, shift, k, omega) -> None:
     s = shift % len(cell.phases)
     rotated = UnitCell1D(cell.phases[s:] + cell.phases[:s])
     assert abs(_z(rotated, k, omega) - _z(cell, k, omega)) <= 1e-9 * _scale(cell, k, omega)
+    # the responses are periodic, so no average depends on where the cell
+    # starts.  Each average is floored at its size in the cell's scales, w
+    # being O(1/mu_h) and v O(1): the dipole's flux at mu_h, as the dynamic
+    # identities floor it, and <rho v>, which vanishes at k = 0, at <rho>.
+    # Deep in a stop band the march amplifies roundoff by the monodromy's
+    # growth, about |D|, so the bound grows with it
+    mu_h, rho0 = cell.scales["G"], cell.scales["rho"]
+    floors = ((1.0 / mu_h, rho0 / mu_h, 1.0), (1.0, rho0, mu_h))
+    rtol = 1e-10 * max(1.0, abs(dispersion_function(cell, omega)))
+    for got, want, floor in zip(_responses(rotated, k, omega), _responses(cell, k, omega), floors):
+        for name, a, b, f in zip(CellResponse._fields, got, want, floor):
+            assert abs(a - b) <= rtol * max(abs(b), f), name
 
 
 @_SETTINGS
