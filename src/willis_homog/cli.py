@@ -30,6 +30,7 @@ from .asymptotics import (
 )
 from .cell_functions import responses
 from .dispersion import (
+    ROOT_BRACKET,
     exact_branch,
     order2_branch,
     quasistatic_branch,
@@ -54,7 +55,7 @@ from .willis import dynamic_identity_residuals, effective_impedance, impedance_f
 _DEFAULT_TOLERANCES = {
     "exact": 1e-8,
     "spectral": 1e-5,
-    "triangle": 1e-6,
+    "triangle": ROOT_BRACKET,
     "polynomial_match": 1e-8,
     "root_construction": 1e-10,
     "root_dual_route": 1e-9,
@@ -499,7 +500,8 @@ def build_verification_report(
     A spectral dynamic, static, triangle or polynomial check group that
     raises NumericalError becomes one failing check with residual inf, and
     the report goes on; each triangle check is a group of its own.  The
-    exact branch omega_1 at k = 0.5 and 1.5 comes first; the dynamic checks
+    exact branch omega_1 at k = 0.5 and 1.5 comes first; the triangle tests
+    the sign change of exact Z across it, and the dynamic checks
     run at the caller's ``probe``, by default at (0.5, 0.7 omega_1(0.5)),
     below the lowest branch.  The exact ones raise there, so a probe on a
     Bloch branch is a numerical error (exit 3).
@@ -530,7 +532,7 @@ def build_verification_report(
     for k, w_branch in zip(k_triangle, w_exact):
         name = f"triangle/impedance_root_k={k:g}"
         with _check_group(checks, name, "exact", tol["triangle"]):
-            w_root = willis_exact_root(cell, k)
+            w_root = willis_exact_root(cell, k, w_branch)
             checks.append(CheckResult(name, "exact", abs(w_branch - w_root) / w_branch, tol["triangle"]))
         name = f"triangle/spectral_branch_k={k:g}"
         with _check_group(checks, name, "spectral", BRANCH_RTOL):

@@ -1,8 +1,8 @@
 """Bloch dispersion of the 1D cell and its long-wave approximations.
 
-Three independent ways to the lowest (acoustic) branch: the transfer-matrix
-relation trace(M)/2 = cos k solved by bisection, the root in omega of the
-exact effective impedance, and the truncated Fourier eigenvalue problem.
+Two independent ways to the lowest (acoustic) branch: the transfer-matrix
+relation trace(M)/2 = cos k solved by bisection, and the truncated Fourier
+eigenvalue problem; the exact effective impedance changes sign at the first.
 Next to them sit the two long-wave approximations, the quasistatic cone and
 the fourth-order two-scale branch.
 """
@@ -37,6 +37,9 @@ SCAN_STEP = 0.01
 
 #: bisection tolerance on omega, in units of s
 ROOT_TOL = 1e-12
+
+#: willis_exact_root's bracket half-width relative to the branch root; verify's triangle tolerance
+ROOT_BRACKET = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ def _finite_k(k_grid) -> np.ndarray:
 
 
 def _scan_grid(cell: UnitCell1D, k, omega_max: float | None) -> tuple[np.ndarray, float, float]:
-    """(grid, omega_max, s): the scan grid of both exact roots, 0 then a + SCAN_STEP s
+    """(grid, omega_max, s): the scan grid of :func:`exact_branch`, 0 then a + SCAN_STEP s
     accumulated up to a finite omega_max > 0, by default (1.1 max|k| + 0.05) c0.
 
     The trial Bloch function exp(ik theta(x)), theta' = (1/G) / <1/G>, has
@@ -229,38 +232,29 @@ def effective_speed(c: HomogCoefficients) -> float:
     return float(np.sqrt(c.mu0 / c.rho0))
 
 
-def willis_exact_root(cell: UnitCell1D, k: float) -> float:
-    """Lowest positive root in omega of the exact effective impedance.
+def willis_exact_root(cell: UnitCell1D, k: float, omega: float) -> float:
+    """Secant root in omega of exact Re Z across :func:`exact_branch`'s root ``omega`` at k.
 
-    Scans the (real) impedance a point at a time on the grid of
-    :func:`exact_branch`, from Z(k, 0) = mu_h k^2 > 0, and bisects its first
-    sign change; where cos k = 1 within 1e-15 the root is 0, as on that branch.
-    In the eigenfunction form <w> = sum_m |<phi_m>|^2 / (lam_m - omega^2)
-    (J. R. Willis, Proc. R. Soc. A 467 (2011) 1865) only the visible modes,
-    <phi_m> != 0, contribute, so <w> is positive from omega = 0 up to the
-    lowest visible eigenvalue, where it blows up and changes sign.  Z = 1/<w>
-    is there finite and positive, and first changes sign through zero at
-    that eigenvalue, the acoustic root; its poles, the zeros of <w>, lie
-    above it, and invisible eigenvalues leave it finite.  The exact route
-    forms Z = det/N with no pole on the branch, so the root is bisected to
-    within ``ROOT_TOL`` s, as the branch is.  A non-finite k raises ValidationError.
+    Z = det/N with det = 2 exp(-ik) (cos k - D), so Z vanishes on the branch
+    unless N does too: in <w> = sum_m |<phi_m>|^2 / (lam_m - omega^2)
+    (J. R. Willis, Proc. R. Soc. A 467 (2011) 1865) Z = 1/<w> changes sign at a
+    visible eigenvalue, <phi_m> != 0, and keeps it at an invisible one (0/0).
+    A Z that keeps its sign over omega (1 -+ ``ROOT_BRACKET``) raises
+    NumericalError.  Where cos k = 1 within 1e-15 the root is 0, as on the
+    branch.  A non-finite k, or else a non-finite or non-positive omega,
+    raises ValidationError.
     """
     _finite_k(k)
     if abs(np.cos(k) - 1.0) < 1e-15:
         return 0.0
-    w, omega_max, s = _scan_grid(cell, k, None)
-
-    def z(x: float) -> float:
-        return effective_impedance(cell, k, x, method="exact").real
-
-    grid = w.tolist()
-    fa = z(grid[0])
-    for w_lo, w_hi in zip(grid, grid[1:]):
-        fb = z(w_hi)
-        if fa * fb <= 0.0:
-            return float(_bisect(lambda mid: z(float(mid[0])), w_lo, w_hi, fa, ROOT_TOL * s)[0])
-        fa = fb
-    raise NumericalError(
-        f"willis_exact_root: no impedance root found below omega_max = {omega_max:.6g} "
-        f"for k = {float(k)!r} in cell {cell_digest(cell)}"
-    )
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValidationError(f"omega must be finite and > 0, got {omega!r}")
+    lo, hi = omega * (1.0 - ROOT_BRACKET), omega * (1.0 + ROOT_BRACKET)
+    z_lo, z_hi = (effective_impedance(cell, k, x, method="exact").real for x in (lo, hi))
+    if not z_lo * z_hi < 0.0:
+        raise NumericalError(
+            f"willis_exact_root sign test: Re Z = {z_lo:.3e}, {z_hi:.3e} does not change sign "
+            f"within a relative {ROOT_BRACKET:g} of omega = {float(omega)!r} for k = {float(k)!r} "
+            f"in cell {cell_digest(cell)}"
+        )
+    return float(lo - z_lo * (hi - lo) / (z_hi - z_lo))

@@ -135,7 +135,7 @@ def test_criterion_03_dispersion_triangle(capsys, monkeypatch) -> None:
         with monkeypatch.context() as m:
             m.setattr(dispersion, "dispersion_function", exact_bilaminate_relation)
             w_closed = exact_branch(BILAMINATE, np.array([k])).omega[0]
-        w_imp = willis_exact_root(BILAMINATE, k)
+        w_imp = willis_exact_root(BILAMINATE, k, w_trace)
         worst_pair = max(
             worst_pair,
             abs(w_trace - w_closed),

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from willis_homog import dispersion
+from willis_homog import dispersion, exact
 from willis_homog.asymptotics import homogenize
+from willis_homog.cli import build_verification_report
 from willis_homog.dispersion import (
+    ROOT_BRACKET,
     ROOT_TOL,
     SCAN_STEP,
     effective_speed,
@@ -73,7 +75,7 @@ def test_band_edge_value() -> None:
 def test_impedance_root_matches_trace_root() -> None:
     k = 0.5
     w_trace = exact_branch(BILAMINATE, np.array([k])).omega[0]
-    w_imp = willis_exact_root(BILAMINATE, k)
+    w_imp = willis_exact_root(BILAMINATE, k, w_trace)
     assert abs(w_trace - w_imp) < 1e-6
 
 
@@ -150,10 +152,10 @@ def test_impedance_root_is_unit_free(cell: UnitCell1D, log_a: float, log_b: floa
     w_branch = exact_branch(scaled, [0.5, 1.5]).omega
     w_unscaled = exact_branch(cell, [0.5, 1.5]).omega
     assert_allclose(w_branch, speed * w_unscaled, rtol=1e-9, err_msg=cell_digest(scaled))
-    for k, w_b in zip((0.5, 1.5), w_branch):
-        w_root = willis_exact_root(scaled, k)
+    for k, w_b, w_u in zip((0.5, 1.5), w_branch, w_unscaled):
+        w_root = willis_exact_root(scaled, k, w_b)
         assert abs(w_root - w_b) <= 1e-9 * w_b, cell_digest(scaled)
-        assert abs(w_root - speed * willis_exact_root(cell, k)) <= 1e-9 * w_root, cell_digest(scaled)
+        assert abs(w_root - speed * willis_exact_root(cell, k, w_u)) <= 1e-9 * w_root, cell_digest(scaled)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -289,18 +291,6 @@ def _reference_branch(rel, k_grid, cell: UnitCell1D) -> np.ndarray:
     return out
 
 
-def _reference_impedance_root(cell: UnitCell1D, k: float) -> float:
-    """First sign change of Re Z from 0 by the same scalar scan and bisection."""
-
-    def z(w: float) -> float:
-        return effective_impedance(cell, k, w, method="exact").real
-
-    c0, s = _scan_speeds(cell)
-    root = _reference_root(z, s, _branch_bound(k, c0))
-    assert root is not None, f"reference scan found no impedance root for k = {k}"
-    return root
-
-
 @pytest.mark.parametrize(
     "cell",
     [bilaminate(0.1, 0.1), bilaminate(0.5, 0.5), THREE_PHASE, SIX_PHASE],
@@ -355,18 +345,11 @@ def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisectio
 @pytest.mark.parametrize(
     "cell", [BILAMINATE, THREE_PHASE, SIX_PHASE], ids=["fig2", "3-phase", "6-phase"]
 )
-def test_willis_exact_root_matches_pointwise_scan_bitwise(cell: UnitCell1D, k: float) -> None:
-    assert willis_exact_root(cell, k) == _reference_impedance_root(cell, k)
-
-
-@pytest.mark.parametrize("k", [0.5, 1.5])
-@pytest.mark.parametrize(
-    "cell", [BILAMINATE, THREE_PHASE, SIX_PHASE], ids=["fig2", "3-phase", "6-phase"]
-)
-def test_impedance_root_lies_on_the_branch_within_the_bisection_tolerance(cell: UnitCell1D, k: float) -> None:
-    # Z = det/N has no pole on the branch, so the root is bisected like the branch itself
+def test_impedance_root_lies_on_the_branch_to_a_relative_1e_11(cell: UnitCell1D, k: float) -> None:
+    # Z = det/N has no pole on the branch and det = 2 exp(-ik) (cos k - D), so the
+    # secant root across the bracket is the branch root to roundoff
     w_branch = exact_branch(cell, np.array([k])).omega[0]
-    assert abs(willis_exact_root(cell, k) - w_branch) <= 2 * ROOT_TOL * _scan_speeds(cell)[1]
+    assert abs(willis_exact_root(cell, k, w_branch) - w_branch) <= 1e-11 * w_branch
 
 
 @pytest.mark.parametrize(("dk", "rtol"), [(1e-3, 1e-13), (1e-5, 1e-11), (0.0, 3e-8)])
@@ -430,8 +413,9 @@ def _fine_branch(cell: UnitCell1D, k_grid) -> list[float]:
 def test_exact_roots_find_the_first_band_of_high_contrast_cells(cell: UnitCell1D) -> None:
     k = [0.5, 1.5]
     ref = _fine_branch(cell, k)
-    assert_allclose(exact_branch(cell, k).omega, ref, rtol=1e-9)
-    assert_allclose([willis_exact_root(cell, kk) for kk in k], ref, rtol=1e-9)
+    w_branch = exact_branch(cell, k).omega
+    assert_allclose(w_branch, ref, rtol=1e-9)
+    assert_allclose([willis_exact_root(cell, kk, w) for kk, w in zip(k, w_branch)], ref, rtol=1e-9)
 
 
 @st.composite
@@ -451,38 +435,42 @@ def contrast_cells(draw) -> UnitCell1D:
 @given(cell=contrast_cells())
 def test_exact_roots_agree_on_the_lowest_band_below_the_bound(cell: UnitCell1D) -> None:
     # the trial Bloch function exp(ik theta), theta' = (1/G) / <1/G>, bounds the branch by c0 |k|
-    c0, s = _scan_speeds(cell)
+    c0 = _scan_speeds(cell)[0]
     k = np.array([0.5, 1.5, 3.0])
     for kk, w_branch in zip(k, exact_branch(cell, k).omega):
-        w_root = willis_exact_root(cell, kk)
-        assert abs(w_branch - w_root) <= 2 * ROOT_TOL * s, cell_digest(cell)
+        w_root = willis_exact_root(cell, kk, w_branch)
+        # D' is small near the band edge at k = 3, where the two roots' arithmetic
+        # parts them by up to 1.4e-11 relative on random cells of contrast 10^+-8
+        assert abs(w_branch - w_root) <= 1e-10 * w_branch, cell_digest(cell)
         assert max(w_branch, w_root) <= c0 * kk * (1.0 + 1e-11), cell_digest(cell)
         below = np.linspace(0.0, w_branch, 4000, endpoint=False)
         assert np.all(dispersion_function(cell, below) > np.cos(kk)), cell_digest(cell)
 
 
+OTHER_THREE_PHASE = UnitCell1D((Phase(0.2, 3.0, 0.5), Phase(0.5, 0.7, 2.0), Phase(0.3, 1.5, 1.1)))
+
+
 @pytest.mark.parametrize("k", [0.0, 2.0 * np.pi], ids=["0", "2pi"])
-@pytest.mark.parametrize(
-    "cell",
-    [BILAMINATE, UnitCell1D((Phase(0.2, 3.0, 0.5), Phase(0.5, 0.7, 2.0), Phase(0.3, 1.5, 1.1)))],
-    ids=["fig2", "3-phase"],
-)
+@pytest.mark.parametrize("cell", [BILAMINATE, OTHER_THREE_PHASE], ids=["fig2", "3-phase"])
 def test_both_exact_roots_are_zero_where_cos_k_is_one(cell: UnitCell1D, k: float) -> None:
-    # Z(k, 0) is 0/0 at k = 0 and the scan from it would miss the root 0 at k = 2 pi
-    assert willis_exact_root(cell, k) == 0.0
-    assert exact_branch(cell, [k]).omega[0] == 0.0
+    # Z(k, 0) is 0/0 there, so the impedance has no sign test at the root 0
+    w_branch = exact_branch(cell, [k]).omega[0]
+    assert w_branch == 0.0
+    assert willis_exact_root(cell, k, w_branch) == 0.0
 
 
-def test_willis_exact_root_evaluates_the_impedance_once_per_point(monkeypatch) -> None:
-    omegas = []
+def test_willis_exact_root_evaluates_the_exact_impedance_twice_across_the_branch(monkeypatch) -> None:
+    calls = []
 
     def counted(cell, k, omega, **kwargs):
-        omegas.append(omega)
+        calls.append((k, omega, kwargs))
         return effective_impedance(cell, k, omega, **kwargs)
 
     monkeypatch.setattr(dispersion, "effective_impedance", counted)
-    willis_exact_root(BILAMINATE, 1.5)
-    assert len(omegas) == len(set(omegas))
+    w_branch = exact_branch(BILAMINATE, [1.5]).omega[0]
+    willis_exact_root(BILAMINATE, 1.5, w_branch)
+    bracket = [w_branch * (1.0 - ROOT_BRACKET), w_branch * (1.0 + ROOT_BRACKET)]
+    assert calls == [(1.5, w, {"method": "exact"}) for w in bracket]
 
 
 @pytest.mark.parametrize("cell", [BILAMINATE, THREE_PHASE, SIX_PHASE])
@@ -513,15 +501,39 @@ def test_exact_branch_default_bound_scales_with_the_cell() -> None:
     assert_allclose(exact_branch(homogeneous(100.0, 1.0), k).omega, 10.0 * k, rtol=1e-10)
 
 
-def test_willis_exact_root_error_names_k_and_cell(monkeypatch) -> None:
-    scan_grid = dispersion._scan_grid
-    monkeypatch.setattr(dispersion, "_scan_grid", lambda cell, k, omega_max: scan_grid(cell, k, 0.5))
+def test_willis_exact_root_error_names_k_omega_and_cell() -> None:
+    # half the branch root is below it, where Z > 0 across the whole bracket
+    omega = 0.5 * exact_branch(BILAMINATE, [3.0]).omega[0]
     with pytest.raises(NumericalError) as err:
-        willis_exact_root(BILAMINATE, 3.0)
+        willis_exact_root(BILAMINATE, 3.0, omega)
     msg = str(err.value)
-    assert "willis_exact_root" in msg
+    assert "willis_exact_root sign test" in msg
     assert "k = 3.0" in msg
+    assert f"omega = {float(omega)!r}" in msg
     assert cell_digest(BILAMINATE) in msg
+
+
+@pytest.mark.parametrize("cell", [BILAMINATE, OTHER_THREE_PHASE], ids=["fig2", "3-phase"])
+def test_sign_test_fails_where_the_march_disagrees_with_the_half_trace(monkeypatch, cell: UnitCell1D) -> None:
+    # a wrong sign on the first phase's b/G breaks the exact march's det;
+    # dispersion_function is numpy's product of the true transfer matrices, so
+    # the branch stays where it was while det's zero moves off it
+    class Broken(exact._Segment):
+        def __init__(self, phase, k, omega, g):
+            super().__init__(phase, k, omega, g)
+            if phase is cell.phases[0]:
+                self.b_G = -self.b_G
+
+    k = (0.5, 1.5)
+    w_branch = exact_branch(cell, k).omega
+    monkeypatch.setattr(exact, "_Segment", Broken)
+    for kk, w in zip(k, w_branch):
+        with pytest.raises(NumericalError, match="willis_exact_root sign test"):
+            willis_exact_root(cell, kk, w)
+    checks = {c.name: c for c in build_verification_report(cell).checks}
+    for kk in k:
+        check = checks[f"triangle/impedance_root_k={kk:g}"]
+        assert check.residual == float("inf") and not check.passed
 
 
 # --- non-finite input --------------------------------------------------------
@@ -538,8 +550,12 @@ def test_willis_exact_root_error_names_k_and_cell(monkeypatch) -> None:
         (lambda cell: exact_branch(cell, [0.5], omega_max=np.inf), r"^omega_max must be finite and > 0, got inf"),
         (lambda cell: exact_branch(cell, [0.5], omega_max=np.nan), r"^omega_max must be finite and > 0, got nan"),
         (lambda cell: exact_branch(cell, [0.5], omega_max=-1.0), r"^omega_max must be finite and > 0, got -1.0"),
-        (lambda cell: willis_exact_root(cell, np.inf), r"^k must be finite, got inf"),
-        (lambda cell: willis_exact_root(cell, -np.inf), r"^k must be finite, got -inf"),
+        (lambda cell: willis_exact_root(cell, np.inf, 1.0), r"^k must be finite, got inf"),
+        (lambda cell: willis_exact_root(cell, -np.inf, 1.0), r"^k must be finite, got -inf"),
+        (lambda cell: willis_exact_root(cell, 0.5, np.inf), r"^omega must be finite and > 0, got inf"),
+        (lambda cell: willis_exact_root(cell, 0.5, np.nan), r"^omega must be finite and > 0, got nan"),
+        (lambda cell: willis_exact_root(cell, 0.5, 0.0), r"^omega must be finite and > 0, got 0.0"),
+        (lambda cell: willis_exact_root(cell, 0.5, -1.0), r"^omega must be finite and > 0, got -1.0"),
         (lambda cell: spectral_acoustic_branch(cell, [np.nan], order=8), r"^k must be finite, got nan"),
     ],
     ids=[
@@ -550,6 +566,10 @@ def test_willis_exact_root_error_names_k_and_cell(monkeypatch) -> None:
         "exact_branch-omega_max-negative",
         "willis_exact_root-k-inf",
         "willis_exact_root-k-minus-inf",
+        "willis_exact_root-omega-inf",
+        "willis_exact_root-omega-nan",
+        "willis_exact_root-omega-zero",
+        "willis_exact_root-omega-negative",
         "spectral_acoustic_branch-k-nan",
     ],
 )
