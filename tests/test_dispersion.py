@@ -241,7 +241,7 @@ def _scan_speeds(cell: UnitCell1D) -> tuple[float, float]:
 
 
 def _branch_bound(k, c0: float) -> float:
-    """(1.1 max|k| + 0.05) c0, the default omega_max of both exact roots."""
+    """(1.1 max|k| + 0.05) c0, the default omega_max of exact_branch."""
     return (1.1 * float(np.max(np.abs(k))) + 0.05) * c0
 
 
@@ -347,7 +347,7 @@ def test_exact_branch_calls_the_relation_once_on_the_grid_then_once_per_bisectio
 )
 def test_impedance_root_lies_on_the_branch_to_a_relative_1e_11(cell: UnitCell1D, k: float) -> None:
     # Z = det/N has no pole on the branch and det = 2 exp(-ik) (cos k - D), so the
-    # secant root across the bracket is the branch root to roundoff
+    # secant root across the bracket is the branch root up to its O(ROOT_BRACKET^2) error
     w_branch = exact_branch(cell, np.array([k])).omega[0]
     assert abs(willis_exact_root(cell, k, w_branch) - w_branch) <= 1e-11 * w_branch
 
@@ -440,7 +440,7 @@ def test_exact_roots_agree_on_the_lowest_band_below_the_bound(cell: UnitCell1D) 
     for kk, w_branch in zip(k, exact_branch(cell, k).omega):
         w_root = willis_exact_root(cell, kk, w_branch)
         # D' is small near the band edge at k = 3, where the two roots' arithmetic
-        # parts them by up to 1.4e-11 relative on random cells of contrast 10^+-8
+        # parts them by up to 1.4e-11 relative on random cells of contrast up to 10^+-8
         assert abs(w_branch - w_root) <= 1e-10 * w_branch, cell_digest(cell)
         assert max(w_branch, w_root) <= c0 * kk * (1.0 + 1e-11), cell_digest(cell)
         below = np.linspace(0.0, w_branch, 4000, endpoint=False)
