@@ -52,6 +52,12 @@ def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> lis
     ]
 
 
+def _require_finite(k: float, omega: float) -> None:
+    for name, value in (("k", k), ("omega", omega)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 def _require_nonzero_k(cell: UnitCell1D, k: float) -> None:
     k = float(k)
     if abs(k - 2.0 * np.pi * np.rint(k / (2.0 * np.pi))) < 1e-12:
@@ -77,9 +83,7 @@ def responses(
     """
     if not (isinstance(kinds, tuple) and kinds and all(kind in ("monopole", "dipole") for kind in kinds)):
         raise ValidationError(f"kinds must be a non-empty tuple of 'monopole' and 'dipole', got {kinds!r}")
-    for name, value in (("k", k), ("omega", omega)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+    _require_finite(k, omega)
     if method == "exact":
         solve = {"monopole": solve_w_exact, "dipole": solve_v_exact}
         return [solve[kind](cell, k, omega) for kind in kinds]

@@ -557,14 +557,6 @@ def build_verification_report(
             )
         )
         cal = two_scale_impedance(coeffs, kk, ww)
-        checks.append(
-            CheckResult(
-                "polynomial/modulation_matches_oracle",
-                "exact",
-                abs(cal * mean_w - modulation_m2(coeffs, kk, ww)),
-                tol["polynomial_match"],
-            )
-        )
         n2 = dipole_mean_n2(coeffs, kk, ww)
         checks.append(
             CheckResult(

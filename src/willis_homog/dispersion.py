@@ -18,7 +18,7 @@ from .asymptotics import HomogCoefficients, two_scale_root
 from .errors import NumericalError, ValidationError
 from .exact import dispersion_function
 from .material import UnitCell1D, cell_digest
-from .spectral import DEFAULT_ORDER, assemble
+from .spectral import DEFAULT_ORDER, assemble, check_order
 from .willis import effective_impedance
 
 __all__ = [
@@ -189,13 +189,21 @@ def spectral_acoustic_branch(
 
     The eigenvalues come from the graded reduced pencil
     (``BlochOperator.eigenvalues``), whose lowest one is accurate relative
-    to itself.  A non-finite k raises ValidationError.
+    to itself.  Where cos k = 1 within 1e-15 the branch is 0, as in
+    :func:`exact_branch`; elsewhere a lowest eigenvalue <= 0 raises
+    NumericalError.  A non-finite k or an invalid order raises ValidationError.
     """
-    k_grid = _finite_k(k_grid)
-    omegas = np.empty_like(k_grid)
-    for i, k in enumerate(k_grid):
-        lam = float(assemble(cell, float(k), order).eigenvalues[0])
-        omegas[i] = np.sqrt(max(lam, 0.0))
+    k_grid, order = _finite_k(k_grid), check_order(order)
+    omegas = np.zeros_like(k_grid)
+    for i in np.flatnonzero(~(np.abs(np.cos(k_grid) - 1.0) < 1e-15)):
+        k = float(k_grid[i])
+        lam = float(assemble(cell, k, order).eigenvalues[0])
+        if not lam > 0.0:
+            raise NumericalError(
+                f"spectral_acoustic_branch eigenvalue: lowest lam = {lam:.3e} is not positive "
+                f"at k = {k!r}, N = {order} in cell {cell_digest(cell)}"
+            )
+        omegas[i] = np.sqrt(lam)
     return DispersionBranch(label="spectral_acoustic", k=k_grid, omega=omegas)
 
 

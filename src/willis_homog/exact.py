@@ -239,9 +239,9 @@ def solve_static_dipole_exact(cell: UnitCell1D, k: float) -> CellResponse:
 
 
 def monopole_adjugate(cell: UnitCell1D, k: float, omega: float) -> tuple[complex, complex]:
-    """(det, N = det <w>); ResonanceError where det and z N, z = <rho> ((c k)^2 + omega^2),
+    """(det, N = det <w>); ResonanceError where det and z N, z = ``cell.impedance_scale``,
     both vanish: Z = det/N is 0/0 there, at an eigenvalue invisible to <w>."""
-    det, n, _, _ = _solve(cell, k, omega, "monopole", cell.scales["rho"] * ((cell.c * k) ** 2 + omega**2))
+    det, n, _, _ = _solve(cell, k, omega, "monopole", cell.impedance_scale(k, omega))
     return det, n
 
 

@@ -106,6 +106,11 @@ class UnitCell1D:
         mu_h, rho0 = 1.0 / self.mean("1/G"), self.mean("rho")
         return {"G": mu_h, "rho": rho0, "rho/G": rho0 / mu_h, "1": 1.0}
 
+    def impedance_scale(self, k: float, omega: float) -> float:
+        """<G> k^2 + <rho> omega^2 = <rho> ((c k)^2 + omega^2): the size of the
+        two terms whose difference is an impedance at (k, omega)."""
+        return self.scales["rho"] * ((self.c * k) ** 2 + omega**2)
+
     @cached_property
     def c(self) -> float:
         """Rayleigh speed sqrt(<G>/<rho>); the lowest branch lies below |k| c."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_functions import CellResponse, _require_nonzero_k, responses
+from .cell_functions import CellResponse, _require_finite, _require_nonzero_k, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
 from .exact import monopole_adjugate
 from .material import UnitCell1D, cell_digest
@@ -96,9 +96,8 @@ class VisibilityReport:
 def impedance_from_mean(mean_w: complex, cell: UnitCell1D, k: float, omega: float, det: complex = 1.0) -> complex:
     """Z = det/N for N = ``mean_w`` = det <w> (1/<w> at det = 1); ZeroMeanImpedanceError
     where <w> is numerically zero against the inverse of the cell's size for an
-    impedance, <G> k^2 + <rho> omega^2 = <rho> ((c k)^2 + omega^2)."""
-    z_scale = cell.scales["rho"] * ((cell.c * k) ** 2 + omega**2)
-    if abs(mean_w) * z_scale <= ZERO_MEAN_TOL * abs(det):
+    impedance (``UnitCell1D.impedance_scale``)."""
+    if abs(mean_w) * cell.impedance_scale(k, omega) <= ZERO_MEAN_TOL * abs(det):
         raise ZeroMeanImpedanceError(
             f"<w> = {mean_w / det:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
             f"on cell {cell_digest(cell)}; the effective impedance is undefined there"
@@ -116,12 +115,13 @@ def effective_impedance(
     """Z = 1/<w>; the imaginary part is a diagnostic and should sit at roundoff.
 
     Only the monopole response w is solved, on either route; the exact route
-    forms Z = det/N (:func:`~willis_homog.exact.monopole_adjugate`).
+    forms Z = det/N (:func:`~willis_homog.exact.monopole_adjugate`).  A
+    non-finite k or omega, or an unknown method, raises ValidationError.
     """
-    if method == "exact" and np.isfinite([k, omega]).all():
+    _require_finite(k, omega)
+    if method == "exact":
         det, n = monopole_adjugate(cell, k, omega)
         return impedance_from_mean(n, cell, k, omega, det)
-    # responses rejects a non-finite point and an unknown method
     (w,) = responses(cell, k, omega, ("monopole",), method, order)
     return impedance_from_mean(complex(w.mean), cell, k, omega)
 
@@ -255,11 +255,14 @@ def dynamic_identity_residuals(
     Covers: realness of the dipole's mean flux <G (D_k v - 1)>; the three
     mean identities tying the dipole averages to the conjugated monopole
     averages; the parameter symmetries; agreement of the two parameter
-    routes; reconstruction of the impedance from the parameters; and the
-    static-dipole (cell-basis) expressions for both flux averages, with the
-    1D static dipole zeta = -i/k (the mean balances of the w and v
-    equations; k = 0 mod 2 pi raises ResonanceError).  The dipole's flux
-    vanishes with omega, so the checks dividing by it floor it at mu_h.
+    routes; and reconstruction of the impedance from the parameters.  The
+    mean balances of the w and v equations through the static dipole
+    zeta = -i/k are sums of these: with e1, e2, e3 the numerators of the
+    dipole, monopole-flux and flux identities, <G D_k w> - i/k - omega^2 (i/k)
+    <rho w> = e2 + (i/k) conj(e1) and <G (D_k v - 1)> - omega^2 (i/k) <rho v>
+    = (i/k) conj(e3) + 2i Im <G (D_k v - 1)>.  k = 0 mod 2 pi raises
+    ResonanceError, as the flux identity is normalised by |k|.  The dipole's
+    flux vanishes with omega, so the checks dividing by it floor it at mu_h.
     """
     _require_nonzero_k(cell, k)
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
@@ -282,9 +285,4 @@ def dynamic_identity_residuals(
     Z = impedance_from_mean(mw, cell, k, omega)
     for label, p in (("direct", p_direct), ("symmetric", p_sym)):
         res[f"impedance_reconstruction_{label}"] = impedance_reconstruction_residual(p, Z)
-
-    # flux averages through the static dipole conj(zeta) = i/k
-    i_over_k = 1j / k
-    res["cell_basis_monopole"] = abs(mfw - i_over_k - om2 * i_over_k * mrw) / max(abs(mfw), 1e-30)
-    res["cell_basis_dipole"] = abs(mfv - om2 * i_over_k * mrv) / max(abs(mfv), mu_h)
     return res

@@ -19,6 +19,7 @@ from willis_homog.cell_functions import (
 from willis_homog.errors import ResonanceError, ValidationError
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble
+from willis_homog.willis import effective_impedance
 
 from test_exact import homogeneous_means, response_means
 
@@ -94,16 +95,24 @@ def test_responses_reject_an_unknown_kind(method: str) -> None:
             responses(bilaminate(0.1, 0.1), 0.5, 0.2, kinds, method, 16)
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda cell, k, omega, method: responses(cell, k, omega, ("monopole",), method, 16),
+        lambda cell, k, omega, method: effective_impedance(cell, k, omega, method, 16),
+    ],
+    ids=["responses", "effective_impedance"],
+)
 @pytest.mark.parametrize("method", ["exact", "spectral"])
 @pytest.mark.parametrize(
     "k,omega",
     [(np.nan, 0.3), (np.inf, 0.3), (0.5, np.nan), (0.5, np.inf)],
     ids=["k-nan", "k-inf", "omega-nan", "omega-inf"],
 )
-def test_responses_reject_a_non_finite_point(method: str, k: float, omega: float) -> None:
+def test_responses_reject_a_non_finite_point(solve, method: str, k: float, omega: float) -> None:
     name = "k" if not np.isfinite(k) else "omega"
     with pytest.raises(ValidationError, match=f"^{name} must be finite"):
-        responses(bilaminate(0.1, 0.1), k, omega, ("monopole",), method, 16)
+        solve(bilaminate(0.1, 0.1), k, omega, method)
 
 
 def test_homogeneous_means_match_exact_solver() -> None:

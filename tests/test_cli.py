@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from test_dispersion import HIGH_CONTRAST, resolved_cells
 from willis_homog.asymptotics import homogenize
-from willis_homog import cli
+from willis_homog import cli, willis
 from willis_homog.cli import build_config, build_verification_report, main
 from willis_homog.dispersion import exact_branch
 from willis_homog.errors import ConfigError
@@ -299,7 +299,7 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: Cholesky factorizations of the spectral branch, which moves the last
 #: digits of its two residuals with the thread count
-VERIFICATION_N16_DIGEST = "1bccaa05989e16674fcd7cc86a8cd920f2bce95830d8b68d09bb7e46f1396073"
+VERIFICATION_N16_DIGEST = "e2ca87924c74f8f2ce43eb77fe835b829c08276ba57a11d40dd0b574401eb22c"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -491,3 +491,36 @@ def test_dispersion_of_a_stiff_cell_resolves(tmp_path: Path) -> None:
     # speed 10: the branch reaches omega = 31 on the default k range
     cfg = write_config(tmp_path / "cfg.json", {"cell": {"homogeneous": [100, 1]}})
     assert main(["dispersion", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+#: the averages that the two mean balances through the static dipole read;
+#: verify checks those balances only through the identities they sum
+#: (``dynamic_identity_residuals``), so each must still fail a kept check
+@pytest.mark.parametrize(
+    "kind,field",
+    [("monopole", "mean_rho"), ("monopole", "mean_flux"), ("dipole", "mean_rho"), ("dipole", "mean_flux")],
+    ids=["w.mean_rho", "w.mean_flux", "v.mean_rho", "v.mean_flux"],
+)
+@pytest.mark.parametrize("route,factor", [("exact", 1 + 1e-6), ("spectral", 1 + 1e-3)], ids=["exact", "spectral"])
+@pytest.mark.parametrize(
+    "cell",
+    [bilaminate(0.1, 0.1), UnitCell1D((Phase(0.2, 3.0, 0.5), Phase(0.5, 0.7, 2.0), Phase(0.3, 1.5, 1.1)))],
+    ids=["fig2", "three-phase"],
+)
+def test_kept_dynamic_checks_catch_a_scaled_average(
+    monkeypatch, cell: UnitCell1D, route: str, factor: float, kind: str, field: str
+) -> None:
+    solve = willis.responses
+
+    def scaled(cell, k, omega, kinds, method, order=DEFAULT_ORDER):
+        out = solve(cell, k, omega, kinds, method, order)
+        if method != route:
+            return out
+        return [r._replace(**{field: getattr(r, field) * factor}) if name == kind else r for name, r in zip(kinds, out)]
+
+    monkeypatch.setattr(willis, "responses", scaled)
+    failing = [
+        c.name for c in build_verification_report(cell).checks
+        if c.route == route and c.name.startswith("dynamic/") and not c.passed
+    ]
+    assert failing

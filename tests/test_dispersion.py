@@ -576,3 +576,36 @@ def test_sign_test_fails_where_the_march_disagrees_with_the_half_trace(monkeypat
 def test_branch_functions_reject_non_finite_input(call, match: str) -> None:
     with pytest.raises(ValidationError, match=match):
         call(bilaminate(0.1, 0.1))
+
+
+#: G = 1e-9 | 1e9 at unit density: the Galerkin pencil's lowest eigenvalue is
+#: lost to roundoff (about -5.6e11 at N = 32, -4.1e17 at N = 256) while the
+#: exact branch is 2.2e-5 at k = 0.5
+SPLIT_CONTRAST = UnitCell1D((Phase(0.5, 1e-9, 1.0), Phase(0.5, 1e9, 1.0)))
+
+
+@pytest.mark.parametrize("order", [32, 256])
+def test_spectral_branch_raises_on_a_non_positive_eigenvalue(order: int) -> None:
+    match = (
+        rf"^spectral_acoustic_branch eigenvalue: lowest lam = -\S+ is not positive "
+        rf"at k = 0\.5, N = {order} in cell {cell_digest(SPLIT_CONTRAST)}$"
+    )
+    with pytest.raises(NumericalError, match=match):
+        spectral_acoustic_branch(SPLIT_CONTRAST, [0.5], order=order)
+
+
+def test_verify_reports_a_lost_spectral_branch_as_inf(capsys) -> None:
+    checks = {c.name: c for c in build_verification_report(SPLIT_CONTRAST, basis_n=32).checks}
+    err = capsys.readouterr().err
+    for k in ("0.5", "1.5"):
+        assert checks[f"triangle/spectral_branch_k={k}"].residual == np.inf
+        assert checks[f"triangle/impedance_root_k={k}"].passed
+        assert f"is not positive at k = {k}, N = 32" in err
+
+
+def test_spectral_branch_is_zero_where_cos_k_is_one() -> None:
+    zeros = [0.0, 2.0 * np.pi, -2.0 * np.pi]
+    assert spectral_acoustic_branch(SPLIT_CONTRAST, zeros, order=32).omega.tolist() == [0.0] * 3
+    w = spectral_acoustic_branch(BILAMINATE, [*zeros, 0.5], order=32).omega
+    assert w.tolist() == [0.0] * 3 + [spectral_acoustic_branch(BILAMINATE, [0.5], order=32).omega[0]]
+    assert w[3] > 0.0

@@ -319,6 +319,8 @@ ORDER_ENTRY_POINTS = {
         bilaminate(0.1, 0.1), 0.5, 0.2, method="spectral", order=order
     ),
     "spectral_acoustic_branch": lambda order: spectral_acoustic_branch(bilaminate(0.1, 0.1), [0.5], order=order),
+    # the branch is 0 at k = 0 with nothing assembled, and still checks the order
+    "spectral_acoustic_branch-k=0": lambda order: spectral_acoustic_branch(bilaminate(0.1, 0.1), [0.0], order=order),
 }
 
 
