@@ -194,9 +194,10 @@ def spectral_acoustic_branch(
     NumericalError.  A non-finite k or an invalid order raises ValidationError.
     """
     k_grid, order = _finite_k(k_grid), check_order(order)
-    omegas = np.zeros_like(k_grid)
-    for i in np.flatnonzero(~(np.abs(np.cos(k_grid) - 1.0) < 1e-15)):
-        k = float(k_grid[i])
+    omegas = np.zeros(k_grid.size)
+    for i, (k, cos_k) in enumerate(zip(k_grid.tolist(), np.cos(k_grid).tolist())):
+        if abs(cos_k - 1.0) < 1e-15:
+            continue
         lam = float(assemble(cell, k, order).eigenvalues[0])
         if not lam > 0.0:
             raise NumericalError(
