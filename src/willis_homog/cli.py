@@ -1,8 +1,9 @@
 """Command-line surface: coefficients, dispersion curves, polynomial maps,
 and the verification runner.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
-error (resonance, solvability, zero mean impedance).
+Exit codes: 0 success; 1 verification failure; 2 usage or config error (a
+bad command line, an invalid or unreadable --config, an --out that cannot be
+a directory); 3 numerical error (resonance, solvability, zero mean impedance).
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ def load_config(path: str | None, preset: str | None, basis_n: int | None) -> Ru
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: invalid JSON at line {exc.lineno}") from exc
         if not isinstance(loaded, dict):
@@ -264,12 +265,6 @@ def _write_csv(path: Path, header: list[str], names: list[str], columns) -> None
     path.write_text("\n".join([*header, ",".join(names)]) + "\n" + body, encoding="utf-8")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _grid_nodes(k: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
     """The k and omega CSV columns of a row-major (k, omega) grid, as text:
     each grid value is formatted once, not once per node."""
@@ -296,8 +291,7 @@ def _write_heat_maps(out: Path, config: RunConfig, k: np.ndarray, w: np.ndarray,
 # subcommands
 
 
-def cmd_coeffs(config: RunConfig, args) -> int:
-    out = _out_dir(args)
+def cmd_coeffs(config: RunConfig, out: Path) -> int:
     _, coeffs = homogenize(config.cell, method=config.route, order=config.basis_n)
     record = {
         "version": __version__,
@@ -323,8 +317,7 @@ def cmd_coeffs(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_dispersion(config: RunConfig, args) -> int:
-    out = _out_dir(args)
+def cmd_dispersion(config: RunConfig, out: Path) -> int:
     k = config.k_grid()
     cells = [(config.cell_label, config.cell), *config.extra_cells]
     curves = []
@@ -370,8 +363,7 @@ def cmd_dispersion(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_modulation_map(config: RunConfig, args) -> int:
-    out = _out_dir(args)
+def cmd_modulation_map(config: RunConfig, out: Path) -> int:
     _, coeffs = homogenize(config.cell, method="exact")
     k = config.k_grid()
     w = config.omega_grid()
@@ -389,8 +381,7 @@ def cmd_modulation_map(config: RunConfig, args) -> int:
     return 0
 
 
-def cmd_impedance_map(config: RunConfig, args) -> int:
-    out = _out_dir(args)
+def cmd_impedance_map(config: RunConfig, out: Path) -> int:
     _, coeffs = homogenize(config.cell, method="exact")
     k = config.k_grid()
     w = config.omega_grid()
@@ -596,8 +587,7 @@ def build_verification_report(
     )
 
 
-def cmd_verify(config: RunConfig, args) -> int:
-    out = _out_dir(args)
+def cmd_verify(config: RunConfig, out: Path) -> int:
     report = build_verification_report(
         config.cell,
         basis_n=config.verify_n,
@@ -627,20 +617,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="willis-homog",
         description="Effective dynamic description of 1D periodic cells.",
+        epilog="commands:\n"
+        "  coeffs          homogenized coefficient table of a cell\n"
+        "  dispersion      lowest branch: exact, order-2 and quasistatic\n"
+        "  modulation-map  source modulation polynomial on a (k, omega) grid\n"
+        "  impedance-map   paired impedance polynomials on a (k, omega) grid\n"
+        "  verify          run the identity and oracle check suites",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("coeffs", "homogenized coefficient table of a cell"),
-        ("dispersion", "lowest branch: exact, order-2 and quasistatic"),
-        ("modulation-map", "source modulation polynomial on a (k, omega) grid"),
-        ("impedance-map", "paired impedance polynomials on a (k, omega) grid"),
-        ("verify", "run the identity and oracle check suites"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--basis-n", type=int, dest="basis_n", help="Fourier truncation order")
-        p.add_argument("--preset", choices=sorted(_PRESETS), help="paper-pinned parameter set")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the commands below")
+    parser.add_argument("--config", help="JSON config path")
+    parser.add_argument("--out", type=Path, default=Path("."), help="output directory (default: current)")
+    parser.add_argument("--basis-n", type=int, dest="basis_n", help="Fourier truncation order")
+    parser.add_argument("--preset", choices=sorted(_PRESETS), help="paper-pinned parameter set")
     return parser
 
 
@@ -648,7 +637,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.preset, args.basis_n)
-        return _COMMANDS[args.command](config, args)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {str(args.out)!r}: {exc.strerror}") from exc
+        return _COMMANDS[args.command](config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -89,6 +89,11 @@ def _golden_min(fn, a: float, b: float, tol: float) -> tuple[float, float]:
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
+def _cos_k_is_one(cos_k):
+    """cos k = 1 within 1e-15, where every branch is 0; built-in abs spares a float a numpy call."""
+    return abs(cos_k - 1.0) < 1e-15
+
+
 def _finite_k(k_grid) -> np.ndarray:
     """``k_grid`` as a 1D float array; ValidationError naming its first non-finite k."""
     k_grid = np.atleast_1d(np.asarray(k_grid, dtype=float))
@@ -152,7 +157,7 @@ def exact_branch(
     w, omega_max, s = _scan_grid(cell, k_grid, omega_max)
     targets = np.cos(k_grid)
     omegas = np.zeros_like(k_grid)
-    todo = np.flatnonzero(~(np.abs(targets - 1.0) < 1e-15))
+    todo = np.flatnonzero(~_cos_k_is_one(targets))
 
     # scan: brackets [a, b] with fa = D(a) - cos k, first sign change per k;
     # the running minimum of D never rises, so its first point <= cos k is a sorted search
@@ -196,7 +201,7 @@ def spectral_acoustic_branch(
     k_grid, order = _finite_k(k_grid), check_order(order)
     omegas = np.zeros(k_grid.size)
     for i, (k, cos_k) in enumerate(zip(k_grid.tolist(), np.cos(k_grid).tolist())):
-        if abs(cos_k - 1.0) < 1e-15:
+        if _cos_k_is_one(cos_k):
             continue
         lam = float(assemble(cell, k, order).eigenvalues[0])
         if not lam > 0.0:
@@ -254,7 +259,7 @@ def willis_exact_root(cell: UnitCell1D, k: float, omega: float) -> float:
     raises ValidationError.
     """
     _finite_k(k)
-    if abs(np.cos(k) - 1.0) < 1e-15:
+    if _cos_k_is_one(np.cos(k)):
         return 0.0
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValidationError(f"omega must be finite and > 0, got {omega!r}")

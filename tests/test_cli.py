@@ -137,10 +137,48 @@ def test_missing_config_and_preset_is_config_error(capsys) -> None:
     assert "config error" in capsys.readouterr().err
 
 
-def test_malformed_json_is_config_error(tmp_path: Path, capsys) -> None:
+@pytest.mark.parametrize("kind", ["invalid-json", "directory", "non-utf8"])
+def test_malformed_json_is_config_error(tmp_path: Path, capsys, kind: str) -> None:
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"{not json" if kind == "invalid-json" else b"\xff\xfe{")
     assert main(["coeffs", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["a-file", "a-file/sub"])
+def test_unusable_out_is_config_error(tmp_path: Path, capsys, out: str) -> None:
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    assert main(["coeffs", "--preset", "fig2", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(tmp_path / out) in err and err.count("\n") == 1
+
+
+def test_one_flat_parser(tmp_path: Path, capsys) -> None:
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    help_text = capsys.readouterr().out
+    for name, description in [
+        ("coeffs", "homogenized coefficient table of a cell"),
+        ("dispersion", "lowest branch: exact, order-2 and quasistatic"),
+        ("modulation-map", "source modulation polynomial on a (k, omega) grid"),
+        ("impedance-map", "paired impedance polynomials on a (k, omega) grid"),
+        ("verify", "run the identity and oracle check suites"),
+    ]:
+        assert f"  {name:16s}{description}\n" in help_text
+    assert all(option in help_text for option in ("--config", "--out", "--basis-n", "--preset"))
+
+    parser = cli._build_parser()
+    options = ["--preset", "fig3", "--basis-n", "8", "--out", str(tmp_path), "--config", "c.json"]
+    assert parser.parse_args([*options, "verify"]) == parser.parse_args(["verify", *options])
+    for argv in ([], ["bogus"], ["--preset", "fig2"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
 
 
 def test_unknown_field_is_config_error(tmp_path: Path) -> None:
