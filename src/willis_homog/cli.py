@@ -106,7 +106,7 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters shared by every subcommand."""
+    """Validated run parameters shared by every command."""
 
     cell: UnitCell1D
     cell_label: str
@@ -288,7 +288,7 @@ def _write_heat_maps(out: Path, config: RunConfig, k: np.ndarray, w: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# commands
 
 
 def cmd_coeffs(config: RunConfig, out: Path) -> int:
