@@ -43,13 +43,10 @@ __all__ = [
 
 def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> list[CellResponse]:
     """Responses to the loads ``kinds`` at one omega, through one resolvent solve."""
-    load = {"monopole": operator.monopole_load, "dipole": operator.dipole_load}
-    loads = [load[kind]() for kind in kinds]
-    coeffs = np.ascontiguousarray(resolvent_solve(operator, omega, np.stack(loads, axis=1)).T)
-    return [
-        CellResponse(operator.mean(c), operator.mean_rho(c), operator.mean_flux(c, _LOADS[kind][0]))
-        for kind, c in zip(kinds, coeffs)
-    ]
+    loads = [_LOADS[kind] for kind in kinds]
+    rhs = np.stack([operator.load(g) for g in loads], axis=1)
+    coeffs = np.ascontiguousarray(resolvent_solve(operator, omega, rhs).T)
+    return [operator.response(c, g) for g, c in zip(loads, coeffs)]
 
 
 def _require_finite(k: float, omega: float) -> None:
@@ -81,7 +78,7 @@ def responses(
     or "spectral" (truncation ``order``) and k and omega are finite;
     anything else raises ValidationError.
     """
-    if not (isinstance(kinds, tuple) and kinds and all(kind in ("monopole", "dipole") for kind in kinds)):
+    if not (isinstance(kinds, tuple) and kinds and all(kind in _LOADS for kind in kinds)):
         raise ValidationError(f"kinds must be a non-empty tuple of 'monopole' and 'dipole', got {kinds!r}")
     _require_finite(k, omega)
     if method == "exact":

@@ -124,7 +124,8 @@ def _dd_exp(*z: complex) -> list[complex]:
 
 
 #: each load as the constant source g = (gamma, -f) of the (u, p) system,
-#: the one definition both routes read
+#: the one definition both routes read (the spectral route through
+#: ``BlochOperator.load`` and ``BlochOperator.response``)
 _LOADS = {"monopole": (0.0, -1.0), "dipole": (1.0, 0.0)}
 
 
@@ -173,7 +174,7 @@ class CellResponse(NamedTuple):
     """A cell response u as the three averages the effective model reads.
 
     Both routes fill it where their solve ends: the exact route sums the
-    segments' closed forms, the spectral route reads its operator.
+    segments' closed forms, the spectral route by ``BlochOperator.response``.
     """
 
     mean: complex  #: <u>

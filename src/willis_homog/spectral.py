@@ -39,6 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError, ResonanceError, ValidationError
+from .exact import CellResponse
 from .material import UnitCell1D, cell_digest, fourier_coefficients
 
 __all__ = [
@@ -169,29 +170,23 @@ class BlochOperator:
                 f"eigenvalue {lam_near!r} at {_where(self, omega_sq)}"
             )
 
-    def monopole_load(self) -> np.ndarray:
-        """Coefficients of the unit mean load f = 1."""
-        r = np.zeros(self.size, dtype=complex)
-        r[self.index0] = 1.0
+    def load(self, g: tuple[float, float]) -> np.ndarray:
+        """Coefficients of the load g = (gamma, -f) of ``exact._LOADS``:
+        f e_0 - i gamma K T(1/G)^{-1} e_0, the mean load f plus the weak form
+        of G times the strain gamma."""
+        gamma, minus_f = g
+        r = -1j * gamma * self.wavenumbers * self.G_matrix[:, self.index0]
+        r[self.index0] -= minus_f
         return r
 
-    def dipole_load(self) -> np.ndarray:
-        """Weak-form load of the unit dipole, r = -i K T(1/G)^{-1} e_0 (G times the unit strain)."""
-        return -1j * self.wavenumbers * self.G_matrix[:, self.index0]
-
-    def mean(self, coeffs: np.ndarray) -> complex:
-        return complex(coeffs[self.index0])
-
-    def mean_rho(self, coeffs: np.ndarray) -> complex:
-        """<rho u> read off the mass matrix row of the constant mode."""
-        return complex((self.mass @ coeffs)[self.index0])
-
-    def mean_flux(self, coeffs: np.ndarray, gamma: float = 0.0) -> complex:
-        """<G (D_k u - gamma)>, the constant mode of T(1/G)^{-1} times the strain
-        iK c - gamma e_0: the mean flux of the response to a load of strain gamma."""
+    def response(self, coeffs: np.ndarray, g: tuple[float, float]) -> CellResponse:
+        """The averages of the response ``coeffs`` to the load g = (gamma, -f):
+        <u> is the constant mode, <rho u> the constant mode of B c and
+        <G (D_k u - gamma)> that of T(1/G)^{-1} times the strain iK c - gamma e_0."""
+        i0 = self.index0
         strain = 1j * self.wavenumbers * coeffs
-        strain[self.index0] -= gamma
-        return complex(self.G_matrix[self.index0] @ strain)
+        strain[i0] -= g[0]
+        return CellResponse(complex(coeffs[i0]), complex((self.mass @ coeffs)[i0]), complex(self.G_matrix[i0] @ strain))
 
 
 def _levinson(t: np.ndarray) -> np.ndarray:

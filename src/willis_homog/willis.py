@@ -25,7 +25,7 @@ import numpy as np
 
 from .cell_functions import CellResponse, _require_finite, _require_nonzero_k, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
-from .exact import monopole_adjugate
+from .exact import _LOADS, monopole_adjugate
 from .material import UnitCell1D, cell_digest
 from .spectral import DEFAULT_ORDER, BlochEigensystem
 
@@ -219,11 +219,11 @@ def classify_visibility(eigensystem: BlochEigensystem, branch: int) -> Visibilit
         raise ValidationError(f"branch {branch} outside computed spectrum")
     cluster = eigensystem.cluster(branch)
     means = tuple(complex(m) for m in eigensystem.means[cluster])
-    dip = eigensystem.projection(eigensystem.operator.dipole_load())
-    dips = tuple(complex(d) for d in dip[cluster])
+    load = eigensystem.operator.load(_LOADS["dipole"])
+    dips = tuple(complex(d) for d in eigensystem.projection(load)[cluster])
     unit = np.sqrt(eigensystem.operator.cell.scales["rho"])
     visible = max(abs(m) for m in means) * unit > VISIBILITY_TOL
-    load_scale = max(np.linalg.norm(eigensystem.operator.dipole_load()), 1e-30)
+    load_scale = max(np.linalg.norm(load), 1e-30)
     solvable = max(abs(d) for d in dips) * unit <= VISIBILITY_TOL * load_scale
     if not visible and solvable:
         behavior = "continuous"

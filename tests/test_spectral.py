@@ -14,6 +14,7 @@ from willis_homog import spectral
 from willis_homog.asymptotics import homogenize, identity_suite
 from willis_homog.dispersion import spectral_acoustic_branch
 from willis_homog.errors import ResonanceError, ValidationError
+from willis_homog.exact import _LOADS
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, fourier_coefficients, homogeneous
 from willis_homog.spectral import (
     RESONANCE_RTOL,
@@ -23,6 +24,8 @@ from willis_homog.spectral import (
     toeplitz_inverse,
 )
 from willis_homog.willis import effective_impedance
+
+MONOPOLE, DIPOLE = _LOADS["monopole"], _LOADS["dipole"]
 
 
 def rho_norm(op, c: np.ndarray) -> float:
@@ -53,7 +56,7 @@ def test_homogeneous_eigenvalues_scale_with_properties() -> None:
 
 def test_monopole_load_is_unit_mean() -> None:
     op = assemble(bilaminate(0.1, 0.1), 0.5, 8)
-    r = op.monopole_load()
+    r = op.load(MONOPOLE)
     assert r[op.index0] == 1.0
     assert np.count_nonzero(r) == 1
 
@@ -69,7 +72,7 @@ def test_resolvent_matches_modal_solution() -> None:
         if rel < 1e-3:
             continue
         eig = solve_eigensystem(op)
-        load = op.dipole_load()
+        load = op.load(DIPOLE)
         direct = resolvent_solve(op, omega, load)
         modal = eig.modal_solution(load, omega**2)
         assert rho_norm(op, direct - modal) < 1e-8 * max(rho_norm(op, direct), 1e-30)
@@ -79,7 +82,7 @@ def test_resolvent_refuses_resonant_frequency() -> None:
     op = assemble(bilaminate(0.1, 0.1), 0.5, 32)
     omega = float(np.sqrt(op.eigenvalues[0]))
     with pytest.raises(ResonanceError):
-        resolvent_solve(op, omega, op.monopole_load())
+        resolvent_solve(op, omega, op.load(MONOPOLE))
 
 
 def test_mean_flux_on_uniform_cell() -> None:
@@ -89,17 +92,17 @@ def test_mean_flux_on_uniform_cell() -> None:
     op = assemble(homogeneous(2.0, 1.0), k, 4)
     c0 = np.zeros(op.size, dtype=complex)
     c0[op.index0] = 1.0
-    assert_allclose(op.mean_flux(c0), 2.0 * 1j * k, rtol=1e-14)
+    assert_allclose(op.response(c0, MONOPOLE).mean_flux, 2.0 * 1j * k, rtol=1e-14)
     c1 = np.zeros(op.size, dtype=complex)
     c1[op.index0 + 1] = 1.0
-    assert_allclose(op.mean_flux(c1), 0.0, atol=1e-14)
+    assert_allclose(op.response(c1, MONOPOLE).mean_flux, 0.0, atol=1e-14)
 
 
 def test_resonance_error_names_location() -> None:
     cell = homogeneous()
     op = assemble(cell, 1.0, 8)
     with pytest.raises(ResonanceError) as info:
-        resolvent_solve(op, 1.0, op.monopole_load())
+        resolvent_solve(op, 1.0, op.load(MONOPOLE))
     message = str(info.value)
     assert cell_digest(cell) in message
     assert "(k, omega) = (1.0, 1.0)" in message
@@ -152,7 +155,7 @@ def test_resonance_certificate_agrees_with_eigenvalue_list() -> None:
 
 def test_long_wave_solve_never_forms_the_spectrum() -> None:
     op = assemble(bilaminate(0.1, 0.1), 0.5, 32)
-    resolvent_solve(op, 0.2, op.dipole_load())
+    resolvent_solve(op, 0.2, op.load(DIPOLE))
     assert "eigenvalues" not in op.__dict__
 
 
@@ -209,11 +212,11 @@ def test_dipole_load_and_mean_flux_match_per_mode_coefficients() -> None:
     g = _dense_G_matrix(op.cell, op.order)
     i0 = op.index0
     scale = np.max(np.abs(g))
-    assert np.max(np.abs(op.dipole_load() - (-1j * op.wavenumbers * g[:, i0]))) <= 1e-12 * scale * np.max(np.abs(op.wavenumbers))
+    assert np.max(np.abs(op.load(DIPOLE) - (-1j * op.wavenumbers * g[:, i0]))) <= 1e-12 * scale * np.max(np.abs(op.wavenumbers))
     c = np.random.default_rng(5).standard_normal((op.size, 2)) @ np.array([1.0, 1j])
     ref = complex(np.sum(g[i0] * 1j * op.wavenumbers * c))
-    assert abs(op.mean_flux(c) - ref) <= 1e-12 * scale * np.sum(np.abs(op.wavenumbers * c))
-    assert abs(op.mean_flux(c, 1.0) - (ref - g[i0, i0])) <= 1e-12 * scale * np.sum(np.abs(op.wavenumbers * c))
+    assert abs(op.response(c, MONOPOLE).mean_flux - ref) <= 1e-12 * scale * np.sum(np.abs(op.wavenumbers * c))
+    assert abs(op.response(c, DIPOLE).mean_flux - (ref - g[i0, i0])) <= 1e-12 * scale * np.sum(np.abs(op.wavenumbers * c))
 
 
 def _random_G_cell(rng: np.random.Generator, n_phases: int) -> UnitCell1D:
@@ -287,11 +290,12 @@ def test_mean_G_is_the_harmonic_mean_at_the_lowest_order() -> None:
 
 _STACKED_SOLVE = """
 import numpy as np
+from willis_homog.exact import _LOADS
 from willis_homog.material import bilaminate
 from willis_homog.spectral import assemble, resolvent_solve
 for n in (8, 32, 128):
     op = assemble(bilaminate(0.1, 0.1), 0.5, n)
-    loads = [op.monopole_load(), op.dipole_load()]
+    loads = [op.load(_LOADS["monopole"]), op.load(_LOADS["dipole"])]
     stacked = resolvent_solve(op, 0.2, np.stack(loads, axis=1))
     for j, load in enumerate(loads):
         assert np.array_equal(stacked[:, j], resolvent_solve(op, 0.2, load)), (n, j)
@@ -306,8 +310,8 @@ def test_stacked_resolvent_solve_equals_separate_solves() -> None:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", _STACKED_SOLVE], env=env, check=True)
     op = assemble(bilaminate(0.1, 0.1), 0.5, 128)
-    stacked = resolvent_solve(op, 0.2, np.stack([op.monopole_load(), op.dipole_load()], axis=1))
-    separate = resolvent_solve(op, 0.2, op.dipole_load())
+    stacked = resolvent_solve(op, 0.2, np.stack([op.load(MONOPOLE), op.load(DIPOLE)], axis=1))
+    separate = resolvent_solve(op, 0.2, op.load(DIPOLE))
     assert np.linalg.norm(stacked[:, 1] - separate) <= 1e-12 * np.linalg.norm(separate)
 
 

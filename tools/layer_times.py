@@ -40,7 +40,7 @@ import numpy as np
 from willis_homog.asymptotics import homogenize
 from willis_homog.cell_functions import responses
 from willis_homog.dispersion import _scan_grid, exact_branch, spectral_acoustic_branch
-from willis_homog.exact import dispersion_function
+from willis_homog.exact import _LOADS, dispersion_function
 from willis_homog.material import Phase, UnitCell1D, bilaminate
 from willis_homog.spectral import assemble, resolvent_solve
 from willis_homog.willis import effective_impedance
@@ -74,7 +74,7 @@ def layers(cell: UnitCell1D) -> dict:
     }
     for n in (8, 32):
         op = assemble(cell, K, n)
-        loads = np.stack([op.monopole_load(), op.dipole_load()], axis=1)
+        loads = np.stack([op.load(_LOADS["monopole"]), op.load(_LOADS["dipole"])], axis=1)
         calls[f"spectral assemble N={n}"] = lambda n=n: assemble(cell, K, n)
         calls[f"spectral solve N={n}"] = lambda op=op, loads=loads: resolvent_solve(op, omega, loads)
     calls["homogenize exact"] = lambda: homogenize(cell, method="exact")
