@@ -49,15 +49,15 @@ def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> lis
     return [operator.response(c, g) for g, c in zip(loads, coeffs)]
 
 
-def _require_finite(k: float, omega: float) -> None:
-    for name, value in (("k", k), ("omega", omega)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+def _is_zero_mod_2pi(k: float) -> bool:
+    """k within 1e-12 of a multiple of 2 pi, where the constants span the static
+    kernel; a non-finite k is none, and is left to the kernel's own check."""
+    return math.isfinite(k) and abs(k - 2.0 * np.pi * np.rint(k / (2.0 * np.pi))) < 1e-12
 
 
 def _require_nonzero_k(cell: UnitCell1D, k: float) -> None:
     k = float(k)
-    if abs(k - 2.0 * np.pi * np.rint(k / (2.0 * np.pi))) < 1e-12:
+    if _is_zero_mod_2pi(k):
         raise ResonanceError(
             "static dipole response is undefined at k = 0 "
             f"(constants span the kernel): k = {k!r} on cell {cell_digest(cell)}"
@@ -80,7 +80,6 @@ def responses(
     """
     if not (isinstance(kinds, tuple) and kinds and all(kind in _LOADS for kind in kinds)):
         raise ValidationError(f"kinds must be a non-empty tuple of 'monopole' and 'dipole', got {kinds!r}")
-    _require_finite(k, omega)
     if method == "exact":
         solve = {"monopole": solve_w_exact, "dipole": solve_v_exact}
         return [solve[kind](cell, k, omega) for kind in kinds]

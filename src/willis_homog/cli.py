@@ -29,7 +29,7 @@ from .asymptotics import (
     two_scale_root,
     willis_impedance_order2,
 )
-from .cell_functions import responses
+from .cell_functions import _is_zero_mod_2pi, responses
 from .dispersion import (
     ROOT_BRACKET,
     exact_branch,
@@ -196,8 +196,14 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError("config field 'probe': expected [k, omega]") from exc
         if not all(map(math.isfinite, probe)):
             raise ConfigError(f"config field 'probe': k and omega must be finite, got {list(probe)}")
+        if not all(math.isfinite(x * x) for x in probe):
+            raise ConfigError(f"config field 'probe': k^2 and omega^2 must be finite, got {list(probe)}")
         if probe[1] == 0.0:
             raise ConfigError(f"config field 'probe': the Willis parameters need omega != 0, got {list(probe)}")
+        if _is_zero_mod_2pi(probe[0]):
+            raise ConfigError(
+                f"config field 'probe': the dynamic identities need k != 0 (mod 2 pi), got {list(probe)}"
+            )
 
     return RunConfig(
         cell=cell,

@@ -104,20 +104,28 @@ def _finite_k(k_grid) -> np.ndarray:
 
 def _scan_grid(cell: UnitCell1D, k, omega_max: float | None) -> tuple[np.ndarray, float, float]:
     """(grid, omega_max, s): the scan grid of :func:`exact_branch`, 0 then a + SCAN_STEP s
-    accumulated up to a finite omega_max > 0, by default (1.1 max|k| + 0.05) c0.
+    accumulated up to a finite omega_max > 0, by default and at most the bound
+    (1.1 max|k~| + 0.05) c0 with k~ the wavenumber folded into [-pi, pi].
 
-    The trial Bloch function exp(ik theta(x)), theta' = (1/G) / <1/G>, has
-    Rayleigh quotient (c0 k)^2, so the lowest branch lies below c0 |k|.
+    The trial Bloch function exp(ik~ theta(x)), theta' = (1/G) / <1/G>, has
+    Rayleigh quotient (c0 k~)^2, so the lowest branch omega_1(k) = omega_1(k~)
+    lies below c0 |k~|.  |k~| is |k| up to pi and arccos(cos k) past it, the
+    fold of the target cos k that the roots solve for, so the grid of a
+    |k| <= pi is the same as unfolded and a large |k| never grows it.
     The speed s = min(c, 2 c0) lies in [c0, 2 c0] (c >= c0), so the step is at
     most 1% of the first band's top omega_1(pi), which tends to 2 c0 in the
     mass-spring limit and was measured no lower; s = c keeps the grid of the
     cells where c <= 2 c0.
     """
     c0 = cell.c0
+    folded = np.where(np.abs(k) <= np.pi, np.abs(k), np.arccos(np.cos(k)))
+    bound = (1.1 * float(np.max(folded, initial=0.0)) + 0.05) * c0
     if omega_max is None:
-        omega_max = (1.1 * float(np.max(np.abs(k), initial=0.0)) + 0.05) * c0
+        omega_max = bound
     elif not (math.isfinite(omega_max) and omega_max > 0.0):
         raise ValidationError(f"omega_max must be finite and > 0, got {omega_max!r}")
+    else:
+        omega_max = min(omega_max, bound)
     s = min(cell.c, 2.0 * c0)
 
     def points():
@@ -137,7 +145,8 @@ def exact_branch(
 ) -> DispersionBranch:
     """Lowest branch from the transfer-matrix relation D(omega) = cos k.
 
-    ``omega_max`` defaults to the bound (1.1 max|k| + 0.05) c0 and the scan
+    ``omega_max`` defaults to, and is capped at, the bound (1.1 max|k~| + 0.05)
+    c0, k~ the wavenumber folded into [-pi, pi] (``_scan_grid``), and the scan
     step and the bisection tolerance are ``SCAN_STEP`` and ``ROOT_TOL`` times
     the scan speed s = min(c, 2 c0) (``_scan_grid``).
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResonanceError
-from .material import Phase, UnitCell1D, cell_digest
+from .material import Phase, UnitCell1D, _require_finite, cell_digest
 
 __all__ = [
     "CellResponse",
@@ -184,8 +184,10 @@ class CellResponse(NamedTuple):
 
 def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: float = 0.0) -> tuple[complex, ...]:
     """det and det <u>, det <rho u>, det <G (D_k u - gamma)>; ResonanceError where det
-    and ``mean_scale`` det <u> are both below _RCOND_FLOOR of det's scale."""
+    and ``mean_scale`` det <u> are both below _RCOND_FLOOR of det's scale;
+    ValidationError where k or omega is not finite."""
     k, omega = float(k), float(omega)
+    _require_finite(k=k, omega=omega)
     segments = [_Segment(p, k, omega, _LOADS[kind]) for p in cell.phases]
 
     # march the affine map y_end = M y_0 + s across the cell

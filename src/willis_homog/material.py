@@ -41,6 +41,13 @@ FIELD_NAMES = ("G", "rho", "1/G")
 _LENGTH_TOL = 1e-12
 
 
+def _require_finite(**values: float) -> None:
+    """ValidationError naming the first of ``values`` (k, omega) that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Phase:
     """One homogeneous segment of the cell: length, modulus G, density rho."""

@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NumericalError, ResonanceError, ValidationError
 from .exact import CellResponse
-from .material import UnitCell1D, cell_digest, fourier_coefficients
+from .material import UnitCell1D, _require_finite, cell_digest, fourier_coefficients
 
 __all__ = [
     "BlochOperator",
@@ -284,7 +284,10 @@ def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
         Bloch wavenumber (real).
     order : int
         Truncation half-order N; the basis holds 2N+1 modes.
+
+    A non-finite k raises ValidationError.
     """
+    _require_finite(k=k)
     order = check_order(order)
     inv_G_hat, rho_hat = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
     G_matrix = toeplitz_inverse(inv_G_hat.coeffs[2 * order :])
@@ -368,10 +371,12 @@ def resolvent_solve(
     """Direct solve of (A - omega^2 B) c = r with a residual check.
 
     ``load`` is one right-hand side (size,) or columns (size, m) that share
-    the resonance certificate and the factorization.  Refuses to solve inside
-    the resonance window; raises NumericalError if the relative residual of
-    any column exceeds RESIDUAL_RTOL.
+    the resonance certificate and the factorization.  A non-finite omega
+    raises ValidationError.  Refuses to solve inside the resonance window;
+    raises NumericalError unless the relative residual of every column is
+    within RESIDUAL_RTOL, so a NaN residual fails too.
     """
+    _require_finite(omega=omega)
     omega_sq = float(omega) ** 2
     operator.check_resonance(omega_sq)
     load = np.asarray(load, dtype=complex)
@@ -382,7 +387,7 @@ def resolvent_solve(
         np.linalg.norm(K, np.inf) * np.linalg.norm(coeffs, axis=0) + np.linalg.norm(load, axis=0)
     )
     j = int(np.argmax(residual - bound))
-    if residual[j] > bound[j]:
+    if not residual[j] <= bound[j]:
         raise NumericalError(
             f"resolvent solve residual {residual[j]:.3e} exceeds backward-error "
             f"bound {bound[j]:.3e} at {_where(operator, omega_sq)}"

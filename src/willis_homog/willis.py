@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_functions import CellResponse, _require_finite, _require_nonzero_k, responses
+from .cell_functions import CellResponse, _require_nonzero_k, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
 from .exact import _LOADS, monopole_adjugate
 from .material import UnitCell1D, cell_digest
@@ -118,7 +118,6 @@ def effective_impedance(
     forms Z = det/N (:func:`~willis_homog.exact.monopole_adjugate`).  A
     non-finite k or omega, or an unknown method, raises ValidationError.
     """
-    _require_finite(k, omega)
     if method == "exact":
         det, n = monopole_adjugate(cell, k, omega)
         return impedance_from_mean(n, cell, k, omega, det)

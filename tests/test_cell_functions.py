@@ -16,9 +16,16 @@ from willis_homog.cell_functions import (
     solve_zeta,
     solve_zeta_exact,
 )
-from willis_homog.errors import ResonanceError, ValidationError
+from willis_homog.errors import NumericalError, ResonanceError, ValidationError
+from willis_homog.exact import (
+    _LOADS,
+    monopole_adjugate,
+    solve_dipole_exact,
+    solve_monopole_exact,
+    solve_static_dipole_exact,
+)
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
-from willis_homog.spectral import assemble
+from willis_homog.spectral import assemble, resolvent_solve
 from willis_homog.willis import effective_impedance
 
 from test_exact import homogeneous_means, response_means
@@ -113,6 +120,49 @@ def test_responses_reject_a_non_finite_point(solve, method: str, k: float, omega
     name = "k" if not np.isfinite(k) else "omega"
     with pytest.raises(ValidationError, match=f"^{name} must be finite"):
         solve(bilaminate(0.1, 0.1), k, omega, method)
+
+
+#: every kernel entry point with a k or omega argument, called at one (k, omega)
+KERNEL_ENTRY_POINTS = {
+    "solve_monopole_exact": lambda cell, k, omega: solve_monopole_exact(cell, k, omega),
+    "solve_dipole_exact": lambda cell, k, omega: solve_dipole_exact(cell, k, omega),
+    "solve_static_dipole_exact": lambda cell, k, omega: solve_static_dipole_exact(cell, k),
+    "solve_zeta_exact": lambda cell, k, omega: solve_zeta_exact(cell, k),
+    "monopole_adjugate": lambda cell, k, omega: monopole_adjugate(cell, k, omega),
+    "assemble": lambda cell, k, omega: assemble(cell, k, 8).eigenvalues,
+    "solve_w": lambda cell, k, omega: solve_w(assemble(cell, 0.5, 8), omega),
+    "solve_v": lambda cell, k, omega: solve_v(assemble(cell, 0.5, 8), omega),
+    "resolvent_solve": lambda cell, k, omega: resolvent_solve(
+        assemble(cell, 0.5, 8), omega, assemble(cell, 0.5, 8).load(_LOADS["monopole"])
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,k,omega",
+    [
+        (entry, k, omega)
+        for entry in KERNEL_ENTRY_POINTS
+        for k, omega in [(np.nan, 0.3), (np.inf, 0.3), (0.5, np.nan), (0.5, -np.inf)]
+        # the static solves read no omega; the spectral solves read k from their operator
+        if (np.isfinite(k) or entry not in ("solve_w", "solve_v", "resolvent_solve"))
+        and (np.isfinite(omega) or entry not in ("solve_static_dipole_exact", "solve_zeta_exact", "assemble"))
+    ],
+)
+def test_kernels_reject_a_non_finite_point(entry: str, k: float, omega: float) -> None:
+    # each kernel checks what it reads: no ZeroDivisionError, math domain error,
+    # LinAlgError or silent NaN
+    name, value = ("k", k) if not np.isfinite(k) else ("omega", omega)
+    with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value!r}$"):
+        KERNEL_ENTRY_POINTS[entry](bilaminate(0.1, 0.1), k, omega)
+
+
+def test_resolvent_solve_fails_closed_on_a_nan_residual() -> None:
+    op = assemble(bilaminate(0.1, 0.1), 0.5, 8)
+    load = op.load(_LOADS["dipole"])
+    load[0] = np.nan
+    with pytest.raises(NumericalError, match=r"^resolvent solve residual nan exceeds"):
+        resolvent_solve(op, 0.2, load)
 
 
 def test_homogeneous_means_match_exact_solver() -> None:

@@ -297,6 +297,26 @@ def test_non_finite_probe_is_config_error(tmp_path: Path, capsys, probe) -> None
     assert "config field 'probe'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "probe,reason",
+    [
+        ([0.0, 0.1], "k != 0 (mod 2 pi)"),
+        ([6.283185307179586, 0.1], "k != 0 (mod 2 pi)"),
+        ([1e-13, 0.1], "k != 0 (mod 2 pi)"),
+        ([0.5, 1e160], "k^2 and omega^2 must be finite"),
+    ],
+    ids=["k=0", "k=2pi", "k=1e-13", "omega^2-overflows"],
+)
+def test_probe_outside_the_dynamic_identities_is_config_error(tmp_path: Path, capsys, probe, reason: str) -> None:
+    # the identities divide by k, the rule of the static dipole's k = 0 check,
+    # and square k and omega; neither is a numerical failure (exit 3) or a traceback
+    cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "probe": probe})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: config field 'probe': ") and reason in line
+    assert not (tmp_path / "verification.json").exists()
+
+
 def test_zero_frequency_probe_is_config_error(tmp_path: Path, capsys) -> None:
     # the Willis parameters divide by omega; a static probe is no numerical failure
     cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "probe": [0.5, 0.0]})

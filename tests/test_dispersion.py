@@ -501,6 +501,28 @@ def test_exact_branch_default_bound_scales_with_the_cell() -> None:
     assert_allclose(exact_branch(homogeneous(100.0, 1.0), k).omega, 10.0 * k, rtol=1e-10)
 
 
+#: exact_branch's root at k = 0.5 + 20 pi on fig2's cell, the same bits as an unbounded scan gives
+FOLDED_ROOT = 0.2854628170569778
+
+
+def test_exact_branch_scans_no_further_than_the_folded_bound() -> None:
+    # omega_1(k) = omega_1(k~) <= c0 |k~| with k~ the fold of k into [-pi, pi]:
+    # the grid at k = 0.5 + 20 pi is that at k = 0.5 up to its end, and a larger
+    # omega_max is capped there
+    k = 0.5 + 20.0 * np.pi
+    grid, omega_max, _ = dispersion._scan_grid(BILAMINATE, np.array([k]), None)
+    unfolded, bound, _ = dispersion._scan_grid(BILAMINATE, np.array([0.5]), None)
+    assert abs(omega_max - bound) <= 1e-12 * bound and grid[-1] == omega_max
+    assert grid.size == unfolded.size and np.array_equal(grid[:-1], unfolded[:-1])
+    capped, capped_max, _ = dispersion._scan_grid(BILAMINATE, np.array([k]), 60.0)
+    assert np.array_equal(capped, grid) and capped_max == omega_max
+    assert exact_branch(BILAMINATE, [k]).omega[0] == FOLDED_ROOT
+    assert exact_branch(BILAMINATE, [k], omega_max=1e6).omega[0] == FOLDED_ROOT
+    # up to |k| = pi the bound is the unfolded one, bit for bit
+    c0, _ = _scan_speeds(BILAMINATE)
+    assert dispersion._scan_grid(BILAMINATE, np.array([-np.pi, 0.3]), None)[1] == _branch_bound([np.pi], c0)
+
+
 def test_willis_exact_root_error_names_k_omega_and_cell() -> None:
     # half the branch root is below it, where Z > 0 across the whole bracket
     omega = 0.5 * exact_branch(BILAMINATE, [3.0]).omega[0]
