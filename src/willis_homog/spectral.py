@@ -186,7 +186,9 @@ class BlochOperator:
         i0 = self.index0
         strain = 1j * self.wavenumbers * coeffs
         strain[i0] -= g[0]
-        return CellResponse(complex(coeffs[i0]), complex((self.mass @ coeffs)[i0]), complex(self.G_matrix[i0] @ strain))
+        return CellResponse(
+            complex(coeffs[i0]), complex((self.mass @ coeffs)[i0]), complex(self.G_matrix[i0] @ strain)
+        )
 
 
 def _levinson(t: np.ndarray) -> np.ndarray:
