@@ -354,10 +354,14 @@ def willis_impedance_order2(c: HomogCoefficients, k, omega, route: str = "modula
 
 
 def two_scale_root(c: HomogCoefficients, k: float) -> float:
-    """Positive omega root of the two-scale impedance at fixed k."""
-    num = c.mu0 * k**2 - c.mu2 * k**4
-    den = c.rho0 - c.rho2 * k**2
-    if den <= 0.0 or num < 0.0:
+    """Positive omega root of the two-scale impedance at fixed k; NumericalError where
+    the branch terminates, a polynomial that overflows (or is NaN) included."""
+    try:
+        num = c.mu0 * k**2 - c.mu2 * k**4
+        den = c.rho0 - c.rho2 * k**2
+    except OverflowError:
+        num = den = np.nan
+    if not (den > 0.0 and num >= 0.0):
         raise NumericalError(
             f"two-scale branch terminates before k = {k:.6g}: "
             f"mu0 k^2 - mu2 k^4 = {num:.3e}, rho0 - rho2 k^2 = {den:.3e}"

@@ -49,15 +49,10 @@ def _solve(operator: BlochOperator, omega: float, kinds: tuple[str, ...]) -> lis
     return [operator.response(c, g) for g, c in zip(loads, coeffs)]
 
 
-def _is_zero_mod_2pi(k: float) -> bool:
-    """k within 1e-12 of a multiple of 2 pi, where the constants span the static
-    kernel; a non-finite k is none, and is left to the kernel's own check."""
-    return math.isfinite(k) and abs(k - 2.0 * np.pi * np.rint(k / (2.0 * np.pi))) < 1e-12
-
-
 def _require_nonzero_k(cell: UnitCell1D, k: float) -> None:
+    """ResonanceError within 1e-12 of k = 0 (mod 2 pi), by libm's reduction; a non-finite k is left to the kernels."""
     k = float(k)
-    if _is_zero_mod_2pi(k):
+    if math.isfinite(k) and abs(math.atan2(math.sin(k), math.cos(k))) < 1e-12:
         raise ResonanceError(
             "static dipole response is undefined at k = 0 "
             f"(constants span the kernel): k = {k!r} on cell {cell_digest(cell)}"

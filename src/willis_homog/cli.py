@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .asymptotics import (
     two_scale_root,
     willis_impedance_order2,
 )
-from .cell_functions import _is_zero_mod_2pi, responses
+from .cell_functions import responses
 from .dispersion import (
     ROOT_BRACKET,
     exact_branch,
@@ -50,7 +50,7 @@ from .material import (
 from .spectral import BRANCH_RTOL, DEFAULT_ORDER, MIN_ORDER
 # effective_impedance is bound here, unused, because perfbench/selftest.py
 # checks that the tracer wraps it at this binding site too
-from .willis import dynamic_identity_residuals, effective_impedance, impedance_from_mean  # noqa: F401
+from .willis import dynamic_identity_residuals, effective_impedance, impedance_from_mean, require_identity_point  # noqa: F401
 
 #: verify's thresholds, one per check group; every CSV header records them
 _DEFAULT_TOLERANCES = {
@@ -192,18 +192,11 @@ def build_config(data: dict) -> RunConfig:
     if "probe" in data:
         try:
             probe = (float(data["probe"][0]), float(data["probe"][1]))
+            require_identity_point(cell, *probe)
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError("config field 'probe': expected [k, omega]") from exc
-        if not all(map(math.isfinite, probe)):
-            raise ConfigError(f"config field 'probe': k and omega must be finite, got {list(probe)}")
-        if not all(math.isfinite(x * x) for x in probe):
-            raise ConfigError(f"config field 'probe': k^2 and omega^2 must be finite, got {list(probe)}")
-        if probe[1] == 0.0:
-            raise ConfigError(f"config field 'probe': the Willis parameters need omega != 0, got {list(probe)}")
-        if _is_zero_mod_2pi(probe[0]):
-            raise ConfigError(
-                f"config field 'probe': the dynamic identities need k != 0 (mod 2 pi), got {list(probe)}"
-            )
+        except WillisHomogError as exc:
+            raise ConfigError(f"config field 'probe': {exc}") from exc
 
     return RunConfig(
         cell=cell,
@@ -494,14 +487,13 @@ def build_verification_report(
 ) -> VerificationReport:
     """Run the dynamic, static, dispersion and polynomial check suites.
 
-    A spectral dynamic, static, triangle or polynomial check group that
-    raises NumericalError becomes one failing check with residual inf, and
-    the report goes on; each triangle check is a group of its own.  The
-    exact branch omega_1 at k = 0.5 and 1.5 comes first; the triangle tests
-    the sign change of exact Z across it, and the dynamic checks
-    run at the caller's ``probe``, by default at (0.5, 0.7 omega_1(0.5)),
-    below the lowest branch.  The exact ones raise there, so a probe on a
-    Bloch branch is a numerical error (exit 3).
+    A dynamic, static, triangle or polynomial check group that raises
+    NumericalError becomes one failing check with residual inf, and the
+    report goes on; each triangle check is a group of its own.  The exact
+    branch omega_1 at k = 0.5 and 1.5 comes first; the triangle tests the
+    sign change of exact Z across it, and the dynamic checks run at the
+    caller's ``probe``, by default at (0.5, 0.7 omega_1(0.5)), below the
+    lowest branch.  So a probe on a Bloch branch fails the dynamic groups.
     """
     tol = _DEFAULT_TOLERANCES
     checks: list[CheckResult] = []
@@ -512,8 +504,7 @@ def build_verification_report(
 
     for route in ("exact", "spectral"):
         route_tol = tol[route]
-        # the exact group raises, so a probe on a Bloch branch is exit 3
-        with _check_group(checks, "dynamic", route, route_tol) if route == "spectral" else nullcontext():
+        with _check_group(checks, "dynamic", route, route_tol):
             dyn = dynamic_identity_residuals(cell, k_probe, w_probe, method=route, order=basis_n)
             for name, value in dyn.items():
                 checks.append(CheckResult(f"dynamic/{name}", route, float(value), route_tol))

@@ -182,10 +182,10 @@ class CellResponse(NamedTuple):
     mean_flux: complex  #: <G (D_k u - gamma)>, its own flux: <G D_k w>, <G (D_k v - 1)>
 
 
-def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: float = 0.0) -> tuple[complex, ...]:
+def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, scaled: bool = False) -> tuple[complex, ...]:
     """det and det <u>, det <rho u>, det <G (D_k u - gamma)>; ResonanceError where det
-    and ``mean_scale`` det <u> are both below _RCOND_FLOOR of det's scale;
-    ValidationError where k or omega is not finite."""
+    and, if ``scaled``, z det <u> (z = ``cell.impedance_scale``) are both below
+    _RCOND_FLOOR of det's scale; ValidationError where k or omega has no finite square."""
     k, omega = float(k), float(omega)
     _require_finite(k=k, omega=omega)
     segments = [_Segment(p, k, omega, _LOADS[kind]) for p in cell.phases]
@@ -213,6 +213,7 @@ def _solve(cell: UnitCell1D, k: float, omega: float, kind: str, mean_scale: floa
         if seg is not segments[-1]:
             y0, y1 = seg.step(*y)
             y = (y0 + det * seg.load[0], y1 + det * seg.load[1])
+    mean_scale = cell.impedance_scale(k, omega) if scaled else 0.0
     if max(abs(det), abs(mean) * mean_scale) <= _RCOND_FLOOR * (abs(a00 * a11) + abs(a01 * a10)):
         raise ResonanceError(
             f"(k, omega) = ({k!r}, {omega!r}) lies on a Bloch branch of cell "
@@ -244,7 +245,7 @@ def solve_static_dipole_exact(cell: UnitCell1D, k: float) -> CellResponse:
 def monopole_adjugate(cell: UnitCell1D, k: float, omega: float) -> tuple[complex, complex]:
     """(det, N = det <w>); ResonanceError where det and z N, z = ``cell.impedance_scale``,
     both vanish: Z = det/N is 0/0 there, at an eigenvalue invisible to <w>."""
-    det, n, _, _ = _solve(cell, k, omega, "monopole", cell.impedance_scale(k, omega))
+    det, n, _, _ = _solve(cell, k, omega, "monopole", scaled=True)
     return det, n
 
 

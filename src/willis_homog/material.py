@@ -42,10 +42,11 @@ _LENGTH_TOL = 1e-12
 
 
 def _require_finite(**values: float) -> None:
-    """ValidationError naming the first of ``values`` (k, omega) that is not finite."""
+    """ValidationError naming the first of ``values`` (k, omega) whose square is not finite."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+        value = float(value)
+        if not math.isfinite(value * value):
+            raise ValidationError(f"{name}{'^2' if math.isfinite(value) else ''} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,9 @@ class UnitCell1D:
 
     def impedance_scale(self, k: float, omega: float) -> float:
         """<G> k^2 + <rho> omega^2 = <rho> ((c k)^2 + omega^2): the size of the
-        two terms whose difference is an impedance at (k, omega)."""
-        return self.scales["rho"] * ((self.c * k) ** 2 + omega**2)
+        two terms whose difference is an impedance at (k, omega); inf where it overflows."""
+        ck = self.c * k
+        return self.scales["rho"] * (ck * ck + omega * omega)
 
     @cached_property
     def c(self) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .cell_functions import CellResponse, _require_nonzero_k, responses
 from .errors import ValidationError, ZeroMeanImpedanceError
 from .exact import _LOADS, monopole_adjugate
-from .material import UnitCell1D, cell_digest
+from .material import UnitCell1D, _require_finite, cell_digest
 from .spectral import DEFAULT_ORDER, BlochEigensystem
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "classify_visibility",
     "parameters_from_averages",
     "dynamic_identity_residuals",
+    "require_identity_point",
 ]
 
 #: <w> is treated as zero where |<w>| (<G> k^2 + <rho> omega^2) is below this
@@ -96,8 +97,11 @@ class VisibilityReport:
 def impedance_from_mean(mean_w: complex, cell: UnitCell1D, k: float, omega: float, det: complex = 1.0) -> complex:
     """Z = det/N for N = ``mean_w`` = det <w> (1/<w> at det = 1); ZeroMeanImpedanceError
     where <w> is numerically zero against the inverse of the cell's size for an
-    impedance (``UnitCell1D.impedance_scale``)."""
-    if abs(mean_w) * cell.impedance_scale(k, omega) <= ZERO_MEAN_TOL * abs(det):
+    impedance (``UnitCell1D.impedance_scale``); ValidationError where that scale overflows."""
+    scale = cell.impedance_scale(k, omega)
+    if scale == np.inf:
+        raise ValidationError(f"<G> k^2 + <rho> omega^2 must be finite at (k, omega) = ({k!r}, {omega!r})")
+    if abs(mean_w) * scale <= ZERO_MEAN_TOL * abs(det):
         raise ZeroMeanImpedanceError(
             f"<w> = {mean_w / det:.3e} is numerically zero at (k, omega) = ({k!r}, {omega!r}) "
             f"on cell {cell_digest(cell)}; the effective impedance is undefined there"
@@ -242,6 +246,15 @@ def classify_visibility(eigensystem: BlochEigensystem, branch: int) -> Visibilit
     )
 
 
+def require_identity_point(cell: UnitCell1D, k: float, omega: float) -> None:
+    """The domain of the dynamic identities and the Willis parameters: k and omega with finite
+    squares, then omega != 0 (else ValidationError), then k != 0 (mod 2 pi) (else ResonanceError)."""
+    _require_finite(k=k, omega=omega)
+    if omega == 0:
+        raise ValidationError(f"the Willis parameters need omega != 0, got {omega!r}")
+    _require_nonzero_k(cell, k)
+
+
 def dynamic_identity_residuals(
     cell: UnitCell1D,
     k: float,
@@ -259,11 +272,11 @@ def dynamic_identity_residuals(
     zeta = -i/k are sums of these: with e1, e2, e3 the numerators of the
     dipole, monopole-flux and flux identities, <G D_k w> - i/k - omega^2 (i/k)
     <rho w> = e2 + (i/k) conj(e1) and <G (D_k v - 1)> - omega^2 (i/k) <rho v>
-    = (i/k) conj(e3) + 2i Im <G (D_k v - 1)>.  k = 0 mod 2 pi raises
-    ResonanceError, as the flux identity is normalised by |k|.  The dipole's
-    flux vanishes with omega, so the checks dividing by it floor it at mu_h.
+    = (i/k) conj(e3) + 2i Im <G (D_k v - 1)>.  The point is checked before any
+    solve (:func:`require_identity_point`).  The dipole's flux vanishes with
+    omega, so the checks dividing by it floor it at mu_h.
     """
-    _require_nonzero_k(cell, k)
+    require_identity_point(cell, k, omega)
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
     mw, mv, mrw, mrv, mfw, mfv = w.mean, v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux
     ik, om2, mu_h = 1j * k, omega**2, cell.scales["G"]

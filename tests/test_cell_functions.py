@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from willis_homog.exact import (
 )
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
 from willis_homog.spectral import assemble, resolvent_solve
-from willis_homog.willis import effective_impedance
+from willis_homog.willis import dynamic_identity_residuals, effective_impedance
 
 from test_exact import homogeneous_means, response_means
 
@@ -86,6 +87,15 @@ def test_static_dipole_guard_catches_near_multiples_of_two_pi(k: float) -> None:
         with pytest.raises(ResonanceError, match="undefined at k = 0") as info:
             solve()
         assert cell_digest(cell) in str(info.value) and repr(k) in str(info.value)
+
+
+@pytest.mark.parametrize("k", [2.0 * np.pi * 1e6, 1e17, 1e20, 1e50, 1e100, 1e150])
+def test_static_dipole_is_defined_far_from_multiples_of_two_pi(k: float) -> None:
+    # libm's exact reduction puts 2 pi 1e6 4.46e-10 from the kernel and 1e17 to
+    # 1e150 0.39 or more; k - 2 pi rint(k / 2 pi) read each as 0 within 1e-12
+    cell = bilaminate(0.1, 0.1)
+    for zeta in (solve_zeta_exact(cell, k), solve_zeta(assemble(cell, k, 16))):
+        assert_allclose(zeta.mean * k, -1j, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("method", ["exact", "spectral"])
@@ -155,6 +165,40 @@ def test_kernels_reject_a_non_finite_point(entry: str, k: float, omega: float) -
     name, value = ("k", k) if not np.isfinite(k) else ("omega", omega)
     with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value!r}$"):
         KERNEL_ENTRY_POINTS[entry](bilaminate(0.1, 0.1), k, omega)
+
+
+#: finite points whose square, or the cell's impedance scale <G> k^2 + <rho> omega^2,
+#: overflows, and the quantity each entry point names
+_FIG2 = bilaminate(0.1, 0.1)
+OVERFLOW_ENTRY_POINTS = {
+    "resolvent_solve": (
+        lambda: resolvent_solve(assemble(_FIG2, 0.5, 8), 1e160, assemble(_FIG2, 0.5, 8).load(_LOADS["monopole"])),
+        "omega^2",
+    ),
+    "effective_impedance-exact-omega": (lambda: effective_impedance(_FIG2, 0.5, 1e160), "omega^2"),
+    "effective_impedance-spectral-omega": (lambda: effective_impedance(_FIG2, 0.5, 1e160, "spectral", 8), "omega^2"),
+    "effective_impedance-exact-k": (lambda: effective_impedance(_FIG2, 1e160, 0.5), "k^2"),
+    "effective_impedance-spectral-k": (lambda: effective_impedance(_FIG2, 1e160, 0.5, "spectral", 8), "k^2"),
+    # c = 100: k^2 is finite, (c k)^2 is not
+    "effective_impedance-exact-ck": (
+        lambda: effective_impedance(homogeneous(1e4, 1.0), 1e153, 0.5),
+        "<G> k^2 + <rho> omega^2",
+    ),
+    "assemble": (lambda: assemble(_FIG2, 1e160, 8).eigenvalues, "k^2"),
+    "assemble-float64": (lambda: assemble(_FIG2, np.float64(1e160), 8).eigenvalues, "k^2"),
+    "responses-exact": (lambda: responses(_FIG2, 0.5, 1e200, ("monopole", "dipole"), "exact"), "omega^2"),
+    "dynamic_identity_residuals": (lambda: dynamic_identity_residuals(_FIG2, 0.5, 1e160), "omega^2"),
+}
+
+
+@pytest.mark.parametrize("entry", list(OVERFLOW_ENTRY_POINTS))
+def test_entry_points_reject_a_point_whose_square_overflows(entry: str) -> None:
+    # no OverflowError, LinAlgError, RuntimeWarning or silent NaN
+    call, quantity = OVERFLOW_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"^{re.escape(quantity)} must be finite"):
+            call()
 
 
 def test_resolvent_solve_fails_closed_on_a_nan_residual() -> None:

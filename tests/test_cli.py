@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from test_dispersion import HIGH_CONTRAST, resolved_cells
 from willis_homog.asymptotics import homogenize
 from willis_homog import cli, willis
 from willis_homog.cli import build_config, build_verification_report, main
-from willis_homog.dispersion import exact_branch
+from willis_homog.dispersion import exact_branch, order2_branch
 from willis_homog.errors import ConfigError
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_to_dict
 from willis_homog.spectral import DEFAULT_ORDER
@@ -76,6 +77,17 @@ def test_dispersion_is_deterministic(tmp_path: Path) -> None:
     assert (a / "dispersion.csv").read_bytes() == (b / "dispersion.csv").read_bytes()
     svg = (a / "dispersion.svg").read_text()
     assert svg.startswith("<svg") or svg.startswith("<?xml")
+
+
+def test_dispersion_ends_the_order2_branch_where_its_polynomial_overflows(tmp_path: Path) -> None:
+    # k**4 overflows past k ~ 1e77: the order-2 branch terminates there, like past its radicand's zero
+    cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "k_range": [0, 1e160, 4]})
+    assert main(["dispersion", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "dispersion.csv").read_text().splitlines()
+    branches = [line.split(",")[1] for line in lines if not line.startswith("#")][1:]
+    assert branches.count("exact") == branches.count("quasistatic") == 4 and branches.count("order2") == 1
+    _, coeffs = homogenize(bilaminate(0.1, 0.1), method="exact")
+    assert order2_branch(coeffs, [0.0, 2.5e159, 5e159]).terminated_at == 2.5e159
 
 
 def test_modulation_map_of_uniform_cell_is_constant(tmp_path: Path) -> None:
@@ -191,13 +203,21 @@ def test_low_truncation_order_is_config_error(tmp_path: Path) -> None:
     assert main(["coeffs", "--config", cfg]) == 2
 
 
-def test_resonant_probe_is_numerical_error(tmp_path: Path, capsys) -> None:
+def test_resonant_probe_fails_the_exact_dynamic_group(tmp_path: Path, capsys) -> None:
+    # the exact dynamic group fails like every other group: a report, not exit 3
     cfg = write_config(
         tmp_path / "c.json",
         {"cell": {"bilaminate": [0.1, 0.1]}, "probe": [0.5, 0.285462817057]},
     )
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert "numerical error" in capsys.readouterr().err
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verification.json").read_text())
+    assert report["passed"] is False
+    failed = [c for c in report["checks"] if c["name"] == "dynamic" and c["route"] == "exact"]
+    assert [c["residual"] for c in failed] == [float("inf")] and failed[0]["passed"] is False
+    assert not [c for c in report["checks"] if c["name"].startswith("dynamic/") and c["route"] == "exact"]
+    err = capsys.readouterr().err
+    assert "numerical error" not in err
+    assert "check dynamic (exact) could not run: (k, omega) = (0.5, 0.285462817057) lies on a Bloch branch" in err
 
 
 def test_verify_passes_on_reference_cell(tmp_path: Path, capsys) -> None:
@@ -300,21 +320,31 @@ def test_non_finite_probe_is_config_error(tmp_path: Path, capsys, probe) -> None
 @pytest.mark.parametrize(
     "probe,reason",
     [
-        ([0.0, 0.1], "k != 0 (mod 2 pi)"),
-        ([6.283185307179586, 0.1], "k != 0 (mod 2 pi)"),
-        ([1e-13, 0.1], "k != 0 (mod 2 pi)"),
-        ([0.5, 1e160], "k^2 and omega^2 must be finite"),
+        ([0.0, 0.1], "undefined at k = 0"),
+        ([6.283185307179586, 0.1], "undefined at k = 0"),
+        ([1e-13, 0.1], "undefined at k = 0"),
+        ([0.5, 1e160], "omega^2 must be finite, got 1e+160"),
     ],
     ids=["k=0", "k=2pi", "k=1e-13", "omega^2-overflows"],
 )
 def test_probe_outside_the_dynamic_identities_is_config_error(tmp_path: Path, capsys, probe, reason: str) -> None:
     # the identities divide by k, the rule of the static dipole's k = 0 check,
-    # and square k and omega; neither is a numerical failure (exit 3) or a traceback
+    # and square k and omega (willis.require_identity_point); neither is a
+    # numerical failure (exit 3) or a traceback
     cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "probe": probe})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("config error: config field 'probe': ") and reason in line
     assert not (tmp_path / "verification.json").exists()
+
+
+def test_probe_far_from_k_0_mod_2pi_runs() -> None:
+    # k mod 2 pi comes from libm's exact reduction: 2 pi 1e6 lies 4.46e-10 off
+    # the kernel and 1e17 2.66 off, where k - 2 pi rint(k / 2 pi) read both as 0
+    cell = bilaminate(0.1, 0.1)
+    for k in (2.0 * math.pi * 1e6, 1e17):
+        assert build_config({"cell": {"bilaminate": [0.1, 0.1]}, "probe": [k, 0.1]}).probe == (k, 0.1)
+    assert build_verification_report(cell, 16, (2.0 * math.pi * 1e6, 0.1)).passed
 
 
 def test_zero_frequency_probe_is_config_error(tmp_path: Path, capsys) -> None:

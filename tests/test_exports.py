@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import importlib.util
@@ -38,6 +39,20 @@ def test_cli_imports_no_third_party_module_but_numpy() -> None:
     added = set(roots.split()) - set(sys.stdlib_module_names) - {"numpy", "willis_homog"}
     assert not added, f"import willis_homog.cli loads {sorted(added)}"
     assert polynomial_loaded == "False", "import willis_homog.cli loads numpy.polynomial"
+
+
+def test_cli_imports_no_private_name_from_the_package() -> None:
+    # the CLI reads the library's rules (as willis.require_identity_point), it does not
+    # copy them; its own drawing module ._svg is private, the names it takes are not
+    tree = ast.parse((Path(willis_homog.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("willis_homog"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private, f"willis_homog/cli.py imports private names {private}"
 
 
 def test_benchmark_tracer_targets_exist() -> None:

@@ -17,6 +17,7 @@ from willis_homog.willis import (
     effective_impedance,
     effective_parameters,
     impedance_from_parameters,
+    require_identity_point,
 )
 
 BILAMINATE = bilaminate(0.1, 0.1)
@@ -248,3 +249,52 @@ def test_exact_identities_hold_at_any_contrast(cell: UnitCell1D) -> None:
     residuals = dynamic_identity_residuals(cell, k, omega)
     worst = max(residuals, key=residuals.get)
     assert residuals[worst] <= 1e-8, (worst, residuals[worst], cell_digest(cell))
+
+
+@pytest.mark.parametrize(
+    "k,omega,error,match",
+    [
+        (0.0, 0.1, ResonanceError, "undefined at k = 0"),
+        (2.0 * np.pi, 0.1, ResonanceError, "undefined at k = 0"),
+        (1e-13, 0.1, ResonanceError, "undefined at k = 0"),
+        (0.0, 0.0, ValidationError, "^the Willis parameters need omega != 0, got 0.0$"),
+        (0.0, 1e160, ValidationError, r"^omega\^2 must be finite, got 1e\+160$"),
+        (np.nan, 0.0, ValidationError, "^k must be finite, got nan$"),
+    ],
+    ids=["k=0", "k=2pi", "k=1e-13", "omega=0-before-k", "omega^2-before-k", "k-nan-before-omega"],
+)
+def test_identity_point_domain_is_checked_in_order(k: float, omega: float, error: type, match: str) -> None:
+    # the squares, then omega != 0, then k != 0 (mod 2 pi)
+    with pytest.raises(error, match=match):
+        require_identity_point(BILAMINATE, k, omega)
+
+
+@pytest.mark.parametrize("k", [2.0 * np.pi * 1e6, 1e17, -1e20])
+def test_identity_point_domain_reads_k_mod_2pi_from_libm(k: float) -> None:
+    assert require_identity_point(BILAMINATE, k, 0.1) is None
+
+
+@pytest.mark.parametrize("method", ["exact", "spectral"])
+@pytest.mark.parametrize(
+    "omega,match",
+    [(0.0, "^the Willis parameters need omega != 0"), (1e160, r"^omega\^2 must be finite")],
+    ids=["omega=0", "omega^2-overflows"],
+)
+def test_identity_residuals_refuse_the_point_before_any_solve(monkeypatch, method: str, omega: float, match: str) -> None:
+    solves = []
+
+    def spy(solver):
+        def wrapped(*args, **kwargs):
+            solves.append(solver.__name__)
+            return solver(*args, **kwargs)
+
+        return wrapped
+
+    # the exact responses end in exact._solve, the spectral ones in resolvent_solve
+    monkeypatch.setattr(exact, "_solve", spy(exact._solve))
+    monkeypatch.setattr(cell_functions, "resolvent_solve", spy(cell_functions.resolvent_solve))
+    with pytest.raises(ValidationError, match=match):
+        dynamic_identity_residuals(BILAMINATE, 0.5, omega, method=method, order=16)
+    assert solves == []
+    dynamic_identity_residuals(BILAMINATE, 0.5, 0.2, method=method, order=16)
+    assert solves, "the spy sees no solve of this route"
