@@ -9,6 +9,7 @@ Subpackage map:
 - ``asymptotics``: static corrector chain, expansion coefficients,
   second-order impedance and source-modulation factor
 - ``dispersion``: exact/asymptotic acoustic-branch cross-validation
+- ``verify``: the verification report, one table of check groups
 - ``cli``: command line front end (``willis-homog``)
 """
 

@@ -1,5 +1,5 @@
 """Command-line surface: coefficients, dispersion curves, polynomial maps,
-and the verification runner.
+and the verification report (:mod:`~willis_homog.verify`).
 
 Exit codes: 0 success; 1 verification failure; 2 usage or config error (a
 bad command line, an invalid or unreadable --config, an --out that cannot be
@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,25 +19,9 @@ import numpy as np
 
 from . import __version__
 from ._svg import Frame, axes, document, heat_cells, legend, polyline
-from .asymptotics import (
-    dipole_mean_n2,
-    homogenize,
-    identity_suite,
-    modulation_m2,
-    two_scale_impedance,
-    two_scale_root,
-    willis_impedance_order2,
-)
-from .cell_functions import responses
-from .dispersion import (
-    ROOT_BRACKET,
-    exact_branch,
-    order2_branch,
-    quasistatic_branch,
-    spectral_acoustic_branch,
-    willis_exact_root,
-)
-from .errors import ConfigError, NumericalError, WillisHomogError
+from .asymptotics import homogenize, modulation_m2, two_scale_impedance
+from .dispersion import exact_branch, order2_branch, quasistatic_branch
+from .errors import ConfigError, WillisHomogError
 from .material import (
     UnitCell1D,
     bilaminate,
@@ -47,20 +30,13 @@ from .material import (
     cell_to_dict,
     homogeneous,
 )
-from .spectral import BRANCH_RTOL, DEFAULT_ORDER, MIN_ORDER
+from .spectral import DEFAULT_ORDER, MIN_ORDER
+# build_verification_report is bound here because perfbench/tracer.py wraps it
+# as cli.build_verification_report
+from .verify import TOLERANCES, build_verification_report
 # effective_impedance is bound here, unused, because perfbench/selftest.py
 # checks that the tracer wraps it at this binding site too
-from .willis import dynamic_identity_residuals, effective_impedance, impedance_from_mean, require_identity_point  # noqa: F401
-
-#: verify's thresholds, one per check group; every CSV header records them
-_DEFAULT_TOLERANCES = {
-    "exact": 1e-8,
-    "spectral": 1e-5,
-    "triangle": ROOT_BRACKET,
-    "polynomial_match": 1e-8,
-    "root_construction": 1e-10,
-    "root_dual_route": 1e-9,
-}
+from .willis import effective_impedance, require_identity_point  # noqa: F401
 
 #: the config's basis_n when it sets none.  Every CSV header records it, and
 #: the preset CSVs are pinned byte for byte, so it keeps the value they were
@@ -245,7 +221,7 @@ def _csv_header(config: RunConfig) -> list[str]:
         f"# willis-homog {__version__}",
         f"# cell: {cell_digest(config.cell)} {json.dumps(cell_to_dict(config.cell), separators=(',', ':'))}",
         f"# basis_n: {config.basis_n}",
-        f"# tolerances: {json.dumps(_DEFAULT_TOLERANCES, sort_keys=True, separators=(',', ':'))}",
+        f"# tolerances: {json.dumps(TOLERANCES, sort_keys=True, separators=(',', ':'))}",
     ]
 
 
@@ -410,186 +386,8 @@ def cmd_impedance_map(config: RunConfig, out: Path) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    route: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.residual <= self.tolerance)
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Named residual checks; overall pass iff every check passes."""
-
-    version: str
-    digest: str
-    basis_n: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "digest": self.digest,
-            "basis_n": self.basis_n,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "route": c.route,
-                    "residual": float(c.residual),
-                    "tolerance": float(c.tolerance),
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
-
-    def table(self) -> str:
-        lines = [f"{'check':52s} {'route':9s} {'residual':>12s} {'tolerance':>10s}  status"]
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(
-                f"{c.name:52s} {c.route:9s} {c.residual:12.3e} {c.tolerance:10.1e}  {status}"
-            )
-        n_fail = sum(not c.passed for c in self.checks)
-        verdict = "PASS" if self.passed else f"FAIL ({n_fail} failing)"
-        lines.append(f"overall: {verdict} ({len(self.checks)} checks)")
-        return "\n".join(lines)
-
-
-@contextmanager
-def _check_group(checks: list[CheckResult], name: str, route: str, tolerance: float):
-    """Record a NumericalError inside the block as one failing check named ``name``."""
-    try:
-        yield
-    except NumericalError as exc:
-        print(f"check {name} ({route}) could not run: {exc}", file=sys.stderr)
-        checks.append(CheckResult(name, route, math.inf, tolerance))
-
-
-def build_verification_report(
-    cell: UnitCell1D,
-    basis_n: int = DEFAULT_ORDER,
-    probe: tuple[float, float] | None = None,
-) -> VerificationReport:
-    """Run the dynamic, static, dispersion and polynomial check suites.
-
-    A dynamic, static, triangle or polynomial check group that raises
-    NumericalError becomes one failing check with residual inf, and the
-    report goes on; each triangle check is a group of its own.  The exact
-    branch omega_1 at k = 0.5 and 1.5 comes first; the triangle tests the
-    sign change of exact Z across it, and the dynamic checks run at the
-    caller's ``probe``, by default at (0.5, 0.7 omega_1(0.5)), below the
-    lowest branch.  So a probe on a Bloch branch fails the dynamic groups.
-    """
-    tol = _DEFAULT_TOLERANCES
-    checks: list[CheckResult] = []
-    k_triangle = (0.5, 1.5)
-    w_exact = exact_branch(cell, np.array(k_triangle)).omega
-    k_probe, w_probe = probe or (k_triangle[0], 0.7 * float(w_exact[0]))
-    coeffs = None
-
-    for route in ("exact", "spectral"):
-        route_tol = tol[route]
-        with _check_group(checks, "dynamic", route, route_tol):
-            dyn = dynamic_identity_residuals(cell, k_probe, w_probe, method=route, order=basis_n)
-            for name, value in dyn.items():
-                checks.append(CheckResult(f"dynamic/{name}", route, float(value), route_tol))
-        with _check_group(checks, "static", route, route_tol):
-            fields, coeffs_route = homogenize(cell, method=route, order=basis_n)
-            if route == "exact":
-                coeffs = coeffs_route
-            static = identity_suite(cell, fields, coeffs_route)
-            for name, value in static.items():
-                checks.append(CheckResult(f"static/{name}", route, float(value), route_tol))
-
-    # oracle triangle at two wavenumbers
-    for k, w_branch in zip(k_triangle, w_exact):
-        name = f"triangle/impedance_root_k={k:g}"
-        with _check_group(checks, name, "exact", tol["triangle"]):
-            w_root = willis_exact_root(cell, k, w_branch)
-            checks.append(CheckResult(name, "exact", abs(w_branch - w_root) / w_branch, tol["triangle"]))
-        name = f"triangle/spectral_branch_k={k:g}"
-        with _check_group(checks, name, "spectral", BRANCH_RTOL):
-            w_spec = spectral_acoustic_branch(cell, np.array([k]), order=basis_n).omega[0]
-            checks.append(CheckResult(name, "spectral", abs(w_spec - w_branch) / w_branch, BRANCH_RTOL))
-
-    with _check_group(checks, "polynomial", "exact", tol["polynomial_match"]):
-        if coeffs is None:
-            raise NumericalError("no exact coefficient table: the exact static chain failed")
-        # polynomial observables against the exact oracle in the long-wave window
-        eps = 0.02
-        kk, ww = eps, 0.3 * eps * cell.c0
-        mean_w, mean_v = (r.mean for r in responses(cell, kk, ww, ("monopole", "dipole"), "exact"))
-        z_exact = impedance_from_mean(mean_w, cell, kk, ww)
-        z2 = willis_impedance_order2(coeffs, kk, ww, route="modulated")
-        checks.append(
-            CheckResult(
-                "polynomial/impedance_matches_oracle",
-                "exact",
-                abs(z_exact - z2) / abs(z_exact),
-                tol["polynomial_match"],
-            )
-        )
-        cal = two_scale_impedance(coeffs, kk, ww)
-        n2 = dipole_mean_n2(coeffs, kk, ww)
-        checks.append(
-            CheckResult(
-                "polynomial/dipole_matches_oracle",
-                "exact",
-                abs(cal * mean_v - n2) / abs(n2),
-                tol["polynomial_match"],
-            )
-        )
-
-        # zero-level co-location of the two impedance routes at two-scale roots
-        worst_a = worst_b = 0.0
-        for k in np.geomspace(2e-5, 1.2e-4, 20):
-            w = two_scale_root(coeffs, float(k))
-            scale = (
-                abs(coeffs.mu0) * k**2
-                + abs(coeffs.rho0) * w**2
-                + abs(coeffs.mu2) * k**4
-                + abs(coeffs.rho2) * k**2 * w**2
-            )
-            za = willis_impedance_order2(coeffs, k, w, route="modulated")
-            zb = willis_impedance_order2(coeffs, k, w, route="mean")
-            worst_a = max(worst_a, abs(za) / scale)
-            worst_b = max(worst_b, abs(za - zb) / scale)
-        checks.append(
-            CheckResult("polynomial/root_construction", "exact", worst_a, tol["root_construction"])
-        )
-        checks.append(
-            CheckResult("polynomial/root_dual_route", "exact", worst_b, tol["root_dual_route"])
-        )
-
-    return VerificationReport(
-        version=__version__,
-        digest=cell_digest(cell),
-        basis_n=basis_n,
-        checks=tuple(checks),
-    )
-
-
 def cmd_verify(config: RunConfig, out: Path) -> int:
-    report = build_verification_report(
-        config.cell,
-        basis_n=config.verify_n,
-        probe=config.probe,
-    )
+    report = build_verification_report(config.cell, basis_n=config.verify_n, probe=config.probe)
     print(report.table())
     (out / "verification.json").write_text(
         json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -287,9 +287,12 @@ def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
     order : int
         Truncation half-order N; the basis holds 2N+1 modes.
 
-    A non-finite k raises ValidationError.
+    A k whose square, or <G> k^2 (``UnitCell1D.impedance_scale``), is not finite raises
+    ValidationError.
     """
     _require_finite(k=k)
+    if cell.impedance_scale(k, 0.0) == np.inf:
+        raise ValidationError(f"<G> k^2 must be finite, got k = {float(k)!r}")
     order = check_order(order)
     inv_G_hat, rho_hat = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
     G_matrix = toeplitz_inverse(inv_G_hat.coeffs[2 * order :])

@@ -141,8 +141,7 @@ def parameters_from_averages(
     """
     if route not in ROUTES:
         raise ValidationError(f"route must be one of {ROUTES}, got {route!r}")
-    if omega == 0:
-        raise ValidationError("constitutive parameters need omega != 0")
+    _require_parameter_point(k, omega)
     Z = impedance_from_mean(w.mean, cell, k, omega)
     mv, mrw, mrv, mfw, mfv = v.mean, w.mean_rho, v.mean_rho, w.mean_flux, v.mean_flux
     ik, iom = 1j * k, 1j * omega
@@ -175,6 +174,8 @@ def effective_parameters(
     method: str = "exact",
     order: int = DEFAULT_ORDER,
 ) -> EffectiveParameters:
+    """The Willis parameters of ``cell`` at (k, omega); the point is checked before any solve."""
+    _require_parameter_point(k, omega)
     w, v = responses(cell, k, omega, ("monopole", "dipole"), method, order)
     return parameters_from_averages(cell, w, v, k, omega, route)
 
@@ -246,12 +247,18 @@ def classify_visibility(eigensystem: BlochEigensystem, branch: int) -> Visibilit
     )
 
 
-def require_identity_point(cell: UnitCell1D, k: float, omega: float) -> None:
-    """The domain of the dynamic identities and the Willis parameters: k and omega with finite
-    squares, then omega != 0 (else ValidationError), then k != 0 (mod 2 pi) (else ResonanceError)."""
+def _require_parameter_point(k: float, omega: float) -> None:
+    """The domain of the Willis parameters: k and omega with finite squares, then omega != 0
+    (else ValidationError).  They are defined at k = 0 (mod 2 pi); the identities are not."""
     _require_finite(k=k, omega=omega)
     if omega == 0:
         raise ValidationError(f"the Willis parameters need omega != 0, got {omega!r}")
+
+
+def require_identity_point(cell: UnitCell1D, k: float, omega: float) -> None:
+    """The domain of the dynamic identities: the Willis parameters' (finite squares, then
+    omega != 0; else ValidationError), then k != 0 (mod 2 pi) (else ResonanceError)."""
+    _require_parameter_point(k, omega)
     _require_nonzero_k(cell, k)
 
 

@@ -184,6 +184,11 @@ OVERFLOW_ENTRY_POINTS = {
         lambda: effective_impedance(homogeneous(1e4, 1.0), 1e153, 0.5),
         "<G> k^2 + <rho> omega^2",
     ),
+    "effective_impedance-spectral-ck": (
+        lambda: effective_impedance(homogeneous(1e4, 1.0), 1e153, 0.5, "spectral", 8),
+        "<G> k^2",
+    ),
+    "assemble-ck": (lambda: assemble(homogeneous(1e4, 1.0), 1e153, 8), "<G> k^2"),
     "assemble": (lambda: assemble(_FIG2, 1e160, 8).eigenvalues, "k^2"),
     "assemble-float64": (lambda: assemble(_FIG2, np.float64(1e160), 8).eigenvalues, "k^2"),
     "responses-exact": (lambda: responses(_FIG2, 0.5, 1e200, ("monopole", "dipole"), "exact"), "omega^2"),

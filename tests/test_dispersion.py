@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from willis_homog import dispersion, exact
 from willis_homog.asymptotics import homogenize
-from willis_homog.cli import build_verification_report
+from willis_homog.verify import build_verification_report
 from willis_homog.dispersion import (
     ROOT_BRACKET,
     ROOT_TOL,

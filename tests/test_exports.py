@@ -72,6 +72,8 @@ def test_benchmark_tracer_targets_exist() -> None:
     assert not missing, f"tracer targets missing from the package: {missing}"
     # perfbench/selftest.py checks that the tracer wraps this binding site
     assert sys.modules["willis_homog.cli"].effective_impedance is sys.modules["willis_homog.willis"].effective_impedance
+    # the tracer wraps verify's report as cli.build_verification_report
+    assert sys.modules["willis_homog.cli"].build_verification_report is sys.modules["willis_homog.verify"].build_verification_report
     operator = sys.modules["willis_homog.spectral"].BlochOperator
     assert isinstance(operator.__dict__.get("eigenvalues"), functools.cached_property)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from willis_homog import cell_functions, exact
+from willis_homog import cell_functions, exact, willis
 from willis_homog.dispersion import exact_branch
 from willis_homog.errors import ResonanceError, ValidationError
 from willis_homog.material import Phase, UnitCell1D, bilaminate, cell_digest, homogeneous
@@ -17,6 +17,7 @@ from willis_homog.willis import (
     effective_impedance,
     effective_parameters,
     impedance_from_parameters,
+    parameters_from_averages,
     require_identity_point,
 )
 
@@ -267,6 +268,27 @@ def test_identity_point_domain_is_checked_in_order(k: float, omega: float, error
     # the squares, then omega != 0, then k != 0 (mod 2 pi)
     with pytest.raises(error, match=match):
         require_identity_point(BILAMINATE, k, omega)
+
+
+def test_omega_zero_rule_is_stated_once(monkeypatch) -> None:
+    # the Willis parameters are defined at k = 0 (mod 2 pi), the identities are not;
+    # both refuse omega = 0 with one message, and effective_parameters before any solve
+    w, v = cell_functions.responses(BILAMINATE, 0.5, 0.2, ("monopole", "dipole"), "exact")
+    p = effective_parameters(BILAMINATE, 0.0, 0.3)
+    assert p.density.real > 0 and abs(p.coupling_strain) < 1e-15 * p.density.real
+    monkeypatch.setattr(willis, "responses", None)
+    calls = [
+        lambda: require_identity_point(BILAMINATE, 0.5, 0.0),
+        lambda: effective_parameters(BILAMINATE, 0.5, 0.0),
+        lambda: effective_parameters(BILAMINATE, 0.0, 0.0, method="spectral"),
+        lambda: parameters_from_averages(BILAMINATE, w, v, 0.5, 0.0),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"the Willis parameters need omega != 0, got 0.0"}
 
 
 @pytest.mark.parametrize("k", [2.0 * np.pi * 1e6, 1e17, -1e20])

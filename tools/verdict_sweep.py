@@ -24,7 +24,7 @@ import io
 import random
 from collections import Counter
 
-from willis_homog.cli import build_verification_report
+from willis_homog.verify import build_verification_report
 from willis_homog.errors import WillisHomogError
 from willis_homog.material import Phase, UnitCell1D, cell_digest
 
