@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._svg import Frame, axes, document, heat_cells, legend, polyline
+from ._svg import Frame, axes, document, heat_image, legend, polyline
 from .asymptotics import homogenize, modulation_m2, two_scale_impedance
 from .dispersion import exact_branch, order2_branch, quasistatic_branch
 from .errors import ConfigError, WillisHomogError
@@ -254,9 +254,9 @@ def _write_heat_maps(out: Path, config: RunConfig, k: np.ndarray, w: np.ndarray,
     dw = float(w[1] - w[0]) if w.size > 1 else 1.0
     frame = Frame(x_min=float(k[0]), x_max=float(k[-1]) + dk, y_min=float(w[0]), y_max=float(w[-1]) + dw)
     for name, values, flagged in maps:
-        body = heat_cells(frame, k, w, values, flagged=flagged) + axes(frame, "k", "omega")
+        body = [heat_image(values, flagged=flagged), *axes(frame, "k", "omega")]
         (out / name).write_text(
-            document(frame, body, name.removesuffix(".svg"), desc=cell_digest(config.cell)),
+            document(body, name.removesuffix(".svg"), desc=cell_digest(config.cell)),
             encoding="utf-8",
         )
     return ", ".join(str(out / name) for name, _, _ in maps)
@@ -326,12 +326,11 @@ def cmd_dispersion(config: RunConfig, out: Path) -> int:
         if branch.omega.size:
             body.append(polyline(frame, branch.k, branch.omega, colors[branch.label], dash=dash))
     body += legend(
-        frame,
         [(f"{lbl}: {br}", colors[br], "" if lbl == config.cell_label else "6,4")
          for lbl, b in curves for br in [b.label]],
     )
     (out / "dispersion.svg").write_text(
-        document(frame, body, "lowest dispersion branch", desc=cell_digest(config.cell)),
+        document(body, "lowest dispersion branch", desc=cell_digest(config.cell)),
         encoding="utf-8",
     )
     print(f"wrote {out / 'dispersion.csv'} and {out / 'dispersion.svg'}")

@@ -43,14 +43,18 @@ PRESET_OTHER_DIGESTS = {
     "coeffs": {"coeffs.json": "9266e848a397d51daf0db61ba9c83e459652bd1f530f3ebddb578ec773fc7754"},
     "dispersion": {"dispersion.svg": "a478a5b13fab0dbe5969d1672e86321d69e881f5a6f06b547acce704dd97705d"},
     "modulation-map": {
-        "modulation_re.svg": "95b61ab166881a4970a5edc481d015e013cc49d2cfdae2b6f5eb18b5c9f36f6c",
-        "modulation_abs.svg": "810f52902acb5adc612917cb3953345c71b5eb474393043cd35e24eb28784b7f",
+        "modulation_re.svg": "dd0c4934b0e7b8abc27e1394b11eed17268772b8020c3ff0e07634337529d938",
+        "modulation_abs.svg": "4361f24620fe87504135c1ec46ab81ddb9fbb8c398473a5bd57822189afc55b9",
     },
     "impedance-map": {
-        "impedance_z2.svg": "6bb81a50ac0e23d5b80c298d1a5d0e8366e7a4ea93e29fd9b9f89869f4e19f9f",
-        "impedance_cal.svg": "65e660fdab6ea17f2fa5ed04ae6a3aaad06662445811a4df79ba5163b36a92b8",
+        "impedance_z2.svg": "303e4efb1b49c0fc94773a1f4740ab17c0a354da7a07e08c4c062aef5cd9927d",
+        "impedance_cal.svg": "ed758d5dbbc1cd5d74f99e2e71c03c5851be7b8782960326304fafd05a708b62",
     },
 }
+
+
+#: the SVG namespace, as ElementTree prefixes tags
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def write_config(path: Path, data: dict) -> str:
@@ -89,6 +93,17 @@ def test_dispersion_ends_the_order2_branch_where_its_polynomial_overflows(tmp_pa
     assert branches.count("exact") == branches.count("quasistatic") == 4 and branches.count("order2") == 1
     _, coeffs = homogenize(bilaminate(0.1, 0.1), method="exact")
     assert order2_branch(coeffs, [0.0, 2.5e159, 5e159]).terminated_at == 2.5e159
+
+
+@pytest.mark.parametrize("k_range", [[0.5, 1, 1], [0, 1, 1]])
+def test_dispersion_of_one_k_draws(tmp_path: Path, k_range) -> None:
+    # one k is a zero k span; at k = 0 every branch is 0, a zero omega span too
+    cfg = write_config(tmp_path / "c.json", {"cell": {"bilaminate": [0.1, 0.1]}, "k_range": k_range})
+    assert main(["dispersion", "--config", cfg, "--out", str(tmp_path)]) == 0
+    root = ElementTree.parse(tmp_path / "dispersion.svg").getroot()
+    points = [line.get("points").split(",") for line in root.iter(f"{SVG}polyline")]
+    assert len(points) == 3
+    assert all(math.isfinite(float(x)) and math.isfinite(float(y)) for x, y in points)
 
 
 def test_modulation_map_of_uniform_cell_is_constant(tmp_path: Path) -> None:
@@ -602,7 +617,14 @@ def test_preset_svgs_and_coeffs_json_are_pinned(tmp_path: Path, command, preset)
     for name, digest in PRESET_OTHER_DIGESTS[command].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
     for svg in tmp_path.glob("*.svg"):
-        assert ElementTree.parse(svg).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+        root = ElementTree.parse(svg).getroot()
+        assert root.tag == f"{SVG}svg"
+        if command.endswith("-map"):
+            # the grid is one PNG image; the only rects are the page and the plot's outline
+            (image,) = root.iter(f"{SVG}image")
+            assert image.get("href").startswith("data:image/png;base64,")
+            assert len(list(root.iter(f"{SVG}rect"))) == 2
+            assert svg.stat().st_size <= 45_000
 
 
 def test_svg_text_is_escaped(tmp_path: Path) -> None:
@@ -612,7 +634,7 @@ def test_svg_text_is_escaped(tmp_path: Path) -> None:
     )
     assert main(["dispersion", "--config", cfg, "--out", str(tmp_path)]) == 0
     root = ElementTree.parse(tmp_path / "dispersion.svg").getroot()
-    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    texts = [t.text for t in root.iter(f"{SVG}text")]
     assert "A&B <x>: exact" in texts
 
 

@@ -1,14 +1,19 @@
-"""The column-wise CSV writer and the array-coloured heat map, compared byte
-for byte with the per-value code they replace, kept here as the reference."""
+"""The column-wise CSV writer, compared byte for byte with the per-value code
+it replaced, and the heat-map PNG, decoded here and compared pixel by pixel
+with the per-value colour ramp; both references are kept here."""
 
 from __future__ import annotations
 
+import base64
+import struct
+import xml.etree.ElementTree as ElementTree
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from willis_homog._svg import Frame, heat_cells
+from willis_homog._svg import HEIGHT, MARGIN, WIDTH, heat_image
 from willis_homog.cli import _grid_nodes, _write_csv
 
 # ---------------------------------------------------------------------------
@@ -49,33 +54,75 @@ def _diverging(t: float) -> str:
     return f"rgb({int(r)},{int(g)},{int(b)})"
 
 
-def _reference_heat_cells(frame: Frame, xs, ys, values, flagged=None) -> list[str]:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+def _reference_colours(values, flagged=None) -> list[list[str]]:
+    """colour of node (i, j): grey where flagged or non-finite, else _diverging(value / vmax)."""
     vals = np.asarray(values, dtype=float)
     finite = np.isfinite(vals)
     vmax = float(np.max(np.abs(vals[finite]))) if np.any(finite) else 1.0
     vmax = vmax or 1.0
-    dx = xs[1] - xs[0] if xs.size > 1 else (frame.x_max - frame.x_min)
-    dy = ys[1] - ys[0] if ys.size > 1 else (frame.y_max - frame.y_min)
     bad = ~finite if flagged is None else ~finite | np.asarray(flagged, dtype=bool)
-    scaled = np.where(finite, vals, 0.0) / vmax
-    y_attrs = []
-    for y in ys:
-        y1 = frame.py(y + dy)
-        y_attrs.append((f"{y1:.2f}", f"{frame.py(y) - y1:.2f}"))
-    out = []
-    for i, x in enumerate(xs):
-        x0 = frame.px(x)
-        w = f"{frame.px(x + dx) - x0:.2f}"
-        x0 = f"{x0:.2f}"
-        for (y1, h), t, is_bad in zip(y_attrs, scaled[i].tolist(), bad[i].tolist()):
-            color = "rgb(128,128,128)" if is_bad else _diverging(t)
-            out.append(
-                f'<rect x="{x0}" y="{y1}" width="{w}" height="{h}"'
-                f' fill="{color}" stroke="none"/>'
-            )
-    return out
+    return [
+        ["rgb(128,128,128)" if b else _diverging(v / vmax) for v, b in zip(row, bad_row)]
+        for row, bad_row in zip(vals.tolist(), bad.tolist())
+    ]
+
+
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def _png_chunks(png: bytes) -> list[tuple[bytes, bytes]]:
+    """(type, data) of every chunk, each CRC checked."""
+    assert png[:8] == PNG_SIGNATURE
+    chunks, pos = [], 8
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos : pos + 4])
+        tag, data = png[pos + 4 : pos + 8], png[pos + 8 : pos + 8 + length]
+        (crc,) = struct.unpack(">I", png[pos + 8 + length : pos + 12 + length])
+        assert crc == zlib.crc32(tag + data), tag
+        chunks.append((tag, data))
+        pos += 12 + length
+    assert pos == len(png)
+    return chunks
+
+
+def _decode_png(png: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """(rows, columns, 3) pixels of an 8-bit RGB PNG of ``shape`` = (columns, rows)."""
+    chunks = _png_chunks(png)
+    tags = [tag for tag, _ in chunks]
+    assert tags[0] == b"IHDR" and tags[-1] == b"IEND" and set(tags) == {b"IHDR", b"IDAT", b"IEND"}
+    # width, height, bit depth 8, colour type 2 (RGB), deflate, filter method 0, no interlace
+    assert struct.unpack(">IIBBBBB", chunks[0][1]) == (*shape, 8, 2, 0, 0, 0)
+    raw = zlib.decompress(b"".join(data for tag, data in chunks if tag == b"IDAT"))
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(shape[1], 1 + 3 * shape[0])
+    assert not rows[:, 0].any()  # filter type 0 on every row
+    return rows[:, 1:].reshape(shape[1], shape[0], 3)
+
+
+def _heat_png(values, flagged=None) -> bytes:
+    """The PNG of heat_image, its <image> checked to cover the plot area."""
+    image = ElementTree.fromstring(heat_image(values, flagged=flagged))
+    scheme, data = image.attrib.pop("href").split(",")
+    assert scheme == "data:image/png;base64"
+    assert image.tag == "image" and image.attrib == {
+        "x": str(MARGIN),
+        "y": str(MARGIN),
+        "width": str(WIDTH - 2 * MARGIN),
+        "height": str(HEIGHT - 2 * MARGIN),
+        "preserveAspectRatio": "none",
+        "style": "image-rendering:pixelated",
+    }
+    return base64.b64decode(data, validate=True)
+
+
+def _assert_pixels_match(values, flagged=None) -> np.ndarray:
+    pixels = _decode_png(_heat_png(values, flagged), values.shape)
+    expected = _reference_colours(values, flagged)
+    # x (axis 0) runs left to right, y (axis 1) bottom to top
+    for i, column in enumerate(expected):
+        for j, colour in enumerate(column):
+            r, g, b = pixels[-1 - j, i].tolist()
+            assert f"rgb({r},{g},{b})" == colour, (i, j)
+    return pixels
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +157,11 @@ GRIDS = {
 }
 
 
-def _axes_for(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, Frame]:
-    xs = np.linspace(0.0, 2.0 * np.pi, shape[0], endpoint=False)
-    ys = np.linspace(-1.0, 3.0, shape[1], endpoint=False)
-    dx = xs[1] - xs[0] if xs.size > 1 else 1.0
-    dy = ys[1] - ys[0] if ys.size > 1 else 1.0
-    return xs, ys, Frame(float(xs[0]), float(xs[-1]) + dx, float(ys[0]), float(ys[-1]) + dy)
+def _axes_for(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.linspace(0.0, 2.0 * np.pi, shape[0], endpoint=False),
+        np.linspace(-1.0, 3.0, shape[1], endpoint=False),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +171,7 @@ def _axes_for(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, Frame]:
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_grid_csv_matches_per_value_rows(tmp_path: Path, name: str) -> None:
     values = GRIDS[name]
-    xs, ys, _ = _axes_for(values.shape)
+    xs, ys = _axes_for(values.shape)
     flags = np.random.default_rng(len(name)).random(values.shape) < 0.5
     counts = np.arange(values.size, dtype=np.int64).reshape(values.shape) - 3
     header = ["# a header", "# tolerances: {}"]
@@ -168,23 +214,30 @@ def test_csv_of_python_scalars_and_an_empty_table(tmp_path: Path) -> None:
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 @pytest.mark.parametrize("flagged", ["none", "random", "all"])
-def test_heat_cells_match_per_cell_colours(name: str, flagged: str) -> None:
+def test_heat_image_pixels_match_per_node_colours(name: str, flagged: str) -> None:
     values = GRIDS[name]
-    xs, ys, frame = _axes_for(values.shape)
     flags = {
         "none": None,
         "random": np.random.default_rng(values.size).random(values.shape) < 0.3,
         "all": np.ones(values.shape, dtype=bool),
     }[flagged]
-    assert heat_cells(frame, xs, ys, values, flagged=flags) == _reference_heat_cells(
-        frame, xs, ys, values, flagged=flags
-    )
+    _assert_pixels_match(values, flags)
 
 
-def test_heat_cells_cover_the_whole_ramp() -> None:
+def test_heat_image_covers_the_whole_ramp() -> None:
     # t = value / 1.5 runs finely through [-1, 1], both zeros and both ends included
     values = np.concatenate([np.linspace(-1.5, 1.5, 3001), [-0.0, 0.0, -1.0, 1.0]])[None, :]
-    xs, ys, frame = _axes_for(values.shape)
-    new = heat_cells(frame, xs, ys, values)
-    assert new == _reference_heat_cells(frame, xs, ys, values)
-    assert len({cell.split('fill="')[1] for cell in new}) > 500
+    pixels = _assert_pixels_match(values)
+    assert len(np.unique(pixels.reshape(-1, 3), axis=0)) > 500
+
+
+def test_heat_image_pixel_data_is_stored_deflate_blocks() -> None:
+    # 160 x 160 RGB rows are 77,000 bytes: two stored blocks of at most 65,535
+    values = _grid((160, 160), 31)
+    _assert_pixels_match(values)
+    (idat,) = [data for tag, data in _png_chunks(_heat_png(values)) if tag == b"IDAT"]
+    raw = 160 * (1 + 3 * 160)
+    # zlib header, one 5-byte header per block, the raw bytes, adler32
+    assert idat[:2] == b"\x78\x01" and len(idat) == 2 + 2 * 5 + raw + 4
+    assert idat[2] == 0 and idat[2 + 5 + 65535] == 1  # BTYPE 00; BFINAL only on the last block
+    assert idat[-4:] == struct.pack(">I", zlib.adler32(zlib.decompress(idat)))
