@@ -18,7 +18,7 @@ from .asymptotics import HomogCoefficients, two_scale_root
 from .errors import NumericalError, ValidationError
 from .exact import dispersion_function
 from .material import UnitCell1D, cell_digest
-from .spectral import DEFAULT_ORDER, assemble, check_order
+from .spectral import DEFAULT_ORDER, _lowest_eigenvalues, check_order
 from .willis import effective_impedance
 
 __all__ = [
@@ -201,24 +201,29 @@ def spectral_acoustic_branch(
 ) -> DispersionBranch:
     """Acoustic branch from the lowest Galerkin eigenvalue per wavenumber.
 
-    The eigenvalues come from the graded reduced pencil
-    (``BlochOperator.eigenvalues``), whose lowest one is accurate relative
-    to itself.  Where cos k = 1 within 1e-15 the branch is 0, as in
-    :func:`exact_branch`; elsewhere a lowest eigenvalue <= 0 raises
-    NumericalError.  A non-finite k or an invalid order raises ValidationError.
+    The eigenvalues come from the compliance pencil
+    (``spectral._lowest_eigenvalues``): lam_1 = 1 / mu_max of
+    C = M^H T(1/G) M, M = K^{-1} L with B = L L^H, which is accurate relative
+    to itself at any contrast.  T(1/G), B and L are formed once per call for
+    the whole grid.  Where cos k = 1 within 1e-15 the branch is 0, as in
+    :func:`exact_branch`, and nothing is formed; elsewhere a lowest eigenvalue
+    <= 0 raises NumericalError, and so does a mass matrix that is not
+    positive definite.  A non-finite k or an invalid order raises
+    ValidationError.
     """
     k_grid, order = _finite_k(k_grid), check_order(order)
     omegas = np.zeros(k_grid.size)
-    for i, (k, cos_k) in enumerate(zip(k_grid.tolist(), np.cos(k_grid).tolist())):
-        if _cos_k_is_one(cos_k):
-            continue
-        lam = float(assemble(cell, k, order).eigenvalues[0])
-        if not lam > 0.0:
-            raise NumericalError(
-                f"spectral_acoustic_branch eigenvalue: lowest lam = {lam:.3e} is not positive "
-                f"at k = {k!r}, N = {order} in cell {cell_digest(cell)}"
-            )
-        omegas[i] = np.sqrt(lam)
+    todo = np.flatnonzero(~_cos_k_is_one(np.cos(k_grid)))
+    if todo.size:
+        ks = k_grid[todo].tolist()
+        lam = _lowest_eigenvalues(cell, ks, order)
+        for k, lam_k in zip(ks, lam.tolist()):
+            if not lam_k > 0.0:
+                raise NumericalError(
+                    f"spectral_acoustic_branch eigenvalue: lowest lam = {lam_k:.3e} is not positive "
+                    f"at k = {k!r}, N = {order} in cell {cell_digest(cell)}"
+                )
+        omegas[todo] = np.sqrt(lam)
     return DispersionBranch(label="spectral_acoustic", k=k_grid, omega=omegas)
 
 

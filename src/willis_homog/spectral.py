@@ -27,7 +27,11 @@ eigenvalue lies above sigma, so one factorization certifies that a
 frequency is off resonance.  The spectrum (``eigenvalues``,
 ``solve_eigensystem``) comes from the pencil reduced by the Cholesky
 factor of B, graded so that the lowest eigenvalue is accurate relative to
-itself.
+itself.  The acoustic branch alone (``_lowest_eigenvalues``, behind
+``dispersion.spectral_acoustic_branch``) reads the compliance pencil: Li's
+rule makes the inverse of the stiffness free, A^{-1} = K^{-1} T(1/G) K^{-1},
+and the largest eigenvalue of that pencil, 1 / lam_1, comes out of a
+Hermitian eigensolver to roundoff relative to itself, at any contrast.
 """
 
 from __future__ import annotations
@@ -86,6 +90,16 @@ def _where(operator: "BlochOperator", omega_sq: float) -> str:
     return f"{at}, N = {operator.order}, cell {cell_digest(operator.cell)}"
 
 
+def _factor_mass(mass: np.ndarray, cell: UnitCell1D, k: float, order: int) -> np.ndarray:
+    """Cholesky factor L of the mass matrix, B = L L^H; NumericalError where
+    B is not positive definite in floating point."""
+    try:
+        return np.linalg.cholesky(mass)
+    except np.linalg.LinAlgError as exc:
+        where = f"k = {k!r}, N = {order}, cell {cell_digest(cell)}"
+        raise NumericalError(f"spectral eigenvalues: the mass matrix is not positive definite at {where}") from exc
+
+
 @dataclass(eq=False)
 class BlochOperator:
     """Assembled Galerkin matrices for one (cell, k, N) triple.
@@ -123,11 +137,7 @@ class BlochOperator:
         small eigenvalues accurate relative to themselves, not to ||A||.
         """
         p = self._by_wavenumber()
-        try:
-            L = np.linalg.cholesky(self.mass[np.ix_(p, p)])
-        except np.linalg.LinAlgError as exc:
-            where = f"k = {self.k!r}, N = {self.order}, cell {cell_digest(self.cell)}"
-            raise NumericalError(f"spectral eigenvalues: the mass matrix is not positive definite at {where}") from exc
+        L = _factor_mass(self.mass[np.ix_(p, p)], self.cell, self.k, self.order)
         C = np.linalg.solve(L, np.linalg.solve(L, self.stiffness[np.ix_(p, p)]).conj().T)
         return 0.5 * (C + C.conj().T), L, p
 
@@ -276,6 +286,41 @@ def check_order(order) -> int:
     raise ValidationError(f"order must be an integer >= {MIN_ORDER}, got {order!r}")
 
 
+def _require_wavenumber(cell: UnitCell1D, k: float) -> None:
+    """ValidationError unless k, its square and <G> k^2 (``UnitCell1D.impedance_scale``) are finite."""
+    _require_finite(k=k)
+    if cell.impedance_scale(k, 0.0) == np.inf:
+        raise ValidationError(f"<G> k^2 must be finite, got k = {float(k)!r}")
+
+
+def _lowest_eigenvalues(cell: UnitCell1D, ks: list[float], order: int) -> np.ndarray:
+    """Lowest eigenvalue of the pencil (A, B) of :func:`assemble` at each k of ``ks``.
+
+    Li's rule makes the inverse of the stiffness free, A^{-1} = K^{-1} T(1/G) K^{-1}
+    (K = diag(k_m), no k_m = 0 where cos k != 1).  With B = L L^H and M = K^{-1} L,
+    A c = lam B c reads C y = y / lam for the Hermitian C = M^H T(1/G) M and
+    y = L^H c, so lam_1 = 1 / mu_max(C).  A Hermitian eigensolver returns mu_max
+    to roundoff relative to itself, so lam_1 is accurate relative to itself at
+    any contrast, with no inverse and no triangular solve (J. Demmel et al.,
+    Linear Algebra Appl. 299 (1999) 21).  T(1/G), B and L do not depend on k,
+    so they are formed once for the whole list.  Each k is gated as in
+    :func:`assemble`; a mass matrix that is not positive definite raises
+    NumericalError naming the first k.
+    """
+    for k in ks:
+        _require_wavenumber(cell, k)
+    inv_G_hat, rho_hat = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
+    m = np.arange(-order, order + 1)
+    toeplitz = m[:, None] - m[None, :] + 2 * order
+    T, L = inv_G_hat.coeffs[toeplitz], _factor_mass(rho_hat.coeffs[toeplitz], cell, ks[0], order)
+    lam = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        M = L / (2.0 * np.pi * m + k)[:, None]
+        C = M.conj().T @ T @ M
+        lam[i] = 1.0 / np.linalg.eigvalsh(0.5 * (C + C.conj().T))[-1]
+    return lam
+
+
 def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
     """Build the Galerkin matrices at Bloch wavenumber k.
 
@@ -290,9 +335,7 @@ def assemble(cell: UnitCell1D, k: float, order: int) -> BlochOperator:
     A k whose square, or <G> k^2 (``UnitCell1D.impedance_scale``), is not finite raises
     ValidationError.
     """
-    _require_finite(k=k)
-    if cell.impedance_scale(k, 0.0) == np.inf:
-        raise ValidationError(f"<G> k^2 must be finite, got k = {float(k)!r}")
+    _require_wavenumber(cell, k)
     order = check_order(order)
     inv_G_hat, rho_hat = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
     G_matrix = toeplitz_inverse(inv_G_hat.coeffs[2 * order :])

@@ -17,6 +17,7 @@ from willis_homog.cell_functions import (
     solve_zeta,
     solve_zeta_exact,
 )
+from willis_homog.dispersion import spectral_acoustic_branch
 from willis_homog.errors import NumericalError, ResonanceError, ValidationError
 from willis_homog.exact import (
     _LOADS,
@@ -189,6 +190,8 @@ OVERFLOW_ENTRY_POINTS = {
         "<G> k^2",
     ),
     "assemble-ck": (lambda: assemble(homogeneous(1e4, 1.0), 1e153, 8), "<G> k^2"),
+    "spectral_acoustic_branch": (lambda: spectral_acoustic_branch(_FIG2, [0.5, 1e160], 8), "k^2"),
+    "spectral_acoustic_branch-ck": (lambda: spectral_acoustic_branch(homogeneous(1e4, 1.0), [1e153], 8), "<G> k^2"),
     "assemble": (lambda: assemble(_FIG2, 1e160, 8).eigenvalues, "k^2"),
     "assemble-float64": (lambda: assemble(_FIG2, np.float64(1e160), 8).eigenvalues, "k^2"),
     "responses-exact": (lambda: responses(_FIG2, 0.5, 1e200, ("monopole", "dipole"), "exact"), "omega^2"),

@@ -406,11 +406,12 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 
 #: sha256 of ``verify --preset fig2 --basis-n 16``'s verification.json, the
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
-#: Cholesky factorizations of the spectral branch, which moves the last
-#: digits of its two residuals with the thread count.  Re-pinned for one new
-#: entry, dynamic/route_agreement_responses (spectral, 6.577412184750528e-07);
-#: every other entry keeps its bytes
-VERIFICATION_N16_DIGEST = "ec266aa7ecb92ea23a5a3f7fff0124c33454c2d8a02a4d26d24c40ea9b9e12c1"
+#: factorizations of the spectral branch, which moves the last digits of its
+#: two residuals with the thread count.  Re-pinned when the branch moved to
+#: the compliance pencil: only triangle/spectral_branch_k=0.5
+#: (2.687996003235216e-07) and triangle/spectral_branch_k=1.5
+#: (1.7759440290234268e-06) moved; every other entry keeps its bytes
+VERIFICATION_N16_DIGEST = "6c5550af6d2ac2f68db84ca90432c6b24f3d73194bb92f098635b14f674d57bb"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -600,14 +600,25 @@ def test_branch_functions_reject_non_finite_input(call, match: str) -> None:
         call(bilaminate(0.1, 0.1))
 
 
-#: G = 1e-9 | 1e9 at unit density: the Galerkin pencil's lowest eigenvalue is
-#: lost to roundoff (about -5.6e11 at N = 32, -4.1e17 at N = 256) while the
-#: exact branch is 2.2e-5 at k = 0.5
+#: G = 1e-9 | 1e9 at unit density: the stiffness pencil A = K T(1/G)^{-1} K
+#: loses its lowest eigenvalue to roundoff (about -5.6e11 at N = 32, -4.1e17 at
+#: N = 256), the compliance pencil keeps it; the exact branch is 2.2e-5 at k = 0.5
 SPLIT_CONTRAST = UnitCell1D((Phase(0.5, 1e-9, 1.0), Phase(0.5, 1e9, 1.0)))
 
 
 @pytest.mark.parametrize("order", [32, 256])
-def test_spectral_branch_raises_on_a_non_positive_eigenvalue(order: int) -> None:
+def test_spectral_branch_of_a_split_contrast_cell_matches_the_exact_branch(order: int) -> None:
+    k = [0.5, 1.5]
+    w_exact = exact_branch(SPLIT_CONTRAST, k).omega
+    w = spectral_acoustic_branch(SPLIT_CONTRAST, k, order=order).omega
+    assert np.all(np.abs(w - w_exact) <= 1e-6 * w_exact), w
+
+
+@pytest.mark.parametrize("order", [32, 256])
+def test_spectral_branch_raises_on_a_non_positive_eigenvalue(monkeypatch, order: int) -> None:
+    # a negated spectrum of C makes 1 / mu_max negative
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda C: -eigvalsh(C))
     match = (
         rf"^spectral_acoustic_branch eigenvalue: lowest lam = -\S+ is not positive "
         rf"at k = 0\.5, N = {order} in cell {cell_digest(SPLIT_CONTRAST)}$"
@@ -616,13 +627,25 @@ def test_spectral_branch_raises_on_a_non_positive_eigenvalue(order: int) -> None
         spectral_acoustic_branch(SPLIT_CONTRAST, [0.5], order=order)
 
 
-def test_verify_reports_a_lost_spectral_branch_as_inf(capsys) -> None:
+def test_verify_passes_the_spectral_branch_of_a_split_contrast_cell(capsys) -> None:
     checks = {c.name: c for c in build_verification_report(SPLIT_CONTRAST, basis_n=32).checks}
-    err = capsys.readouterr().err
     for k in ("0.5", "1.5"):
-        assert checks[f"triangle/spectral_branch_k={k}"].residual == np.inf
+        assert checks[f"triangle/spectral_branch_k={k}"].passed, checks[f"triangle/spectral_branch_k={k}"]
         assert checks[f"triangle/impedance_root_k={k}"].passed
-        assert f"is not positive at k = {k}, N = 32" in err
+    assert "spectral_acoustic_branch" not in capsys.readouterr().err
+
+
+def test_spectral_branch_factors_the_mass_matrix_once_per_call(monkeypatch) -> None:
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    spectral_acoustic_branch(BILAMINATE, [0.5, 1.0, 1.5], order=32)
+    assert sizes == [65]
 
 
 def test_spectral_branch_is_zero_where_cos_k_is_one() -> None:

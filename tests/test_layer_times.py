@@ -20,6 +20,7 @@ LAYERS = [
     "homogenize exact",
     "homogenize spectral N=32",
     "branch root exact",
+    "branch root spectral N=8",
     "branch root spectral N=32",
 ]
 

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 import re
 from pathlib import Path
+
+import numpy as np
+
+from willis_homog import dispersion, spectral
+from willis_homog.dispersion import exact_branch, spectral_acoustic_branch
+from willis_homog.material import cell_digest
+from willis_homog.spectral import BRANCH_RTOL
 
 PATH = Path(__file__).parents[1] / "tools" / "verdict_sweep.py"
 SPEC = importlib.util.spec_from_file_location("verdict_sweep", PATH)
@@ -21,3 +29,29 @@ def test_sweep_reports_each_span_on_two_cells(capsys) -> None:
     assert all(re.fullmatch(r"  [0-9a-f]{12} exit [13]: \S.*", line) for line in lines if not line.startswith("span"))
     # the weakest contrast passes every check
     assert summaries[0] == "span 10^+-1: 0 of 2 exit 1, 0 exit 3"
+
+
+def widest_span_cells(count: int, cells_per_span: int = 120) -> list:
+    """The first ``count`` cells of the sweep's last span, as a run with
+    ``--cells cells_per_span`` draws them."""
+    rng = random.Random(verdict_sweep.SEED)
+    for span in verdict_sweep.SPANS[:-1]:
+        for _ in range(cells_per_span):
+            verdict_sweep.draw_cell(rng, span)
+    return [verdict_sweep.draw_cell(rng, verdict_sweep.SPANS[-1]) for _ in range(count)]
+
+
+def test_spectral_branch_meets_its_gate_on_the_widest_span(monkeypatch) -> None:
+    # G and rho spread over 1e16: the branch comes from the compliance pencil,
+    # so it forms neither the stiffness nor Li's inverse
+    def refuse(*args, **kwargs):
+        raise AssertionError("the branch formed the stiffness")
+
+    monkeypatch.setattr(spectral, "assemble", refuse)
+    monkeypatch.setattr(spectral, "toeplitz_inverse", refuse)
+    monkeypatch.setattr(dispersion, "assemble", refuse, raising=False)
+    k = [0.5, 1.5]
+    for cell in widest_span_cells(30):
+        w_exact = exact_branch(cell, k).omega
+        w = spectral_acoustic_branch(cell, k, order=32).omega
+        assert np.all(np.abs(w - w_exact) <= BRANCH_RTOL * w_exact), cell_digest(cell)

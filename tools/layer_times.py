@@ -12,8 +12,9 @@ omega_1(0.5)) where a point is needed:
   resonance check (``resolvent_solve``), each at N = 8 and N = 32;
 * ``homogenize``, the static chain and its coefficient table, on each route
   (the spectral one at N = 32);
-* one branch root at k = 0.5 on each route (``exact_branch`` and
-  ``spectral_acoustic_branch`` at N = 32).
+* one branch root at k = 0.5 on each route (``exact_branch``, and
+  ``spectral_acoustic_branch`` at N = 8, where every timed ladder of the
+  ``spectral-refine`` benchmark stops, and at N = 32).
 
 The cells are ``bilaminate(0.1, 0.1)`` (fig2's) and the six-phase cell
 ``SIX_PHASE``.  One round times every (cell, layer) once, in a fresh random
@@ -80,7 +81,8 @@ def layers(cell: UnitCell1D) -> dict:
     calls["homogenize exact"] = lambda: homogenize(cell, method="exact")
     calls["homogenize spectral N=32"] = lambda: homogenize(cell, method="spectral", order=32)
     calls["branch root exact"] = lambda: exact_branch(cell, [K])
-    calls["branch root spectral N=32"] = lambda: spectral_acoustic_branch(cell, [K], order=32)
+    for n in (8, 32):
+        calls[f"branch root spectral N={n}"] = lambda n=n: spectral_acoustic_branch(cell, [K], order=n)
     return calls
 
 
