@@ -202,13 +202,12 @@ def spectral_acoustic_branch(
     """Acoustic branch from the lowest Galerkin eigenvalue per wavenumber.
 
     The eigenvalues come from the compliance pencil
-    (``spectral._lowest_eigenvalues``): lam_1 = 1 / mu_max of
-    C = M^H T(1/G) M, M = K^{-1} L with B = L L^H, which is accurate relative
-    to itself at any contrast.  T(1/G), B and L are formed once per call for
-    the whole grid.  Where cos k = 1 within 1e-15 the branch is 0, as in
-    :func:`exact_branch`, and nothing is formed; elsewhere a lowest eigenvalue
-    <= 0 raises NumericalError, and so does a mass matrix that is not
-    positive definite.  A non-finite k or an invalid order raises
+    (``spectral._lowest_eigenvalues``), accurate relative to themselves at
+    any contrast, with the matrices that do not depend on k formed once per
+    call.  Where cos k = 1 within 1e-15 the branch is 0, as in
+    :func:`exact_branch`, and nothing is formed; elsewhere a lowest
+    eigenvalue <= 0 raises NumericalError, and so does a mass matrix that is
+    not positive definite.  A non-finite k or an invalid order raises
     ValidationError.
     """
     k_grid, order = _finite_k(k_grid), check_order(order)
