@@ -108,10 +108,6 @@ class PiecewisePoly:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "PiecewisePoly":
-        shifted = np.pad(self.coeffs[:, 1:], ((0, 0), (0, 1)))
-        return self._new(shifted * np.arange(1, shifted.shape[1] + 1))
-
     def _primitive(self) -> tuple[np.ndarray, np.ndarray]:
         """(primitives vanishing at each x_j, integrals from 0 to each x_{j+1}); notes the mean."""
         c = self.coeffs

@@ -16,10 +16,9 @@ piecewise polynomials in closed form (``_piecewise``), the spectral route
 multiplies Fourier series truncated at order N (``material.FourierField``)
 and divides by G through T_N(1/G), the inverse of Li's-rule G in the
 stiffness of ``spectral.assemble``.  So its correctors are that Galerkin
-system's solution at k = 0, reached without a factorization, and mu0 is the
-harmonic mean <1/G>^-1 at any N.  Li's G itself, T(1/G)^{-1}, is formed on
-demand (``InverseRuleG``): only ``identity_suite`` reads it, so ``homogenize``
-forms none.  Two oracles share no code with the recipe:
+system's solution at k = 0, reached without a factorization or Li's G
+itself, and mu0 is the harmonic mean <1/G>^-1 at any N.  Two oracles share
+no code with the recipe:
 the frozen rational coefficients of ``bilaminate(0.1, 0.1)`` in the tests,
 and ``verify``'s ``polynomial/*_matches_oracle`` checks against the exact
 dynamic impedance of the transfer-matrix route.
@@ -28,14 +27,14 @@ dynamic impedance of the transfer-matrix route.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
 from ._piecewise import PiecewisePoly, piecewise_constant
 from .errors import NumericalError, SolvabilityError, ValidationError
 from .material import FourierField, Phase, UnitCell1D, cell_digest, fourier_coefficients
-from .spectral import DEFAULT_ORDER, check_order, toeplitz_inverse
+from .spectral import DEFAULT_ORDER, check_order
 
 __all__ = [
     "HomogCoefficients",
@@ -67,33 +66,6 @@ CANCELLATION_FLOOR = 64.0 * np.finfo(float).eps
 StaticField = PiecewisePoly | FourierField
 
 
-@dataclass(frozen=True, eq=False)
-class InverseRuleG:
-    """G as the spectral route multiplies a strain: T(1/G)^{-1} on order-N fields.
-
-    ``column`` is the first column of T(1/G), the coefficients m = 0..2N of
-    1/G; the inverse (``toeplitz_inverse``: one LU up to N = 32, where
-    Levinson's Python steps cost more than the O(N^3) LAPACK call, O(N^2)
-    above) is formed when G is first multiplied or averaged, which only
-    ``identity_suite`` does.
-    """
-
-    column: np.ndarray
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return toeplitz_inverse(self.column)
-
-    def __mul__(self, field: FourierField) -> FourierField:
-        return FourierField(self.matrix @ field.coeffs)
-
-    @property
-    def mean(self) -> complex:
-        """<G> by the same rule: the constant mode of G times the unit field."""
-        n = self.matrix.shape[0] // 2
-        return complex(self.matrix[n, n])
-
-
 # ---------------------------------------------------------------------------
 # static flux-form solves
 
@@ -121,9 +93,8 @@ class StaticCellFunctions:
     ``chi1/chi2/chi3`` drive the source-side and the dipole-side expansion
     (in 1D their sources differ by constants, which ``_solve`` subtracts
     with the source mean), ``eta0/eta1`` carry the source modulation and
-    ``alpha1`` the static dipole response.  ``G`` and ``rho`` are the cell's
-    coefficient fields on the same route; on the spectral route ``G`` is
-    Li's product (``InverseRuleG``) and ``rho`` has order 2N.
+    ``alpha1`` the static dipole response.  ``rho`` is the cell's density
+    field on the same route, of order 2N on the spectral route.
     """
 
     method: str
@@ -134,7 +105,6 @@ class StaticCellFunctions:
     eta0: StaticSolve
     eta1: StaticSolve
     alpha1: StaticSolve
-    G: PiecewisePoly | InverseRuleG
     rho: StaticField
 
     def solves(self) -> dict[str, StaticSolve]:
@@ -193,13 +163,12 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
     """
     if method == "exact":
         one = piecewise_constant(cell, np.ones(len(cell.phases)))
-        G, rho, inv_g = (piecewise_constant(cell, cell.values(name)) for name in ("G", "rho", "1/G"))
+        rho, inv_g = (piecewise_constant(cell, cell.values(name)) for name in ("rho", "1/G"))
     elif method == "spectral":
-        # the unit field and G (Li's rule) at order N, rho and 1/G at order 2N, so a
-        # product with rho or 1/G is its Toeplitz matrix T_N, as the Galerkin rows read it
+        # the unit field at order N, rho and 1/G at order 2N, so a product
+        # with rho or 1/G is its Toeplitz matrix T_N, as the Galerkin rows read it
         order = check_order(order)
         inv_g, rho = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
-        G = InverseRuleG(inv_g.coeffs[2 * order :])
         one = FourierField(np.zeros(2 * order + 1)) + 1.0
     else:
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'spectral'")
@@ -219,7 +188,7 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
     alpha1 = solve(zero, rho_chi1 - rho1, rho0)
     chi3 = solve(chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux, mu_h)
     order = None if method == "exact" else order
-    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, G, rho)
+    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +349,9 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     residuals sit at roundoff, on the spectral route at the truncation
     error of the chosen order.  The first-order mean equation is a sum of
     two entries, w1 z0 = ik (rho1/rho0 - <eta0 flux>) + (mu1 - rho1 mu0/rho0)
-    (ik)^3 / z0, so it is not checked apart.
+    (ik)^3 / z0, so it is not checked apart.  Nor is the constant-flux
+    identity <G chi1'> = mu0 - <G>: ``_solve`` gives chi1 the flux mu0 and
+    u' = mu0/G - 1, so it holds by construction.
     """
     c = coeffs
     scales = cell.scales
@@ -405,11 +376,6 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     out["second_order_coefficient_identity"] = abs(c.mu2 - c.mu0 * c.s_g) / max(
         abs(c.mu2) + abs(c.mu0 * c.s_g), 1e-8 * scales["G"]
     )
-
-    # <G chi1'> equals mu0 - <G> (constant-flux identity), G as the route forms it
-    g_dchi1 = _real((fields.G * fields.chi1.u.derivative()).mean, "G chi1' mean", scales["G"], cell, fields.method)
-    mean_g = _real(fields.G.mean, "<G>", scales["G"], cell, fields.method)
-    out["first_order_flux_identity"] = abs(g_dchi1 - (c.mu0 - mean_g)) / (abs(c.mu0) + mean_g)
 
     # static dipole flux against the density-weighted corrector square
     alpha1_flux = _real(fields.alpha1.flux.mean, "alpha1 flux mean", scales["rho"], cell, fields.method)

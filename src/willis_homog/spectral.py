@@ -15,7 +15,8 @@ mean flux all read that one matrix, formed by ``toeplitz_inverse``: up to
 N = 32 by one LAPACK LU, above it by the O(N^2) Levinson-Trench recurrence,
 whose N Python steps cost more than the O(N^3) LAPACK call at small N.
 The static chain (``asymptotics``) divides by G through its inverse T(1/G),
-so it solves this system at k = 0 without a factorization.  Both A and B
+so it solves this system at k = 0 without a factorization and never forms
+Li's G: ``assemble`` is the only caller of ``toeplitz_inverse``.  Both A and B
 are Hermitian and B is positive definite, so A c = lambda B c has a real
 spectrum with rho-orthonormal eigenvectors.  Cell responses come either
 from the resolvent (direct solve of (A - omega^2 B) c = r) or from the

@@ -64,15 +64,22 @@ class EffectiveParameters:
     coupling_velocity: complex
     route: str
 
+    def sizes(self) -> dict[str, float]:
+        """|rho|, |C|, and for each coupling max(|S1|, |S2|) floored at sqrt(|rho| |C|): a
+        coupling has the units of sqrt(G rho) (Z = k^2 C + k omega (S + conj S) - omega^2 rho),
+        so a change of units (G, rho) -> (a G, b rho) scales each parameter and its size alike.
+        Every size is floored at 1e-30."""
+        rho, C = (max(abs(p), 1e-30) for p in (self.density, self.stiffness))
+        coupling = max(abs(self.coupling_strain), abs(self.coupling_velocity), np.sqrt(rho) * np.sqrt(C))
+        return {"density": rho, "stiffness": C, "coupling_strain": coupling, "coupling_velocity": coupling}
+
     def symmetry_residuals(self) -> dict[str, float]:
-        """Deviations from the exact parameter symmetries (relative)."""
-        scale = max(abs(self.density), abs(self.stiffness), 1e-30)
-        cscale = max(abs(self.coupling_strain), abs(self.coupling_velocity), scale)
+        """Deviations from the exact parameter symmetries, each relative to its parameter's size."""
+        size = self.sizes()
         return {
-            "density_real": abs(self.density.imag) / max(abs(self.density), 1e-30),
-            "stiffness_real": abs(self.stiffness.imag) / max(abs(self.stiffness), 1e-30),
-            "couplings_conjugate": abs(self.coupling_strain + np.conj(self.coupling_velocity))
-            / cscale,
+            "density_real": abs(self.density.imag) / size["density"],
+            "stiffness_real": abs(self.stiffness.imag) / size["stiffness"],
+            "couplings_conjugate": abs(self.coupling_strain + np.conj(self.coupling_velocity)) / size["coupling_strain"],
         }
 
 
@@ -296,9 +303,9 @@ def dynamic_identity_residuals(
 
     p_direct = parameters_from_averages(cell, w, v, k, omega, "direct")
     p_sym = parameters_from_averages(cell, w, v, k, omega, "symmetric")
-    scale = max(abs(p_sym.density), abs(p_sym.stiffness), 1e-30)
-    fields = ("density", "stiffness", "coupling_strain", "coupling_velocity")
-    res["route_agreement"] = max(abs(getattr(p_direct, f) - getattr(p_sym, f)) for f in fields) / scale
+    res["route_agreement"] = max(
+        abs(getattr(p_direct, f) - getattr(p_sym, f)) / size for f, size in p_sym.sizes().items()
+    )
     for name, value in p_direct.symmetry_residuals().items():
         res[f"symmetry_{name}"] = value
     Z = impedance_from_mean(mw, cell, k, omega)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from willis_homog import asymptotics
+from willis_homog import asymptotics, spectral
 from willis_homog.asymptotics import (
     HomogCoefficients,
-    InverseRuleG,
     StaticCellFunctions,
     StaticSolve,
     coefficients,
@@ -33,7 +32,7 @@ from willis_homog.material import (
     fourier_coefficients,
     homogeneous,
 )
-from willis_homog.spectral import assemble, toeplitz_inverse
+from willis_homog.spectral import assemble
 from willis_homog.willis import effective_impedance
 
 BILAMINATE = bilaminate(0.1, 0.1)
@@ -272,7 +271,7 @@ def _galerkin_chain(cell: UnitCell1D, order: int) -> StaticCellFunctions:
     op = assemble(cell, 0.0, order)
     keep = np.arange(op.size) != op.index0
     stiffness = op.stiffness[np.ix_(keep, keep)]
-    inv_g, rho = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
+    (rho,) = fourier_coefficients(cell, ("rho",), 2 * order)
 
     def G(f: FourierField) -> FourierField:
         return FourierField(op.G_matrix @ f.coeffs)
@@ -294,8 +293,7 @@ def _galerkin_chain(cell: UnitCell1D, order: int) -> StaticCellFunctions:
     eta1 = solve(eta0.u, rho_chi1 * (1.0 / rho0) - eta0.flux, 1.0)
     alpha1 = solve(zero, rho_chi1 - rho_chi1.mean.real, rho0)
     chi3 = solve(chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux, mu_h)
-    G_rule = InverseRuleG(inv_g.coeffs[2 * order :])
-    return StaticCellFunctions("spectral", order, chi1, chi2, chi3, eta0, eta1, alpha1, G_rule, rho)
+    return StaticCellFunctions("spectral", order, chi1, chi2, chi3, eta0, eta1, alpha1, rho)
 
 
 def _random_cells(count: int, seed: int) -> list[UnitCell1D]:
@@ -353,26 +351,15 @@ def test_coefficient_tables_are_pinned_across_cells(method: str, order: int) -> 
     assert digest.hexdigest() == COEFFICIENT_DIGESTS[method, order]
 
 
-def test_li_g_is_formed_only_when_identity_suite_reads_it(monkeypatch) -> None:
-    sizes = []
-
-    def counted(column):
-        sizes.append(column.size)
-        return toeplitz_inverse(column)
-
-    monkeypatch.setattr(asymptotics, "toeplitz_inverse", counted)
-    fields, coeffs = homogenize(BILAMINATE, method="spectral", order=16)
-    assert sizes == []
-    # once for the chain's G; the constant-density companion never reads its own
-    identity_suite(BILAMINATE, fields, coeffs)
-    assert sizes == [33]
-
-
 def test_spectral_chain_factors_nothing(monkeypatch) -> None:
+    # the chain divides by G through T_N(1/G), and its identity suite reads no G,
+    # so neither factors a matrix nor forms Li's inverse T(1/G)^{-1}
     def refuse(*args, **kwargs):
-        raise AssertionError("the static chain called a dense factorization")
+        raise AssertionError("the static chain called a dense factorization or formed Li's G")
 
     for name in ("solve", "inv", "cholesky"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    _, coeffs = homogenize(BILAMINATE, method="spectral", order=32)
+    monkeypatch.setattr(spectral, "toeplitz_inverse", refuse)
+    fields, coeffs = homogenize(BILAMINATE, method="spectral", order=32)
     assert abs(coeffs.mu0 - EXPECTED["mu0"]) < 1e-12
+    assert max(identity_suite(BILAMINATE, fields, coeffs).values()) < 1e-10

@@ -407,11 +407,17 @@ def test_fractional_step_count_is_config_error(tmp_path: Path, capsys) -> None:
 #: sha256 of ``verify --preset fig2 --basis-n 16``'s verification.json, the
 #: same at 1 and 2 BLAS threads.  From N = 32 up OpenBLAS threads the
 #: factorizations of the spectral branch, which moves the last digits of its
-#: two residuals with the thread count.  Re-pinned when the branch moved to
-#: the compliance pencil: only triangle/spectral_branch_k=0.5
-#: (2.687996003235216e-07) and triangle/spectral_branch_k=1.5
-#: (1.7759440290234268e-06) moved; every other entry keeps its bytes
-VERIFICATION_N16_DIGEST = "6c5550af6d2ac2f68db84ca90432c6b24f3d73194bb92f098635b14f674d57bb"
+#: two residuals with the thread count.  Re-pinned when the static suite
+#: dropped first_order_flux_identity, which restated the chain's own solve
+#: (exact 7.585374702407901e-17, spectral 0.0), and the couplings' residuals
+#: took the couplings' own size, floored at sqrt(|rho| |C|):
+#: dynamic/route_agreement moved from 7.467190500540184e-17 to
+#: 1.3009646757398315e-16 (exact) and from 6.045393128667233e-16 to
+#: 1.8350209941075003e-15 (spectral), dynamic/symmetry_couplings_conjugate
+#: from 7.467190500540184e-17 to 1.3009646757398315e-16 (exact) and from
+#: 1.9482223949806523e-16 to 3.394273049980783e-16 (spectral); every other
+#: entry keeps its bytes
+VERIFICATION_N16_DIGEST = "2ae8ad2bcade2bfff7c3faaef26dc19821ba8dee12d07b866c61d2ec71299d29"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

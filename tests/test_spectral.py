@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from willis_homog import spectral
-from willis_homog.asymptotics import homogenize, identity_suite
+from willis_homog.asymptotics import homogenize
 from willis_homog.dispersion import spectral_acoustic_branch
 from willis_homog.errors import ResonanceError, ValidationError
 from willis_homog.exact import _LOADS
@@ -256,13 +256,6 @@ def test_li_g_is_dense_up_to_order_32(monkeypatch, order: int, calls: int) -> No
     sizes = _counting_levinson(monkeypatch)
     assemble(bilaminate(0.1, 0.1), 0.5, order)
     assert sizes == [2 * order + 1] * calls
-
-
-def test_identity_suite_at_order_16_runs_no_levinson(monkeypatch) -> None:
-    sizes = _counting_levinson(monkeypatch)
-    cell = bilaminate(0.1, 0.1)
-    identity_suite(cell, *homogenize(cell, method="spectral", order=16))
-    assert sizes == []
 
 
 @pytest.mark.parametrize("order", [4, 8, 16, 32])

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 
 from willis_homog import dispersion, spectral
+from willis_homog.asymptotics import homogenize, identity_suite
 from willis_homog.dispersion import exact_branch, spectral_acoustic_branch
 from willis_homog.material import cell_digest
 from willis_homog.spectral import BRANCH_RTOL
+from willis_homog.verify import TOLERANCES
 
 PATH = Path(__file__).parents[1] / "tools" / "verdict_sweep.py"
 SPEC = importlib.util.spec_from_file_location("verdict_sweep", PATH)
@@ -55,3 +57,11 @@ def test_spectral_branch_meets_its_gate_on_the_widest_span(monkeypatch) -> None:
         w_exact = exact_branch(cell, k).omega
         w = spectral_acoustic_branch(cell, k, order=32).omega
         assert np.all(np.abs(w - w_exact) <= BRANCH_RTOL * w_exact), cell_digest(cell)
+
+
+def test_spectral_static_identities_hold_on_the_widest_span() -> None:
+    # G and rho spread over 1e16: no entry of the suite reads Li's G, whose
+    # roundoff past 1/sqrt(eps) contrast tripped a realness guard
+    for cell in widest_span_cells(30):
+        suite = identity_suite(cell, *homogenize(cell, method="spectral", order=32))
+        assert max(suite.values()) <= TOLERANCES["spectral"], cell_digest(cell)

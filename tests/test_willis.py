@@ -171,6 +171,27 @@ def test_reconstruction_residual_detects_stiffness_error() -> None:
     assert impedance_reconstruction_residual(wrong, z) > 1e-8
 
 
+def test_coupling_residuals_follow_a_change_of_units(monkeypatch) -> None:
+    # a coupling has the units of sqrt(G rho): an error of 1e-6 in the direct
+    # route's coupling reads the same under (G, rho) -> (a G, b rho), at the
+    # point (k, omega sqrt(a/b)) that the scaling maps the probe to
+    import dataclasses
+
+    def corrupted(*args, **kwargs):
+        p = parameters_from_averages(*args, **kwargs)
+        return dataclasses.replace(p, coupling_strain=p.coupling_strain * (1.0 + 1e-6)) if p.route == "direct" else p
+
+    monkeypatch.setattr(willis, "parameters_from_averages", corrupted)
+    readings = {"symmetry_couplings_conjugate": [], "route_agreement": []}
+    for a, b in ((1.0, 1.0), (1e6, 1.0), (1.0, 1e6)):
+        scaled = UnitCell1D(tuple(Phase(p.length, a * p.G, b * p.rho) for p in BILAMINATE.phases))
+        res = dynamic_identity_residuals(scaled, 0.5, 0.2 * np.sqrt(a / b), method="exact")
+        for name, values in readings.items():
+            values.append(res[name])
+    for name, values in readings.items():
+        assert min(values) > 1e-10 and max(values) <= 2.0 * min(values), (name, values)
+
+
 def test_every_entry_point_rejects_an_unknown_method() -> None:
     calls = [
         lambda m: effective_impedance(BILAMINATE, 0.5, 0.2, method=m),
