@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from willis_homog import dispersion, spectral
 from willis_homog.asymptotics import homogenize, identity_suite
@@ -65,3 +66,27 @@ def test_spectral_static_identities_hold_on_the_widest_span() -> None:
     for cell in widest_span_cells(30):
         suite = identity_suite(cell, *homogenize(cell, method="spectral", order=32))
         assert max(suite.values()) <= TOLERANCES["spectral"], cell_digest(cell)
+
+
+def test_sweep_slice_fails_no_check_beyond_the_recorded_run() -> None:
+    # the first 30 cells of each span: a check a cell passed in the recorded
+    # run at N = 32 stays passed
+    _, expected = verdict_sweep.read_expected(verdict_sweep.EXPECTED)
+    worse, _ = verdict_sweep.ratchet(verdict_sweep.verdicts(120, 32, take=30), expected)
+    assert not worse
+
+
+def test_expect_exits_1_on_a_new_failure_and_lists_improvements(tmp_path, monkeypatch, capsys) -> None:
+    cells = [verdict_sweep.draw_cell(random.Random(verdict_sweep.SEED), 1)]
+    digest = cell_digest(cells[0])
+    recorded = tmp_path / "expected.txt"
+    recorded.write_text(f"span 10^+-1: 1 of 1 exit 1, 0 exit 3\n  {digest} exit 1: a (exact), b (spectral)\n")
+    monkeypatch.setattr(verdict_sweep, "SPANS", (1,))
+    monkeypatch.setattr(verdict_sweep, "verdict", lambda cell, basis_n: (1, ["a (exact)"]))
+    assert verdict_sweep.main(["--cells", "1", "--expect", str(recorded)]) == 0
+    assert f"  {digest} now passes: b (spectral)" in capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(verdict_sweep, "verdict", lambda cell, basis_n: (1, ["a (exact)", "c (exact)"]))
+    assert verdict_sweep.main(["--cells", "1", "--expect", str(recorded)]) == 1
+    assert f"  {digest} newly fails: c (exact)" in capsys.readouterr().out.splitlines()
+    with pytest.raises(SystemExit):
+        verdict_sweep.main(["--cells", "2", "--expect", str(recorded)])
