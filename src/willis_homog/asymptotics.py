@@ -8,20 +8,20 @@ from their averages.  From the table three polynomial observables in
 modulation factor that multiplies it in the mean-field expansion, and the
 dipole mean polynomial.
 
-The chain is written once, in ``solve_static_chain``, as a recipe of sums,
-products and means of fields, and every corrector comes from one flux-form
-solve, ``_solve``.  Each route supplies only its field algebra, and the
-routes certify each other where those differ: the exact route integrates
-piecewise polynomials in closed form (``_piecewise``), the spectral route
-multiplies Fourier series truncated at order N (``material.FourierField``)
-and divides by G through T_N(1/G), the inverse of Li's-rule G in the
-stiffness of ``spectral.assemble``.  So its correctors are that Galerkin
-system's solution at k = 0, reached without a factorization or Li's G
-itself, and mu0 is the harmonic mean <1/G>^-1 at any N.  Two oracles share
-no code with the recipe:
-the frozen rational coefficients of ``bilaminate(0.1, 0.1)`` in the tests,
-and ``verify``'s ``polynomial/*_matches_oracle`` checks against the exact
-dynamic impedance of the transfer-matrix route.
+The two routes share no chain code, so the spectral table checks the
+exact one.  The exact route runs the chain as a recipe of sums, products
+and means of piecewise polynomials integrated in closed form
+(``_piecewise``), each corrector from one flux-form solve, ``_solve``.
+The spectral route (``_spectral_chain``) solves the same six problems as
+the rows |m| <= N of the k = 0 Galerkin system of ``spectral.assemble``,
+on Fourier coefficient arrays.  It divides by G through T_N(1/G), the
+inverse of Li's-rule G (L. Li, JOSA A 13 (1996) 1870), as one convolution
+with the order-2N coefficients of 1/G, so it needs no factorization, never
+forms Li's G, and its mu0 is the harmonic mean <1/G>^-1 at any N.  Two
+oracles share no code with either route: the frozen rational coefficients
+of ``bilaminate(0.1, 0.1)`` in the tests, and ``verify``'s
+``polynomial/*_matches_oracle`` checks against the exact dynamic impedance
+of the transfer-matrix route.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from ._piecewise import PiecewisePoly, piecewise_constant
 from .errors import NumericalError, SolvabilityError, ValidationError
-from .material import FourierField, Phase, UnitCell1D, cell_digest, fourier_coefficients
+from .material import FourierField, Phase, UnitCell1D, _field, _two_pi_im, cell_digest, fourier_coefficients
 from .spectral import DEFAULT_ORDER, check_order
 
 __all__ = [
@@ -77,7 +77,8 @@ class StaticSolve:
     ``scale`` is the cell's size for the flux's dimension (``UnitCell1D.scales``);
     that of ``u`` is ``scale`` times <1/G>.  ``residual`` is the larger
     periodicity defect, <u'> of ``u`` and <r - <r>> of the flux, relative
-    to those sizes, on both routes.
+    to those sizes; the spectral flux is periodic by construction, so there
+    it is <u'> alone.
     """
 
     u: StaticField
@@ -91,7 +92,7 @@ class StaticCellFunctions:
     """The corrector chain of one cell on one route.
 
     ``chi1/chi2/chi3`` drive the source-side and the dipole-side expansion
-    (in 1D their sources differ by constants, which ``_solve`` subtracts
+    (in 1D their sources differ by constants, which each solve drops
     with the source mean), ``eta0/eta1`` carry the source modulation and
     ``alpha1`` the static dipole response.  ``rho`` is the cell's density
     field on the same route, of order 2N on the spectral route.
@@ -127,18 +128,16 @@ def _real(value: complex, what: str, scale: float, cell: UnitCell1D, method: str
 
 
 def _solve(
-    cell: UnitCell1D, method: str, inv_g: StaticField, F: StaticField, r: StaticField, scale: float
+    cell: UnitCell1D, inv_g: PiecewisePoly, F: PiecewisePoly, r: PiecewisePoly, scale: float
 ) -> StaticSolve:
     """The zero-mean periodic solution of (G(u' + F))' = r in closed flux form.
 
     The flux is R + C with R an antiderivative of r - <r>, and C makes
-    <u'> = <(R + C)/G - F> vanish.  Division by G is the product with
-    ``inv_g``; on the spectral route that is T_N(1/G), the inverse of Li's G,
-    so the rows |m| <= N are the Galerkin solution itself.
+    <u'> = <(R + C)/G - F> vanish.
     """
     mean_r = r.mean
     if abs(mean_r) > SOLVABILITY_RTOL * max(scale, r.bound()):
-        raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, method)})")
+        raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'exact')})")
     r_free = r - mean_r
     R = r_free.antiderivative()
     C = (F.mean - (R * inv_g).mean) / inv_g.mean
@@ -148,6 +147,62 @@ def _solve(
     # periodicity defects: u(1) - u(0) = <u'>, R(1) - R(0) = <r - <r>>
     residual = max(abs(du.mean) * cell.scales["G"], abs(r_free.mean)) / scale
     return StaticSolve(u=u, flux=flux, residual=residual, scale=scale)
+
+
+def _spectral_chain(cell: UnitCell1D, order: int) -> tuple[StaticCellFunctions, np.ndarray]:
+    """The chain as the rows |m| <= N of the k = 0 Galerkin system, on coefficient
+    arrays (index m + N), and the coefficients of rho chi1, which the table reads.
+
+    Each problem (G(u' + F))' = r takes R = r / 2 pi i m without its mean, C
+    from the m = 0 row of <u'> = 0, the flux R + C e0, and u' = T_N(1/G)(R + C e0)
+    - F as one convolution with the order-2N coefficients of 1/G.  A product
+    with rho is T_N(rho) times the order-N array, as the Galerkin rows read it.
+    """
+    N = order
+    inv_g, rho_field = fourier_coefficients(cell, ("1/G", "rho"), 2 * N)
+    g, rho = inv_g.coeffs, rho_field.coeffs
+    g_row0, rho_n = g[N : 3 * N + 1][::-1], rho[N : 3 * N + 1]  # the m = 0 row of T_N(1/G), T_N(rho) e0
+    divisor = _two_pi_im(N)
+    mu_h, rho0 = cell.scales["G"], cell.scales["rho"]
+
+    def solve(F: np.ndarray, r: np.ndarray, scale: float) -> StaticSolve:
+        mean_r = r[N]
+        # scale first: the source's bound is needed only past it
+        if abs(mean_r) > SOLVABILITY_RTOL * scale and abs(mean_r) > SOLVABILITY_RTOL * np.abs(r).sum():
+            raise SolvabilityError(f"cell source has nonzero mean {mean_r:.3e} ({_at(cell, 'spectral')})")
+        R = r / divisor
+        R[N] = 0.0
+        C = (F[N] - g_row0 @ R) / g[2 * N]
+        R[N] = C
+        du = np.convolve(g, R, "valid") - F
+        u = du / divisor
+        u[N] = 0.0
+        # periodicity defect u(1) - u(0) = <u'>; R is periodic by construction
+        residual = abs(du[N]) * mu_h / scale
+        return StaticSolve(u=_field(u, N), flux=_field(R, N), residual=residual, scale=scale)
+
+    zero = np.zeros(2 * N + 1, dtype=complex)
+    one = zero.copy()
+    one[N] = 1.0
+    eta0_r = rho_n.copy()
+    eta0_r[N] -= rho0
+    eta0_r *= 1.0 / rho0
+
+    # each source with the cell's size for its flux's dimension
+    chi1 = solve(one, zero, mu_h)
+    eta0 = solve(zero, eta0_r, 1.0)
+    mu0 = _real(chi1.flux.mean, "mu0", mu_h, cell, "spectral")
+    u1 = chi1.u.coeffs
+    rho_chi1 = np.convolve(rho, u1, "valid")
+    rho1 = _real(rho_chi1[N], "rho1", rho0, cell, "spectral")
+    chi2 = solve(u1, rho_n * (mu0 / rho0) - chi1.flux.coeffs, mu_h)
+    eta1 = solve(eta0.u.coeffs, rho_chi1 * (1.0 / rho0) - eta0.flux.coeffs, 1.0)
+    alpha1_r = rho_chi1.copy()
+    alpha1_r[N] -= rho1
+    alpha1 = solve(zero, alpha1_r, rho0)
+    chi3 = solve(chi2.u.coeffs, rho_chi1 * (mu0 / rho0) - chi2.flux.coeffs, mu_h)
+    fields = StaticCellFunctions("spectral", N, chi1, chi2, chi3, eta0, eta1, alpha1, rho_field)
+    return fields, rho_chi1
 
 
 def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEFAULT_ORDER) -> StaticCellFunctions:
@@ -161,25 +216,19 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
     order : int
         Truncation order for the spectral route, ignored otherwise.
     """
-    if method == "exact":
-        one = piecewise_constant(cell, np.ones(len(cell.phases)))
-        rho, inv_g = (piecewise_constant(cell, cell.values(name)) for name in ("rho", "1/G"))
-    elif method == "spectral":
-        # the unit field at order N, rho and 1/G at order 2N, so a product
-        # with rho or 1/G is its Toeplitz matrix T_N, as the Galerkin rows read it
-        order = check_order(order)
-        inv_g, rho = fourier_coefficients(cell, ("1/G", "rho"), 2 * order)
-        one = FourierField(np.zeros(2 * order + 1)) + 1.0
-    else:
+    if method == "spectral":
+        return _spectral_chain(cell, check_order(order))[0]
+    if method != "exact":
         raise ValidationError(f"unknown method {method!r}, expected 'exact' or 'spectral'")
-    solve = partial(_solve, cell, method, inv_g)
+    one = piecewise_constant(cell, np.ones(len(cell.phases)))
+    rho, inv_g = (piecewise_constant(cell, cell.values(name)) for name in ("rho", "1/G"))
+    solve = partial(_solve, cell, inv_g)
     zero = one * 0.0
     mu_h, rho0 = cell.scales["G"], cell.scales["rho"]
 
-    # each source with the cell's size for its flux's dimension, and at
-    # order N on the spectral route: the unit field cuts eta0's to it
+    # each source with the cell's size for its flux's dimension
     chi1 = solve(one, zero, mu_h)
-    eta0 = solve(zero, (rho - rho0) * one * (1.0 / rho0), 1.0)
+    eta0 = solve(zero, (rho - rho0) * (1.0 / rho0), 1.0)
     mu0 = _real(chi1.flux.mean, "mu0", mu_h, cell, method)
     rho_chi1 = rho * chi1.u
     rho1 = _real(rho_chi1.mean, "rho1", rho0, cell, method)
@@ -187,8 +236,7 @@ def solve_static_chain(cell: UnitCell1D, method: str = "exact", order: int = DEF
     eta1 = solve(eta0.u, rho_chi1 * (1.0 / rho0) - eta0.flux, 1.0)
     alpha1 = solve(zero, rho_chi1 - rho1, rho0)
     chi3 = solve(chi2.u, rho_chi1 * (mu0 / rho0) - chi2.flux, mu_h)
-    order = None if method == "exact" else order
-    return StaticCellFunctions(method, order, chi1, chi2, chi3, eta0, eta1, alpha1, rho)
+    return StaticCellFunctions(method, None, chi1, chi2, chi3, eta0, eta1, alpha1, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +271,57 @@ class HomogCoefficients:
         return asdict(self)
 
 
+#: the dimension of each average of the table, whose cell size judges its realness
+_DIMENSIONS = {"mu0": "G", "rho1": "rho", "mu1": "G", "rho2": "rho", "mu2": "G", "s_g": "1", "s_rho": "rho/G", "q": "rho"}
+
+
+def _table(cell: UnitCell1D, method: str, averages: dict[str, complex]) -> HomogCoefficients:
+    """The table of a chain's averages, each checked real on the cell's size for it."""
+    c = {name: _real(value, name, cell.scales[_DIMENSIONS[name]], cell, method) for name, value in averages.items()}
+    return HomogCoefficients(rho0=cell.mean("rho"), **c, mu1_dip=c["mu1"], mu2_dip=c["mu2"], rho2_dip=c["rho2"])
+
+
 def coefficients(cell: UnitCell1D, fields: StaticCellFunctions) -> HomogCoefficients:
     """Coefficient table from a solved corrector chain (route-consistent)."""
+    if fields.method == "spectral":
+        return _spectral_table(cell, fields, np.convolve(fields.rho.coeffs, fields.chi1.u.coeffs, "valid"))
+    rho, chi1 = fields.rho, fields.chi1
+    rho_chi1 = rho * chi1.u
+    return _table(cell, fields.method, {
+        "mu0": chi1.flux.mean,
+        "rho1": rho_chi1.mean,
+        "mu1": fields.chi2.flux.mean,
+        "rho2": (rho * fields.chi2.u).mean,
+        "mu2": fields.chi3.flux.mean,
+        "s_g": fields.eta1.flux.mean,
+        "s_rho": (rho * fields.eta0.u).mean,
+        "q": (rho_chi1 * chi1.u).mean,
+    })
 
-    def mean(field: StaticField, what: str, dim: str) -> float:
-        return _real(field.mean, what, cell.scales[dim], cell, fields.method)
 
-    rho = fields.rho
-    rho_chi1 = rho * fields.chi1.u
-    mu1 = mean(fields.chi2.flux, "mu1", "G")
-    mu2 = mean(fields.chi3.flux, "mu2", "G")
-    rho2 = mean(rho * fields.chi2.u, "rho2", "rho")
-    return HomogCoefficients(
-        rho0=cell.mean("rho"),
-        mu0=mean(fields.chi1.flux, "mu0", "G"),
-        rho1=mean(rho_chi1, "rho1", "rho"),
-        mu1=mu1,
-        rho2=rho2,
-        mu2=mu2,
-        mu1_dip=mu1,
-        mu2_dip=mu2,
-        rho2_dip=rho2,
-        s_g=mean(fields.eta1.flux, "s_g", "1"),
-        s_rho=mean(rho * fields.eta0.u, "s_rho", "rho/G"),
-        q=mean(rho_chi1 * fields.chi1.u, "q", "rho"),
-    )
+def _spectral_table(cell: UnitCell1D, fields: StaticCellFunctions, rho_chi1: np.ndarray) -> HomogCoefficients:
+    """The table of a spectral chain, each average of a product one dot of its
+    coefficient arrays: <a b> = sum_m a_m b_{-m}.  ``rho_chi1`` holds the
+    harmonics |m| <= N of rho chi1."""
+    N, chi1 = fields.order, fields.chi1
+    rho_rev = fields.rho.coeffs[N : 3 * N + 1][::-1]  # rho_{-m}, m = -N..N
+    return _table(cell, "spectral", {
+        "mu0": chi1.flux.mean,
+        "rho1": rho_chi1[N],
+        "mu1": fields.chi2.flux.mean,
+        "rho2": rho_rev @ fields.chi2.u.coeffs,
+        "mu2": fields.chi3.flux.mean,
+        "s_g": fields.eta1.flux.mean,
+        "s_rho": rho_rev @ fields.eta0.u.coeffs,
+        "q": rho_chi1 @ chi1.u.coeffs[::-1],
+    })
 
 
 def homogenize(cell: UnitCell1D, method: str = "exact", order: int = DEFAULT_ORDER) -> tuple[StaticCellFunctions, HomogCoefficients]:
     """Chain plus coefficient table in one call."""
+    if method == "spectral":
+        fields, rho_chi1 = _spectral_chain(cell, check_order(order))
+        return fields, _spectral_table(cell, fields, rho_chi1)
     fields = solve_static_chain(cell, method=method, order=order)
     return fields, coefficients(cell, fields)
 
@@ -350,8 +420,8 @@ def identity_suite(cell: UnitCell1D, fields: StaticCellFunctions, coeffs: HomogC
     error of the chosen order.  The first-order mean equation is a sum of
     two entries, w1 z0 = ik (rho1/rho0 - <eta0 flux>) + (mu1 - rho1 mu0/rho0)
     (ik)^3 / z0, so it is not checked apart.  Nor is the constant-flux
-    identity <G chi1'> = mu0 - <G>: ``_solve`` gives chi1 the flux mu0 and
-    u' = mu0/G - 1, so it holds by construction.
+    identity <G chi1'> = mu0 - <G>: each route's solve gives chi1 the flux
+    mu0 and u' = mu0/G - 1, so it holds by construction.
     """
     c = coeffs
     scales = cell.scales

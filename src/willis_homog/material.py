@@ -151,10 +151,8 @@ def homogeneous(G: float = 1.0, rho: float = 1.0) -> UnitCell1D:
 class FourierField:
     """Complex Fourier coefficients c_m, m = -N..N, of a periodic function; ``order`` is N.
 
-    Only the constructor checks its array (1-D, odd length).  The operators' direct
-    paths, scalar ``+ - *`` and same-order ``+ -`` on the coefficient array alone and
-    ``antiderivative`` by the order's table of 2 pi i m, equal the checked path (a
-    constructed field, neg-then-add, c_m / (2 pi i m)) bit for bit."""
+    A container: the spectral static chain (``asymptotics``) computes on the
+    coefficient arrays and hands its correctors out in this form."""
 
     __slots__ = ("coeffs", "order")
 
@@ -169,72 +167,13 @@ class FourierField:
         """Cell average, i.e. the m = 0 coefficient."""
         return complex(self.coeffs[self.order])
 
-    def _shift(self, coeffs: np.ndarray, constant) -> "FourierField":
-        """The field of ``coeffs``, a fresh array of this order, plus a constant."""
-        coeffs[self.order] += constant
-        return _field(coeffs, self.order)
-
-    def __add__(self, other) -> "FourierField":
-        """Sum; of two fields, truncated to the lower of their orders."""
-        if isinstance(other, FourierField):
-            if other.order == self.order:
-                return _field(self.coeffs + other.coeffs, self.order)
-            n = min(self.order, other.order)
-            return _field(_centre(self.coeffs, n) + _centre(other.coeffs, n), n)
-        if not isinstance(other, _SCALARS) and np.ndim(other):
-            return self + FourierField(other)  # checked: an array is a coefficient array
-        return self._shift(self.coeffs.copy(), other)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FourierField":
-        return _field(-self.coeffs, self.order)
-
-    def __sub__(self, other) -> "FourierField":
-        if isinstance(other, FourierField) and other.order == self.order:
-            return _field(self.coeffs - other.coeffs, self.order)
-        return self._shift(self.coeffs.copy(), -other) if isinstance(other, _SCALARS) else self + (-other)
-
-    def __rsub__(self, other) -> "FourierField":
-        return self._shift(-self.coeffs, other) if isinstance(other, _SCALARS) else (-self) + other
-
-    def __mul__(self, other) -> "FourierField":
-        """Product; of two fields, truncated to the lower of their orders."""
-        if not isinstance(other, FourierField):
-            c = self.coeffs * other  # checked unless a scalar: ``other`` may be an array
-            return _field(c, self.order) if isinstance(other, _SCALARS) else FourierField(c)
-        a, b = (self, other) if self.order >= other.order else (other, self)
-        n = b.order
-        if a.order >= 2 * n:
-            # the harmonics |m| <= n draw on those of a up to 2n only
-            return _field(np.convolve(_centre(a.coeffs, 2 * n), b.coeffs, mode="valid"), n)
-        return _field(_centre(np.convolve(a.coeffs, b.coeffs), n), n)
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "FourierField":
-        m = np.arange(-self.order, self.order + 1)
-        return _field(2j * np.pi * m * self.coeffs, self.order)
-
-    def antiderivative(self) -> "FourierField":
-        """The zero-mean antiderivative c_m / (2 pi i m); the mean c_0 has none and is dropped."""
-        c = self.coeffs / _two_pi_im(self.order)
-        c[self.order] = 0.0
-        return _field(c, self.order)
-
-    def zero_mean(self) -> "FourierField":
-        return self - self.mean
-
     def bound(self) -> float:
         """sum_m |c_m|, a bound on |f(x)| over the cell."""
         return float(np.abs(self.coeffs).sum())
 
 
-_SCALARS = (int, float, complex)  #: taken unchecked, numpy's float64 and complex128 too
-
-
 def _field(coeffs: np.ndarray, order: int) -> FourierField:
-    """The field of an order-N complex array (size 2N + 1) an operation just built, unchecked."""
+    """The field of an order-N complex array (size 2N + 1) just built, unchecked."""
     field = object.__new__(FourierField)
     field.coeffs, field.order = coeffs, order
     return field
@@ -250,35 +189,29 @@ def _two_pi_im(order: int) -> np.ndarray:
     return divisor
 
 
-def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """The harmonics |m| <= order of a centred coefficient array."""
-    mid = coeffs.size // 2
-    return coeffs[mid - order : mid + order + 1]
-
-
 def fourier_coefficients(cell: UnitCell1D, names: tuple[str, ...], N: int) -> tuple[FourierField, ...]:
     """Closed-form Fourier coefficients up to order N of each named field
     ('G', 'rho' or '1/G'), all from one table of exponentials.
 
     Each segment [a, b] with value v contributes v*(b - a) to c_0 and
-    v*(exp(-2*pi*i*m*b) - exp(-2*pi*i*m*a)) / (-2*pi*i*m) to c_m; each
-    exponential is taken once, at its breakpoint.
+    v*(exp(-2*pi*i*m*b) - exp(-2*pi*i*m*a)) / (-2*pi*i*m) to c_m, m = 1..N;
+    each exponential is taken once, at its breakpoint.  The fields are real,
+    so c_{-m} = conj(c_m).
     """
     if N < 0:
         raise ValidationError(f"truncation order must be >= 0, got {N}")
     breaks = cell.breakpoints
-    m = np.arange(-N, N + 1)
-    nonzero = m != 0
-    mm = m[nonzero]
-    exps = np.exp(-2j * np.pi * np.multiply.outer(mm, breaks))
+    m = np.arange(1, N + 1)
+    exps = np.exp(-2j * np.pi * np.multiply.outer(m, breaks))
     phase = exps[:, 1:] - exps[:, :-1]
-    lengths, divisor = breaks[1:] - breaks[:-1], -2j * np.pi * mm
+    lengths, divisor = breaks[1:] - breaks[:-1], -2j * np.pi * m
     fields = []
     for name in names:
         vals = cell.values(name)
         coeffs = np.empty(2 * N + 1, dtype=complex)
-        coeffs[nonzero] = (phase @ vals) / divisor
-        coeffs[N] = np.dot(lengths, vals)
+        coeffs[N + 1 :] = (phase @ vals) / divisor
+        np.conjugate(coeffs[:N:-1], out=coeffs[:N])
+        coeffs[N] = np.dot(lengths, vals)  # from the breakpoints, as c_m: cell.mean's lengths differ at roundoff
         fields.append(_field(coeffs, N))
     return tuple(fields)
 

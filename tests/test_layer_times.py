@@ -18,6 +18,7 @@ LAYERS = [
     "spectral assemble N=32",
     "spectral solve N=32",
     "homogenize exact",
+    "homogenize spectral N=8",
     "homogenize spectral N=32",
     "branch root exact",
     "branch root spectral N=8",

@@ -11,10 +11,12 @@ omega_1(0.5)) where a point is needed:
 * spectral ``assemble``, and the spectral solve of both loads with its
   resonance check (``resolvent_solve``), each at N = 8 and N = 32;
 * ``homogenize``, the static chain and its coefficient table, on each route
-  (the spectral one at N = 32);
+  (the spectral one at N = 8 and N = 32);
 * one branch root at k = 0.5 on each route (``exact_branch``, and
-  ``spectral_acoustic_branch`` at N = 8, where every timed ladder of the
-  ``spectral-refine`` benchmark stops, and at N = 32).
+  ``spectral_acoustic_branch`` at N = 8 and N = 32).
+
+N = 8 is where every timed ladder of the ``spectral-refine`` benchmark
+stops, and N = 32 is ``verify``'s default order.
 
 The cells are ``bilaminate(0.1, 0.1)`` (fig2's) and the six-phase cell
 ``SIX_PHASE``.  One round times every (cell, layer) once, in a fresh random
@@ -79,7 +81,8 @@ def layers(cell: UnitCell1D) -> dict:
         calls[f"spectral assemble N={n}"] = lambda n=n: assemble(cell, K, n)
         calls[f"spectral solve N={n}"] = lambda op=op, loads=loads: resolvent_solve(op, omega, loads)
     calls["homogenize exact"] = lambda: homogenize(cell, method="exact")
-    calls["homogenize spectral N=32"] = lambda: homogenize(cell, method="spectral", order=32)
+    for n in (8, 32):
+        calls[f"homogenize spectral N={n}"] = lambda n=n: homogenize(cell, method="spectral", order=n)
     calls["branch root exact"] = lambda: exact_branch(cell, [K])
     for n in (8, 32):
         calls[f"branch root spectral N={n}"] = lambda n=n: spectral_acoustic_branch(cell, [K], order=n)
