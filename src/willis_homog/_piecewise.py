@@ -18,11 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .material import UnitCell1D
+from .material import _SCALARS, UnitCell1D
 
 __all__ = ["PiecewisePoly", "piecewise_constant"]
-
-_SCALARS = (int, float, complex)  #: taken unchecked, numpy's float64 and complex128 too
 
 
 def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:

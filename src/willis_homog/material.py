@@ -151,8 +151,12 @@ def homogeneous(G: float = 1.0, rho: float = 1.0) -> UnitCell1D:
 class FourierField:
     """Complex Fourier coefficients c_m, m = -N..N, of a periodic function; ``order`` is N.
 
-    A container: the spectral static chain (``asymptotics``) computes on the
-    coefficient arrays and hands its correctors out in this form."""
+    The spectral static chain (``asymptotics``) computes on the coefficient arrays
+    and hands its correctors out in this form; the algebra below is public API.
+    Only the constructor checks its array (1-D, odd length).  The operators' direct
+    paths, scalar ``+ - *`` and same-order ``+ -`` on the coefficient array alone and
+    ``antiderivative`` by the order's table of 2 pi i m, equal the checked path (a
+    constructed field, neg-then-add, c_m / (2 pi i m)) bit for bit."""
 
     __slots__ = ("coeffs", "order")
 
@@ -167,9 +171,64 @@ class FourierField:
         """Cell average, i.e. the m = 0 coefficient."""
         return complex(self.coeffs[self.order])
 
+    def _shift(self, coeffs: np.ndarray, constant) -> "FourierField":
+        """The field of ``coeffs``, a fresh array of this order, plus a constant."""
+        coeffs[self.order] += constant
+        return _field(coeffs, self.order)
+
+    def __add__(self, other) -> "FourierField":
+        """Sum; of two fields, truncated to the lower of their orders."""
+        if isinstance(other, FourierField):
+            if other.order == self.order:
+                return _field(self.coeffs + other.coeffs, self.order)
+            n = min(self.order, other.order)
+            return _field(_centre(self.coeffs, n) + _centre(other.coeffs, n), n)
+        if not isinstance(other, _SCALARS) and np.ndim(other):
+            return self + FourierField(other)  # checked: an array is a coefficient array
+        return self._shift(self.coeffs.copy(), other)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FourierField":
+        return _field(-self.coeffs, self.order)
+
+    def __sub__(self, other) -> "FourierField":
+        if isinstance(other, FourierField) and other.order == self.order:
+            return _field(self.coeffs - other.coeffs, self.order)
+        return self._shift(self.coeffs.copy(), -other) if isinstance(other, _SCALARS) else self + (-other)
+
+    def __rsub__(self, other) -> "FourierField":
+        return self._shift(-self.coeffs, other) if isinstance(other, _SCALARS) else (-self) + other
+
+    def __mul__(self, other) -> "FourierField":
+        """Product; of two fields, truncated to the lower of their orders."""
+        if not isinstance(other, FourierField):
+            c = self.coeffs * other  # checked unless a scalar: ``other`` may be an array
+            return _field(c, self.order) if isinstance(other, _SCALARS) else FourierField(c)
+        a, b = (self, other) if self.order >= other.order else (other, self)
+        n = b.order
+        if a.order >= 2 * n:
+            # the harmonics |m| <= n draw on those of a up to 2n only
+            return _field(np.convolve(_centre(a.coeffs, 2 * n), b.coeffs, mode="valid"), n)
+        return _field(_centre(np.convolve(a.coeffs, b.coeffs), n), n)
+
+    __rmul__ = __mul__
+
+    def antiderivative(self) -> "FourierField":
+        """The zero-mean antiderivative c_m / (2 pi i m); the mean c_0 has none and is dropped."""
+        c = self.coeffs / _two_pi_im(self.order)
+        c[self.order] = 0.0
+        return _field(c, self.order)
+
+    def zero_mean(self) -> "FourierField":
+        return self - self.mean
+
     def bound(self) -> float:
         """sum_m |c_m|, a bound on |f(x)| over the cell."""
         return float(np.abs(self.coeffs).sum())
+
+
+_SCALARS = (int, float, complex)  #: taken unchecked, numpy's float64 and complex128 too
 
 
 def _field(coeffs: np.ndarray, order: int) -> FourierField:
@@ -187,6 +246,12 @@ def _two_pi_im(order: int) -> np.ndarray:
     divisor[order] = 1.0
     divisor.flags.writeable = False
     return divisor
+
+
+def _centre(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """The harmonics |m| <= order of a centred coefficient array."""
+    mid = coeffs.size // 2
+    return coeffs[mid - order : mid + order + 1]
 
 
 def fourier_coefficients(cell: UnitCell1D, names: tuple[str, ...], N: int) -> tuple[FourierField, ...]:
